@@ -548,7 +548,7 @@ def run_scenario(path, seed_override=None, tolerance_override=None,
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE, None
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError, NotImplementedError) as exc:
         print(f"error: scenario {path.name}: {exc}", file=sys.stderr)
         return EXIT_USAGE, None
 
@@ -593,8 +593,10 @@ def run_scenario(path, seed_override=None, tolerance_override=None,
 def run_suite(directory, jobs=1, out=None, report_dir=None, **kwargs):
     """Run every scenario in a directory; aggregate pass/fail matrix.
 
-    With report_dir set, each scenario's report JSON is written there
-    under the scenario's file name.
+    A scenario that ends in a usage or config error is recorded as
+    'error' and the rest still run; the suite then exits 1.  With
+    report_dir set, each scenario's report JSON is written there under
+    the scenario's file name.
     """
     directory = Path(directory)
     files = sorted(directory.glob("*.json"))
@@ -619,16 +621,12 @@ def run_suite(directory, jobs=1, out=None, report_dir=None, **kwargs):
             results[f.name] = launch(f)
 
     matrix = {}
-    worst = EXIT_PASS
     for fname in sorted(results):
-        code, rep = results[fname]
-        verdict = rep["verdict"] if rep else "error"
-        matrix[fname] = verdict
-        print(f"[suite] {fname}: {verdict}")
-        worst = max(worst, code) if code != EXIT_USAGE else EXIT_USAGE
-        if code == EXIT_USAGE:
-            worst = EXIT_USAGE
-            break
+        _, rep = results[fname]
+        matrix[fname] = rep["verdict"] if rep else "error"
+        print(f"[suite] {fname}: {matrix[fname]}")
+    codes = {code for code, _ in results.values()}
+    worst = EXIT_USAGE if EXIT_USAGE in codes else max(codes)
 
     if out:
         _atomic_write(

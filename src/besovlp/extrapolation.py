@@ -34,6 +34,10 @@ from .spaces import (
     idft,
     lp_norm,
     weak_lp_norm,
+    _inv,
+    _lp_combine,
+    _pack_complex,
+    _unpack_complex,
 )
 
 __all__ = [
@@ -177,9 +181,6 @@ class Kernel:
 
     # kernel files share the symbol file format, tagged physical
     def to_json_obj(self) -> dict:
-        flat = np.empty(self.values.size * 2, dtype=float)
-        flat[0::2] = self.values.real.reshape(-1)
-        flat[1::2] = self.values.imag.reshape(-1)
         return {
             "d": self.grid.d,
             "n_per_dim": self.grid.n_per_dim,
@@ -188,14 +189,13 @@ class Kernel:
             "n_in": self.n_in,
             "domain_tag": "physical",
             "origin_convention": self.origin_convention,
-            "data": flat.tolist(),
+            "data": _pack_complex(self.values),
         }
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Kernel":
         grid = GridSpec(obj["d"], obj["n_per_dim"], obj["period"])
-        flat = np.asarray(obj["data"], dtype=float)
-        vals = (flat[0::2] + 1j * flat[1::2]).reshape(-1, obj["n_out"], obj["n_in"])
+        vals = _unpack_complex(obj["data"], (-1, obj["n_out"], obj["n_in"]))
         return cls(grid, vals, obj.get("origin_convention", "finite"))
 
 
@@ -375,7 +375,7 @@ def hormander_constant(
         for x in np.atleast_2d(x_test):
             mapped = diff[region] @ x
             norms = codomain_space.norm_rows(mapped)
-            integral = (grid.cell_volume * float(np.sum(norms**a))) ** (1.0 / a)
+            integral = _lp_combine(norms, a, grid.cell_volume)
             samples.append(
                 {
                     "t_cells": [int(v) for v in t_cells],
@@ -521,7 +521,7 @@ def mihlin_check(
             weight = R ** (sum(alpha) + dr - d / rho)
             for x in np.atleast_2d(x_test):
                 mapped = np.einsum("noi,i->no", dvals, x)
-                shell_norm = (cell * float(np.sum(space.norm_rows(mapped) ** rho))) ** (1.0 / rho)
+                shell_norm = _lp_combine(space.norm_rows(mapped), rho, cell)
                 value = weight * shell_norm
                 samples.append(
                     {"alpha": list(alpha), "R": R, "value": value}
@@ -628,46 +628,36 @@ def cz_decompose(
     bad_parts = []
     side_unit = grid.period / N
 
-    def cube_slices(level: int, idx: tuple) -> tuple:
-        step = 2**level
-        return tuple(slice(i * step, (i + 1) * step) for i in idx)
-
-    def emit(level: int, idx: tuple) -> None:
-        sl = cube_slices(level, idx)
-        block = samples_view[sl].reshape(-1, f.value_dim)
-        avg = block.mean(axis=0)
-        bad = np.zeros_like(samples_view)
-        bad[sl] = samples_view[sl] - avg
-        good[sl] = avg
-        side = side_unit * 2**level
-        info = CubeInfo(
-            level=level,
-            corner_cells=tuple(i * 2**level for i in idx),
-            side=side,
-            measure=side**d,
-            dilated_side=2.0 * math.sqrt(d) * side,
-        )
-        bad_parts.append(
-            (GridFunction(grid, bad.reshape(grid.n_nodes, f.value_dim), "physical"), info)
-        )
-
+    # maximal cubes in preorder: a cube above the height becomes a bad
+    # part, any other splits into its 2^d children, pushed in reverse so
+    # that they pop in order (the root is above the height only in the
+    # whole-domain case)
     whole_domain = root_mean > height
-    if whole_domain:
-        emit(levels, (0,) * d)
-    else:
-        def descend(level: int, idx: tuple) -> None:
-            if level == 0:
-                return
-            child_level = level - 1
-            means = pyramid[child_level]
-            for offs in product(range(2), repeat=d):
-                cidx = tuple(2 * i + o for i, o in zip(idx, offs))
-                if float(means[cidx]) > height:
-                    emit(child_level, cidx)
-                else:
-                    descend(child_level, cidx)
-
-        descend(levels, (0,) * d)
+    child_offsets = list(product(range(2), repeat=d))[::-1]
+    pending = [(levels, (0,) * d)]
+    while pending:
+        level, idx = pending.pop()
+        if float(pyramid[level][idx]) > height:
+            step = 2**level
+            sl = tuple(slice(i * step, (i + 1) * step) for i in idx)
+            avg = samples_view[sl].reshape(-1, f.value_dim).mean(axis=0)
+            bad = np.zeros_like(samples_view)
+            bad[sl] = samples_view[sl] - avg
+            good[sl] = avg
+            side = side_unit * step
+            info = CubeInfo(
+                level=level,
+                corner_cells=tuple(i * step for i in idx),
+                side=side,
+                measure=side**d,
+                dilated_side=2.0 * math.sqrt(d) * side,
+            )
+            bad_parts.append(
+                (GridFunction(grid, bad.reshape(grid.n_nodes, f.value_dim), "physical"), info)
+            )
+        elif level > 0:
+            pending += [(level - 1, tuple([2 * i + o for i, o in zip(idx, offs)]))
+                        for offs in child_offsets]
 
     return CZResult(
         good=GridFunction(grid, good.reshape(grid.n_nodes, f.value_dim), "physical"),
@@ -713,8 +703,7 @@ def verify_weak_type(
     """
     if symbol is None and kernel is None:
         raise ValueError("provide a symbol or a kernel")
-    inv = lambda x: 0.0 if np.isinf(x) else 1.0 / x
-    if abs(inv(p0) - inv(q0) - (1.0 - 1.0 / a)) > 1e-9:
+    if abs(_inv(p0) - _inv(q0) - (1.0 - 1.0 / a)) > 1e-9:
         raise ValueError(
             f"exponent identity 1/p0 - 1/q0 = 1 - 1/a violated: p0={p0}, q0={q0}, a={a}"
         )
@@ -825,10 +814,9 @@ def extrapolation_sweep(
     # sub-critical pairs (1/p - 1/q < 1/r) are admissible on the finite-measure
     # torus and are flagged; pairs demanding more smoothing than r provides
     # are rejected
-    inv = lambda x: 0.0 if np.isinf(x) else 1.0 / x
     off_line = {}
     for p, q in pq_list:
-        gap = inv(p) - inv(q) - inv(r)
+        gap = _inv(p) - _inv(q) - _inv(r)
         if gap > 1e-9:
             raise ValueError(f"pair (p={p}, q={q}) is off the line 1/p - 1/q = 1/{r}")
         off_line[(p, q)] = gap < -1e-9

@@ -21,7 +21,7 @@ import numpy as np
 
 from .reports import VerificationReport
 from .sampling import GaussianSampler, MCEstimate, SearchBudget
-from .spaces import DimensionMismatchError, GridFunction, ValueSpace, lp_norm
+from .spaces import DimensionMismatchError, GridFunction, ValueSpace, dft, lp_norm, _lp_combine
 
 __all__ = [
     "MatrixFamily",
@@ -142,12 +142,6 @@ def gaussian_moment(
 # ---------------------------------------------------------------------------
 
 
-def _lp_sum(norms: np.ndarray, p: float) -> float:
-    if np.isinf(p):
-        return float(np.max(norms))
-    return float(np.sum(norms**p) ** (1.0 / p))
-
-
 def _search_vector_families(
     space: ValueSpace,
     ratio_of: "callable",
@@ -228,14 +222,14 @@ def type_constant_lower(
         raise ValueError(f"type exponent must lie in [1, 2], got {p}")
 
     def ratio_of(vectors, g):
-        denom = _lp_sum(space.norm_rows(vectors), p)
+        denom = _lp_combine(space.norm_rows(vectors), p)
         if denom == 0.0:
             return -np.inf
         return _moment_from_draw(vectors, g, space) / denom
 
     best = _search_vector_families(space, ratio_of, budget, sampler, _OP_TYPE)
     fresh = _chunked_moment(best, space, sampler, _OP_TYPE, 1)
-    return fresh.value / _lp_sum(space.norm_rows(best), p)
+    return fresh.value / _lp_combine(space.norm_rows(best), p)
 
 
 def cotype_constant_lower(
@@ -249,7 +243,7 @@ def cotype_constant_lower(
         raise ValueError(f"cotype exponent must lie in [2, inf], got {q}")
 
     def ratio_of(vectors, g):
-        num = _lp_sum(space.norm_rows(vectors), q)
+        num = _lp_combine(space.norm_rows(vectors), q)
         mom = _moment_from_draw(vectors, g, space)
         if mom == 0.0:
             return -np.inf
@@ -259,7 +253,7 @@ def cotype_constant_lower(
     fresh = _chunked_moment(best, space, sampler, _OP_COTYPE, 1)
     if fresh.value == 0.0:
         return 0.0
-    return _lp_sum(space.norm_rows(best), q) / fresh.value
+    return _lp_combine(space.norm_rows(best), q) / fresh.value
 
 
 # ---------------------------------------------------------------------------
@@ -519,10 +513,7 @@ def check_lemma42(
     if f.domain_tag != "physical":
         raise ValueError("expected a physical-domain function")
     d = f.grid.d
-
-    from .spaces import dft as _dft
-
-    fhat = _dft(f).samples
+    fhat = dft(f).samples
     power = np.sum(np.abs(fhat) ** 2, axis=1)
     occupied = power > 1e-24 * max(power.max(), 1e-300)
     coords = f.grid.frequency_coords()[occupied]

@@ -21,13 +21,21 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .dyadic import BesovParams, DyadicPartition, besov_norm, homogeneous_besov_norm, lp_block
-from .gaussian import MatrixFamily, gamma_bound_estimate
+from .dyadic import (
+    BesovParams,
+    DyadicPartition,
+    besov_norm,
+    homogeneous_besov_norm,
+    lp_blocks,
+    _annulus_mask,
+    _require_band_limited,
+)
+from .gaussian import MatrixFamily, gamma_bound_estimate, _top_right_singular_vector
 from .reports import VerificationReport
 from .sampling import GaussianSampler, SearchBudget
 from .spaces import (
@@ -38,6 +46,10 @@ from .spaces import (
     dft,
     idft,
     lp_norm,
+    _inv,
+    _lp_combine,
+    _pack_complex,
+    _unpack_complex,
 )
 
 __all__ = [
@@ -131,9 +143,6 @@ class OperatorSymbol:
         return OperatorSymbol(self.grid, vals, name=f"{self.name}.{other.name}")
 
     def to_json_obj(self) -> dict:
-        flat = np.empty(self.values.size * 2, dtype=float)
-        flat[0::2] = self.values.real.reshape(-1)
-        flat[1::2] = self.values.imag.reshape(-1)
         return {
             "d": self.grid.d,
             "n_per_dim": self.grid.n_per_dim,
@@ -141,7 +150,7 @@ class OperatorSymbol:
             "n_out": self.n_out,
             "n_in": self.n_in,
             "domain_tag": "frequency",
-            "data": flat.tolist(),
+            "data": _pack_complex(self.values),
         }
 
     def to_json(self) -> str:
@@ -150,9 +159,7 @@ class OperatorSymbol:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "OperatorSymbol":
         grid = GridSpec(obj["d"], obj["n_per_dim"], obj["period"])
-        flat = np.asarray(obj["data"], dtype=float)
-        vals = (flat[0::2] + 1j * flat[1::2]).reshape(-1, obj["n_out"], obj["n_in"])
-        return cls(grid, vals)
+        return cls(grid, _unpack_complex(obj["data"], (-1, obj["n_out"], obj["n_in"])))
 
 
 # ---------------------------------------------------------------------------
@@ -219,11 +226,7 @@ def riesz_symbol(grid: GridSpec, sigma: float, dim: int = 1) -> OperatorSymbol:
 
 
 def annulus_indicator_symbol(grid: GridSpec, k: int, dim: int = 1) -> OperatorSymbol:
-    mags = grid.frequency_magnitudes()
-    if k == 0:
-        mask = mags <= 2.0
-    else:
-        mask = (mags >= 2.0 ** (k - 1)) & (mags <= 2.0 ** (k + 1))
+    mask = _annulus_mask(grid.frequency_magnitudes(), k)
     vals = mask.astype(np.complex128)[:, None, None] * np.eye(dim)[None, :, :]
     return OperatorSymbol(grid, vals, name=f"annulus({k})")
 
@@ -290,16 +293,10 @@ def blockwise_extension(
     Coincides with apply_multiplier on band-limited inputs because the
     partition of unity commutes with the frequency-diagonal action.
     """
-    from .spaces import SpectralTruncationError
-
-    fhat = dft(f).samples
-    if part.spectral_residual_fraction(fhat) > 1e-8:
-        raise SpectralTruncationError(
-            "input carries significant spectral mass above the top annulus"
-        )
+    _require_band_limited(part, dft(f).samples)
     acc = None
-    for k in range(part.k_max + 1):
-        piece = apply_multiplier(m, lp_block(f, k, part))
+    for block in lp_blocks(f, part):
+        piece = apply_multiplier(m, GridFunction(f.grid, block, "physical"))
         acc = piece.samples if acc is None else acc + piece.samples
     return GridFunction(f.grid, acc, "physical")
 
@@ -322,12 +319,10 @@ class WitnessResult:
 
 
 def _dyadic_annulus_masks(grid: GridSpec) -> list:
+    # one annulus past the partition's k_max, up to the Nyquist scale
     mags = grid.frequency_magnitudes()
     top = int(math.floor(math.log2(grid.max_axis_frequency)))
-    masks = [mags <= 2.0]
-    for k in range(1, top + 1):
-        masks.append((mags >= 2.0 ** (k - 1)) & (mags <= 2.0 ** (k + 1)))
-    return masks
+    return [_annulus_mask(mags, k) for k in range(top + 1)]
 
 
 def _witness_search(
@@ -368,12 +363,7 @@ def _witness_search(
     order = np.argsort(opn)[::-1]
     for pos in order[: min(5, n_allowed)]:
         spec = np.zeros((n_allowed, n_in), dtype=np.complex128)
-        node = allowed_idx[pos]
-        matrix = m.values[node]
-        nrm = np.linalg.norm(matrix)
-        base = matrix / nrm if nrm > 0 else matrix
-        _, _, vh = np.linalg.svd(base)
-        spec[pos] = vh[0].conj()
+        spec[pos] = _top_right_singular_vector(m.values[allowed_idx[pos]])
         starts.append(spec)
     flat = np.zeros((n_allowed, n_in), dtype=np.complex128)
     flat[:, 0] = 1.0
@@ -489,7 +479,7 @@ def besov_multiplier_norm_estimate(
 
 def _holder_r(p: float, q: float) -> float:
     """r with 1/r = 1/p - 1/q (inf when p = q)."""
-    inv = (0.0 if np.isinf(p) else 1.0 / p) - (0.0 if np.isinf(q) else 1.0 / q)
+    inv = _inv(p) - _inv(q)
     if inv < -1e-12:
         raise ValueError(f"need p <= q, got p={p}, q={q}")
     if inv <= 1e-15:
@@ -497,14 +487,11 @@ def _holder_r(p: float, q: float) -> float:
     return 1.0 / inv
 
 
-def _inv(x: float) -> float:
-    return 0.0 if np.isinf(x) else 1.0 / x
-
-
-def _seq_norm(weights: np.ndarray, u: float) -> float:
-    if np.isinf(u):
-        return float(np.max(weights)) if weights.size else 0.0
-    return float(np.sum(weights**u) ** (1.0 / u))
+def _annuli(part: DyadicPartition, homogeneous: bool) -> tuple:
+    """(ks, masks) of the inhomogeneous annuli I_k or the homogeneous J_k."""
+    ks = part.hom_ks if homogeneous else range(part.k_max + 1)
+    mask = part.annulus_mask_hom if homogeneous else part.annulus_mask
+    return np.asarray(ks, dtype=float), [mask(k) for k in ks]
 
 
 def _annulus_gamma_hats(
@@ -607,6 +594,73 @@ def _check_type_cotype_exponents(p: float, q: float) -> None:
         raise ValueError(f"cotype exponent q must lie in [2, inf], got {q}")
 
 
+def _verify_besov_scale(
+    m: OperatorSymbol,
+    s: float,
+    sigma: float,
+    u: float,
+    p: float,
+    v: float,
+    q: float,
+    w: float,
+    part: DyadicPartition,
+    domain_space: ValueSpace,
+    codomain_space: ValueSpace,
+    budget: SearchBudget,
+    sampler: GaussianSampler,
+    tolerance: float,
+    safety_factor: float,
+    homogeneous: bool,
+    statement: str,
+    extra: Callable[[BesovParams], dict],
+) -> VerificationReport:
+    """Besov-scale multiplier bound over one annulus system, constant 4^(d/r) tau_p c_q.
+
+    Weight sequence: 2^(k sigma) gamma({m(xi): xi in annulus k}) in l^u;
+    destination smoothness s + sigma - d/r.  extra(dst) supplies the
+    statement-specific metadata.
+    """
+    _check_uvw(u, v, w)
+    _check_type_cotype_exponents(p, q)
+    r = _holder_r(p, q)
+    d = m.grid.d
+    tau = domain_space.type_constant(p)
+    c = codomain_space.cotype_constant(q)
+
+    ks, masks = _annuli(part, homogeneous)
+    gammas, exact = _annulus_gamma_hats(
+        m, masks, domain_space, codomain_space, budget, sampler, safety_factor
+    )
+    weights = 2.0 ** (ks * sigma) * gammas
+    dr = 0.0 if np.isinf(r) else d / r
+    bound = 4.0**dr * tau * c * _lp_combine(weights, u)
+
+    src = BesovParams(s, p, v)
+    dst = BesovParams(s + sigma - dr, q, w)
+    measured = besov_multiplier_norm_estimate(
+        m, src, dst, part, domain_space, codomain_space, budget, sampler,
+        homogeneous=homogeneous,
+    )
+    return VerificationReport.build(
+        measured=measured,
+        bound=bound,
+        tolerance=tolerance,
+        metadata={
+            "statement": statement,
+            "s": s, "sigma": sigma,
+            "u": "inf" if np.isinf(u) else u,
+            "p": p, "v": "inf" if np.isinf(v) else v,
+            "q": "inf" if np.isinf(q) else q,
+            "w": "inf" if np.isinf(w) else w,
+            **extra(dst),
+            "gamma_weights": [float(x) for x in weights],
+            "gamma_exact": bool(exact),
+            "q_inf_beyond_stated_range": bool(np.isinf(q)),
+            "seed": sampler.seed,
+        },
+    )
+
+
 def verify_thm44(
     m: OperatorSymbol,
     s: float,
@@ -629,44 +683,11 @@ def verify_thm44(
     Weight sequence: 2^(k sigma) gamma({m(xi): xi in I_k}) in l^u over
     the inhomogeneous annuli; destination smoothness s + sigma - d/r.
     """
-    _check_uvw(u, v, w)
-    _check_type_cotype_exponents(p, q)
-    r = _holder_r(p, q)
-    d = m.grid.d
-    tau = domain_space.type_constant(p)
-    c = codomain_space.cotype_constant(q)
-
-    masks = [part.annulus_mask(k) for k in range(part.k_max + 1)]
-    gammas, exact = _annulus_gamma_hats(
-        m, masks, domain_space, codomain_space, budget, sampler, safety_factor
-    )
-    ks = np.arange(part.k_max + 1)
-    weights = 2.0 ** (ks * sigma) * gammas
-    dr = 0.0 if np.isinf(r) else d / r
-    bound = 4.0**dr * tau * c * _seq_norm(weights, u)
-
-    src = BesovParams(s, p, v)
-    dst = BesovParams(s + sigma - dr, q, w)
-    measured = besov_multiplier_norm_estimate(
-        m, src, dst, part, domain_space, codomain_space, budget, sampler
-    )
-    return VerificationReport.build(
-        measured=measured,
-        bound=bound,
-        tolerance=tolerance,
-        metadata={
-            "statement": "Besov multiplier bound (inhomogeneous annuli)",
-            "s": s, "sigma": sigma,
-            "u": "inf" if np.isinf(u) else u,
-            "p": p, "v": "inf" if np.isinf(v) else v,
-            "q": "inf" if np.isinf(q) else q,
-            "w": "inf" if np.isinf(w) else w,
-            "dst_smoothness": s + sigma - dr,
-            "gamma_weights": [float(x) for x in weights],
-            "gamma_exact": bool(exact),
-            "q_inf_beyond_stated_range": bool(np.isinf(q)),
-            "seed": sampler.seed,
-        },
+    return _verify_besov_scale(
+        m, s, sigma, u, p, v, q, w, part, domain_space, codomain_space, budget, sampler,
+        tolerance, safety_factor, homogeneous=False,
+        statement="Besov multiplier bound (inhomogeneous annuli)",
+        extra=lambda dst: {"dst_smoothness": dst.s},
     )
 
 
@@ -688,45 +709,11 @@ def verify_thm45(
     safety_factor: float = 1.0,
 ) -> VerificationReport:
     """Homogeneous-scale analog over the annuli J_k with mean-zero witnesses."""
-    _check_uvw(u, v, w)
-    _check_type_cotype_exponents(p, q)
-    r = _holder_r(p, q)
-    d = m.grid.d
-    tau = domain_space.type_constant(p)
-    c = codomain_space.cotype_constant(q)
-
-    masks = [part.annulus_mask_hom(k) for k in part.hom_ks]
-    gammas, exact = _annulus_gamma_hats(
-        m, masks, domain_space, codomain_space, budget, sampler, safety_factor
-    )
-    ks = np.asarray(part.hom_ks, dtype=float)
-    weights = 2.0 ** (ks * sigma) * gammas
-    dr = 0.0 if np.isinf(r) else d / r
-    bound = 4.0**dr * tau * c * _seq_norm(weights, u)
-
-    src = BesovParams(s, p, v)
-    dst = BesovParams(s + sigma - dr, q, w)
-    measured = besov_multiplier_norm_estimate(
-        m, src, dst, part, domain_space, codomain_space, budget, sampler,
-        homogeneous=True,
-    )
-    return VerificationReport.build(
-        measured=measured,
-        bound=bound,
-        tolerance=tolerance,
-        metadata={
-            "statement": "Besov multiplier bound (homogeneous annuli)",
-            "s": s, "sigma": sigma,
-            "u": "inf" if np.isinf(u) else u,
-            "p": p, "v": "inf" if np.isinf(v) else v,
-            "q": "inf" if np.isinf(q) else q,
-            "w": "inf" if np.isinf(w) else w,
-            "k_range": [part.k_min_hom, part.k_max],
-            "gamma_weights": [float(x) for x in weights],
-            "gamma_exact": bool(exact),
-            "q_inf_beyond_stated_range": bool(np.isinf(q)),
-            "seed": sampler.seed,
-        },
+    return _verify_besov_scale(
+        m, s, sigma, u, p, v, q, w, part, domain_space, codomain_space, budget, sampler,
+        tolerance, safety_factor, homogeneous=True,
+        statement="Besov multiplier bound (homogeneous annuli)",
+        extra=lambda dst: {"k_range": [part.k_min_hom, part.k_max]},
     )
 
 
@@ -756,11 +743,10 @@ def verify_thm46(
     tau = domain_space.type_constant(p)
     c = codomain_space.cotype_constant(q)
 
-    masks = [part.annulus_mask_hom(k) for k in part.hom_ks]
+    ks, masks = _annuli(part, homogeneous=True)
     gammas, exact = _annulus_gamma_hats(
         m, masks, domain_space, codomain_space, budget, sampler, safety_factor
     )
-    ks = np.asarray(part.hom_ks, dtype=float)
     weights = 2.0 ** (ks * dr) * gammas
     bound_without_c = 4.0**dr * tau * c * float(np.sum(weights))
 
@@ -823,16 +809,9 @@ def verify_prop34(
 
     opn = m.opnorms()
     cell = m.grid.freq_cell_volume
-    cks = []
-    for k in range(part.k_max + 1):
-        mask = part.annulus_mask(k)
-        vals = opn[mask]
-        if np.isinf(r):
-            cks.append(float(vals.max()) if vals.size else 0.0)
-        else:
-            cks.append(float((cell * np.sum(vals**r)) ** (1.0 / r)))
-    cks = np.asarray(cks)
-    bound = _seq_norm(cks, u)
+    _, masks = _annuli(part, homogeneous=False)
+    cks = np.asarray([_lp_combine(opn[mask], r, cell) for mask in masks])
+    bound = _lp_combine(cks, u)
 
     src = BesovParams(s, p, v)
     dst = BesovParams(s, q, w)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,8 +27,9 @@ def _jsonable(obj):
 class VerificationReport:
     """Measured quantity vs. theoretical bound with a pass/fail verdict.
 
-    verdict is 'pass' iff ratio <= 1 + tolerance; metadata echoes the
-    resolved parameters and seeds for auditability.
+    verdict is 'pass' iff the measured value is finite and nonnegative
+    and ratio <= 1 + tolerance; metadata echoes the resolved parameters
+    and seeds for auditability.
     """
 
     measured: float
@@ -47,7 +49,8 @@ class VerificationReport:
             ratio = 0.0
         else:
             ratio = np.inf
-        verdict = "pass" if ratio <= 1.0 + tolerance else "fail"
+        valid = math.isfinite(measured) and measured >= 0.0
+        verdict = "pass" if valid and ratio <= 1.0 + tolerance else "fail"
         return cls(
             measured=float(measured),
             bound=float(bound),

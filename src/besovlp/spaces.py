@@ -123,11 +123,34 @@ class GridSpec:
         return (self.n_per_dim,) * self.d
 
 
-def _lp_combine(values: np.ndarray, p: float, weight: float) -> float:
-    """(sum weight*|v|^p)^(1/p) with max semantics for p = inf."""
+def _lp_combine(values: np.ndarray, p: float, weight: float = 1.0) -> float:
+    """(weight * sum |v|^p)^(1/p) with max semantics for p = inf.
+
+    The one l^p reducer: L^p quadratures pass their cell measure as the
+    weight, sequence norms the default 1.
+    """
     if np.isinf(p):
         return float(np.max(values)) if values.size else 0.0
     return float((weight * np.sum(values**p)) ** (1.0 / p))
+
+
+def _inv(x: float) -> float:
+    """1/x, with 1/inf = 0."""
+    return 0.0 if np.isinf(x) else 1.0 / x
+
+
+def _pack_complex(values: np.ndarray) -> list:
+    """Complex array as the interleaved [re, im, re, im, ...] list of the JSON files."""
+    flat = np.empty(values.size * 2, dtype=float)
+    flat[0::2] = values.real.reshape(-1)
+    flat[1::2] = values.imag.reshape(-1)
+    return flat.tolist()
+
+
+def _unpack_complex(data: list, shape: tuple) -> np.ndarray:
+    """Inverse of _pack_complex, reshaped to ``shape``."""
+    flat = np.asarray(data, dtype=float)
+    return (flat[0::2] + 1j * flat[1::2]).reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -298,16 +321,13 @@ class GridFunction:
     # -- serialization -------------------------------------------------
 
     def to_json_obj(self) -> dict:
-        flat = np.empty(self.samples.size * 2, dtype=float)
-        flat[0::2] = self.samples.real.reshape(-1)
-        flat[1::2] = self.samples.imag.reshape(-1)
         return {
             "d": self.grid.d,
             "n_per_dim": self.grid.n_per_dim,
             "period": self.grid.period,
             "value_dim": self.value_dim,
             "domain_tag": self.domain_tag,
-            "data": flat.tolist(),
+            "data": _pack_complex(self.samples),
         }
 
     def to_json(self) -> str:
@@ -316,8 +336,7 @@ class GridFunction:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "GridFunction":
         grid = GridSpec(obj["d"], obj["n_per_dim"], obj["period"])
-        flat = np.asarray(obj["data"], dtype=float)
-        samples = (flat[0::2] + 1j * flat[1::2]).reshape(-1, obj["value_dim"])
+        samples = _unpack_complex(obj["data"], (-1, obj["value_dim"]))
         return cls(grid, samples, obj["domain_tag"])
 
     @classmethod

@@ -1,9 +1,13 @@
+import hashlib
 import json
 from pathlib import Path
+
+import pytest
 
 from besovlp.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, main, run_scenario, run_suite
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def write(tmp_path, name, obj):
@@ -140,6 +144,49 @@ def test_suite_mixed_results(tmp_path, capsys):
     assert matrix["a-ok.json"] == "pass"
     assert matrix["b-bad.json"] == "fail"
     assert sum(1 for v in matrix.values() if v == "fail") == 1
+
+
+# a cz scenario whose alpha is null, and a mihlin check of an order the
+# riesz derivative oracle does not cover
+NULL_ALPHA = dict(
+    BASE,
+    symbol=None,
+    operation={"name": "cz", "params": {"function": {"kind": "spike"}, "alpha": None}},
+)
+MIHLIN_ORDER_3 = dict(
+    BASE,
+    symbol={"constructor": "riesz", "params": {"sigma": 0.5}},
+    operation={"name": "mihlin", "params": {"r": 2.0, "n": 3}},
+)
+
+
+@pytest.mark.parametrize("command, cfg", [("cz", NULL_ALPHA), ("mihlin", MIHLIN_ORDER_3)])
+def test_bad_parameter_exits_one_with_one_line(tmp_path, capsys, command, cfg):
+    path = write(tmp_path, "bad.json", cfg)
+    assert main([command, "--config", str(path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: scenario bad.json: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_suite_records_errors_and_keeps_going(tmp_path, capsys):
+    write(tmp_path, "a-bad.json", NULL_ALPHA)
+    write(tmp_path, "b-bad.json", MIHLIN_ORDER_3)
+    write(tmp_path, "c-ok.json", BASE)
+    out = tmp_path / "agg.json"
+    assert main(["suite", str(tmp_path), "--out", str(out)]) == EXIT_USAGE
+    matrix = json.loads(out.read_text())["suite"]
+    assert matrix == {"a-bad.json": "error", "b-bad.json": "error", "c-ok.json": "pass"}
+
+
+def test_suite_reports_match_golden_checksums(tmp_path, capsys):
+    golden = json.loads((GOLDEN / "suite_reports.json").read_text())
+    assert run_suite(SCENARIOS, jobs=2, report_dir=tmp_path) == EXIT_PASS
+    got = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(tmp_path.glob("*.json"))
+    }
+    assert got == golden
 
 
 def test_main_subcommand_mismatch(tmp_path, capsys):

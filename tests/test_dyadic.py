@@ -14,8 +14,11 @@ from besovlp import (
     besov_norm,
     build_partition,
     dft,
+    ValueSpace,
     homogeneous_besov_norm,
+    idft,
     lp_block,
+    lp_blocks,
     lp_norm,
 )
 from besovlp.testfunctions import random_band_limited, single_mode
@@ -182,6 +185,37 @@ def test_besov_norm_matches_hand_rolled_oracle(scalar_space):
     assert besov_norm(f, BesovParams(s, p, v), part, scalar_space) == pytest.approx(
         expected, rel=1e-10
     )
+
+
+@pytest.mark.parametrize("d, n", [(1, 64), (2, 64), (2, 128)])
+def test_batched_blocks_equal_the_per_block_loop_exactly(d, n):
+    # the block core transforms the row stack in batches (at d=2, N=128
+    # with two value components, two blocks per batch); the
+    # one-block-at-a-time loop is the reference, bit for bit
+    grid = GridSpec(d, n, 1.0)
+    part = build_partition(grid)
+    space = ValueSpace.lp(3.0, 2)
+    rng = np.random.default_rng(11)
+    f = random_band_limited(grid, part.band_limit_mask(), rng, dim=2, mean_zero=True)
+    params = BesovParams(0.7, 3.0, 2.0)
+
+    blocks = lp_blocks(f, part)
+    loop = [lp_block(f, k, part) for k in range(part.k_max + 1)]
+    assert all(np.array_equal(b, ref.samples) for b, ref in zip(blocks, loop))
+    ks = np.arange(part.k_max + 1)
+    norms = np.array([lp_norm(b, params.p, space) for b in loop])
+    weights = 2.0 ** (ks * params.s) * norms
+    assert besov_norm(f, params, part, space) == np.sum(weights**2.0) ** 0.5
+
+    fhat = dft(f).samples
+    hom = np.asarray([
+        2.0 ** (k * params.s) * lp_norm(
+            idft(GridFunction(grid, part.psi_row(k)[:, None] * fhat, "frequency")),
+            params.p, space,
+        )
+        for k in part.hom_ks
+    ])
+    assert homogeneous_besov_norm(f, params, part, space) == np.sum(hom**2.0) ** 0.5
 
 
 def test_spectral_truncation_guard(grid128):

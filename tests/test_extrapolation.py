@@ -204,6 +204,15 @@ def test_hormander_representative_invariance():
     assert abs(a - b) < 1e-10
 
 
+def test_hormander_a_inf_is_the_sup_over_the_region():
+    # (H)_inf takes the sup of the difference norms; a large finite a
+    # approaches it from below, since the region has measure at most 1
+    k = hilbert_kernel(GridSpec(1, 256, 1.0))
+    sup = hormander_constant(k, np.inf).constant
+    near = hormander_constant(k, 400.0).constant
+    assert 0.98 * sup <= near <= sup
+
+
 def test_hormander_rejects_oversized_t(grid128):
     k = hilbert_kernel(grid128)
     rep = hormander_constant(k, 1.0, t_samples=[np.array([60]), np.array([4])])
@@ -347,6 +356,36 @@ def test_cz_2d_properties(rng):
         recon += bp.samples
     assert np.abs(recon - f.samples).max() < 1e-12
     assert lp_norm(res.good, np.inf) <= 4.0 * res.height + 1e-12
+
+
+def test_cz_bad_parts_freed_without_cycle_collection():
+    # the decomposition holds no reference cycle: dropping the result frees
+    # its bad parts at once, with the cycle collector switched off
+    import gc
+    import weakref
+
+    grid = GridSpec(1, 8, 1.0)
+    f = spike(grid, 0, l1_mass=0.3)
+    gc.disable()
+    try:
+        res = cz_decompose(f, alpha=2.8, a=1.0, B=1.0)
+        ref = weakref.ref(res.bad_parts[0][0])
+        del res
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_cz_cubes_come_in_preorder():
+    # in 1-d the preorder of the cube tree runs left to right, whatever
+    # the levels of the stopping cubes
+    grid = GridSpec(1, 64, 1.0)
+    samples = np.zeros(64)
+    samples[[3, 20, 21, 40, 60]] = [10.0, 8.0, 8.0, 12.0, 4.0]
+    res = cz_decompose(GridFunction(grid, samples), alpha=6.0, a=1.0, B=1.0)
+    corners = [info.corner_cells[0] for info in res.cubes]
+    assert len({info.level for info in res.cubes}) > 1
+    assert corners == sorted(corners) and len(corners) == 4
 
 
 def test_cz_rejects_unnormalized_input():

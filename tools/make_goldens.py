@@ -6,10 +6,17 @@ The band-limited sandwich constants and the cutoff-order equivalence
 ratios are implementation constants of the fixed partition construction:
 they are measured once here, with a safety margin, and the test suite
 re-verifies fresh random draws against the frozen values.
+
+The suite checksums are the sha256 of each bundled scenario's report
+JSON: any change to a report's bytes shows up as a mismatch.
 """
 
+import contextlib
+import hashlib
+import io
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -24,9 +31,12 @@ from besovlp import (  # noqa: E402
     build_partition,
     lp_norm,
 )
+from besovlp.cli import run_suite  # noqa: E402
 from besovlp.testfunctions import random_band_limited  # noqa: E402
 
-GOLDEN_DIR = Path(__file__).resolve().parents[1] / "tests" / "golden"
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN_DIR = ROOT / "tests" / "golden"
+SCENARIO_DIR = ROOT / "scenarios"
 
 SANDWICH_GRIDS = [(1, 256), (2, 64)]
 SANDWICH_S = [-1.0, 0.5, 2.0]
@@ -87,12 +97,23 @@ def partition_export() -> dict:
     return build_partition(GridSpec(1, 64, 1.0), smoothness=3).to_summary()
 
 
+def suite_reports() -> dict:
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        if run_suite(SCENARIO_DIR, report_dir=tmp) != 0:
+            raise RuntimeError("the bundled suite does not pass")
+        return {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(Path(tmp).glob("*.json"))
+        }
+
+
 def main() -> None:
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     artifacts = {
         "sandwich_constants.json": sandwich_constants(),
         "cutoff_equivalence.json": cutoff_equivalence(),
         "partition_export.json": partition_export(),
+        "suite_reports.json": suite_reports(),
     }
     for name, obj in artifacts.items():
         path = GOLDEN_DIR / name
