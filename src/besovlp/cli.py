@@ -73,14 +73,23 @@ def _require(cfg: dict, key: str, ctx: str):
     return cfg[key]
 
 
+def _param(cfg: dict, key, ctx: str, cast=float, default=None):
+    """cfg[key] read as a float or an int (cast), required unless a default is
+    given; a value the cast rejects is a ConfigError naming ctx.key."""
+    value = _require(cfg, key, ctx) if default is None else cfg.get(key, default)
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        kind = "an integer" if cast is int else "a number"
+        raise ConfigError(f"config schema: {ctx}.{key} must be {kind}, got {value!r}") from exc
+
+
 def _build_grid(cfg: dict) -> GridSpec:
     g = _require(cfg, "grid", "scenario")
+    d, n = _param(g, "d", "grid", int), _param(g, "n_per_dim", "grid", int)
+    period = _param(g, "period", "grid", float, 1.0)
     try:
-        return GridSpec(
-            int(_require(g, "d", "grid")),
-            int(_require(g, "n_per_dim", "grid")),
-            float(g.get("period", 1.0)),
-        )
+        return GridSpec(d, n, period)
     except ValueError as exc:
         raise ConfigError(f"config schema: bad grid: {exc}") from exc
 
@@ -91,7 +100,7 @@ def _build_space(spec: dict | None, default_dim: int = 1) -> ValueSpace:
     kind = spec.get("kind", "lp")
     if kind != "lp":
         raise ConfigError(f"config schema: unsupported value-space kind {kind!r}")
-    return ValueSpace.lp(_exponent(spec.get("p", 2.0)), int(spec.get("dim", 1)))
+    return ValueSpace.lp(_exponent(spec.get("p", 2.0)), _param(spec, "dim", "space", int, 1))
 
 
 def _build_symbol(cfg: dict, grid: GridSpec):
@@ -147,21 +156,22 @@ def _build_kernel(cfg: dict, grid: GridSpec):
 def _build_function(spec: dict, grid: GridSpec, seed: int) -> GridFunction:
     kind = _require(spec, "kind", "function")
     rng = np.random.default_rng(seed)
-    dim = int(spec.get("dim", 1))
+    dim = _param(spec, "dim", "function", int, 1)
     if kind == "constant":
         return tf.constant_function(grid, spec.get("value", 1.0))
     if kind == "single_mode":
         return tf.single_mode(grid, spec.get("mode", [1] + [0] * (grid.d - 1)),
                               spec.get("amplitude", 1.0), dim)
     if kind == "spike":
-        return tf.spike(grid, int(spec.get("cell", 0)), float(spec.get("l1_mass", 1.0)), dim)
+        return tf.spike(grid, _param(spec, "cell", "function", int, 0),
+                        _param(spec, "l1_mass", "function", float, 1.0), dim)
     if kind == "plateau":
-        return tf.plateau(grid, float(spec.get("fraction", 0.25)),
-                          float(spec.get("height", 1.0)), dim)
+        return tf.plateau(grid, _param(spec, "fraction", "function", float, 0.25),
+                          _param(spec, "height", "function", float, 1.0), dim)
     if kind == "random_band_limited":
         part = build_partition(grid)
         if "annulus" in spec:
-            mask = part.annulus_mask(int(spec["annulus"]))
+            mask = part.annulus_mask(_param(spec, "annulus", "function", int))
         else:
             mask = part.band_limit_mask()
         return tf.random_band_limited(grid, mask, rng, dim,
@@ -185,11 +195,17 @@ def _spaces_for_symbol(ctx: dict, m) -> tuple:
 def _build_budget(cfg: dict) -> SearchBudget:
     spec = cfg.get("budget", {})
     return SearchBudget(
-        restarts=int(spec.get("restarts", 16)),
-        steps=int(spec.get("steps", 60)),
-        max_vectors=int(spec.get("max_vectors", 8)),
-        search_samples=int(spec.get("search_samples", 4000)),
+        restarts=_param(spec, "restarts", "budget", int, 16),
+        steps=_param(spec, "steps", "budget", int, 60),
+        max_vectors=_param(spec, "max_vectors", "budget", int, 8),
+        search_samples=_param(spec, "search_samples", "budget", int, 4000),
     )
+
+
+def _grids(cfg: dict, ctx: dict, op: str) -> list:
+    """The grids of a sweep: the scenario grid refined to each listed n_per_dim."""
+    grid, ns = ctx["grid"], dict(enumerate(_require(cfg, "grids", op)))
+    return [GridSpec(grid.d, _param(ns, i, f"{op}.grids", int), grid.period) for i in ns]
 
 
 def _value_report(name: str, value: float, metadata: dict) -> VerificationReport:
@@ -206,7 +222,7 @@ def _value_report(name: str, value: float, metadata: dict) -> VerificationReport
 
 
 def _op_partition(cfg, ctx):
-    part = build_partition(ctx["grid"], int(cfg.get("smoothness", 3)))
+    part = build_partition(ctx["grid"], _param(cfg, "smoothness", "partition", int, 3))
     mags = ctx["grid"].frequency_magnitudes()
     inside = mags <= 2.0**part.k_max
     dev = float(np.abs(part.partition_sum[inside] - 1.0).max())
@@ -225,8 +241,8 @@ def _op_partition(cfg, ctx):
 
 def _op_besov_norm(cfg, ctx):
     f = _build_function(_require(cfg, "function", "besov-norm"), ctx["grid"], ctx["seed"])
-    part = build_partition(ctx["grid"], int(cfg.get("smoothness", 3)))
-    params = BesovParams(float(cfg.get("s", 0.0)), _exponent(cfg.get("p", 2.0)),
+    part = build_partition(ctx["grid"], _param(cfg, "smoothness", "besov-norm", int, 3))
+    params = BesovParams(_param(cfg, "s", "besov-norm", float, 0.0), _exponent(cfg.get("p", 2.0)),
                          _exponent(cfg.get("v", 2.0)))
     space = _build_space(ctx["raw"].get("spaces", {}).get("domain"), f.value_dim)
     if cfg.get("homogeneous", False):
@@ -262,9 +278,9 @@ def _op_hormander(cfg, ctx):
     if kernel is None:
         m = _build_symbol(ctx["raw"], ctx["grid"])
         system = eta_zeta_system(ctx["grid"])
-        levels = int(cfg.get("levels", system.j_max))
+        levels = _param(cfg, "levels", "hormander", int, system.j_max)
         kernel = kernel_of_symbol(m, levels, system)
-    rep = hormander_constant(kernel, float(_require(cfg, "a", "hormander")))
+    rep = hormander_constant(kernel, _param(cfg, "a", "hormander"))
     return (
         [_value_report("hormander_constant", rep.constant,
                        {"truncation_radius": rep.truncation_radius,
@@ -297,8 +313,8 @@ def _op_cz(cfg, ctx):
     l1 = lp_norm(f, 1.0, space)
     if l1 > 0:
         f = f * (1.0 / l1)
-    res = cz_decompose(f, float(_require(cfg, "alpha", "cz")),
-                       float(cfg.get("a", 1.0)), float(cfg.get("B", 1.0)), space)
+    res = cz_decompose(f, _param(cfg, "alpha", "cz"), _param(cfg, "a", "cz", float, 1.0),
+                       _param(cfg, "B", "cz", float, 1.0), space)
     recon = res.good.samples.copy()
     worst_mean = 0.0
     for bp, info in res.bad_parts:
@@ -333,10 +349,10 @@ def _op_weak_type(cfg, ctx):
         raise ConfigError("config schema: weak-type needs a 'symbol' or 'kernel' entry")
     dspace, cspace = _spaces_for_symbol(ctx, m)
     f_set = tf.adversarial_l1_family(
-        ctx["grid"], int(cfg.get("f_count", 24)), seed=ctx["seed"], dim=m.n_in
+        ctx["grid"], _param(cfg, "f_count", "weak-type", int, 24), seed=ctx["seed"], dim=m.n_in
     )
     rep = verify_weak_type(
-        a=float(_require(cfg, "a", "weak-type")),
+        a=_param(cfg, "a", "weak-type"),
         p0=_exponent(_require(cfg, "p0", "weak-type")),
         q0=_exponent(_require(cfg, "q0", "weak-type")),
         f_set=f_set,
@@ -352,8 +368,7 @@ def _op_weak_type(cfg, ctx):
 
 
 def _op_sweep(cfg, ctx):
-    grids = [GridSpec(ctx["grid"].d, int(n), ctx["grid"].period)
-             for n in _require(cfg, "grids", "sweep")]
+    grids = _grids(cfg, ctx, "sweep")
     spec = ctx["raw"].get("symbol")
     if spec is None:
         raise ConfigError("config schema: sweep needs a 'symbol' entry")
@@ -383,16 +398,14 @@ def _op_sweep(cfg, ctx):
 
 
 def _op_sharpness(cfg, ctx):
-    grids = [GridSpec(ctx["grid"].d, int(n), ctx["grid"].period)
-             for n in _require(cfg, "grids", "sharpness")]
+    grids = _grids(cfg, ctx, "sharpness")
     probe = sharpness_probe(
-        float(_require(cfg, "sigma", "sharpness")),
-        float(_require(cfg, "r", "sharpness")),
+        _param(cfg, "sigma", "sharpness"), _param(cfg, "r", "sharpness"),
         grids, ctx["sampler"],
     )
     growth = probe["per_level_growth"]
     worst = max(abs(g / probe["expected_growth"] - 1.0) for g in growth) if growth else 0.0
-    cap = float(cfg.get("growth_tolerance", 0.10))
+    cap = _param(cfg, "growth_tolerance", "sharpness", float, 0.10)
     report = VerificationReport.build(
         measured=1.0 + worst, bound=1.0, tolerance=cap,
         metadata={"quantity": "sharpness_growth_deviation", **{
@@ -406,7 +419,7 @@ def _op_verify(cfg, ctx, which: str):
         return _op_verify_lemma42(cfg, ctx)
     m = _build_symbol(ctx["raw"], ctx["grid"])
     dspace, cspace = _spaces_for_symbol(ctx, m)
-    part = build_partition(ctx["grid"], int(cfg.get("smoothness", 3)))
+    part = build_partition(ctx["grid"], _param(cfg, "smoothness", which, int, 3))
     tol = ctx["tolerance"] if ctx["tolerance"] is not None else 0.05
     common = dict(
         part=part,
@@ -426,7 +439,7 @@ def _op_verify(cfg, ctx, which: str):
         fn = verify_thm44 if which == "thm44" else verify_thm45
         rep = fn(
             m,
-            s=float(cfg.get("s", 0.0)), sigma=float(cfg.get("sigma", 0.0)),
+            s=_param(cfg, "s", which, float, 0.0), sigma=_param(cfg, "sigma", which, float, 0.0),
             u=_exponent(cfg.get("u", "inf")),
             p=_exponent(_require(cfg, "p", which)), v=_exponent(cfg.get("v", 2.0)),
             q=_exponent(_require(cfg, "q", which)), w=_exponent(cfg.get("w", 2.0)),
@@ -441,7 +454,7 @@ def _op_verify(cfg, ctx, which: str):
         rep = verify_prop34(
             m,
             r=_exponent(_require(cfg, "r", which)), u=_exponent(cfg.get("u", "inf")),
-            s=float(cfg.get("s", 0.0)),
+            s=_param(cfg, "s", which, float, 0.0),
             p=_exponent(_require(cfg, "p", which)), v=_exponent(cfg.get("v", 2.0)),
             q=_exponent(_require(cfg, "q", which)), w=_exponent(cfg.get("w", 2.0)),
             tolerance=tol, **common,
@@ -455,7 +468,7 @@ def _op_verify_lemma42(cfg, ctx):
     f = _build_function(_require(cfg, "function", "lemma42"), ctx["grid"], ctx["seed"])
     space = _build_space(ctx["raw"].get("spaces", {}).get("domain"), f.value_dim)
     rep = check_lemma42(
-        f, float(_require(cfg, "cube_side", "lemma42")),
+        f, _param(cfg, "cube_side", "lemma42"),
         _exponent(_require(cfg, "p", "lemma42")), _exponent(_require(cfg, "q", "lemma42")),
         space, ctx["sampler"],
     )
@@ -521,9 +534,10 @@ def run_scenario(path, seed_override=None, tolerance_override=None,
                 )
         if "seed" not in raw:
             raise ConfigError("config schema: missing mandatory 'seed'")
-        seed = int(seed_override if seed_override is not None else raw["seed"])
+        seed = (int(seed_override) if seed_override is not None
+                else _param(raw, "seed", "scenario", int))
         grid = _build_grid(raw)
-        sampler = GaussianSampler(seed, int(raw.get("n_samples", 20000)))
+        sampler = GaussianSampler(seed, _param(raw, "n_samples", "scenario", int, 20000))
         ctx = {
             "raw": raw,
             "grid": grid,
@@ -545,9 +559,6 @@ def run_scenario(path, seed_override=None, tolerance_override=None,
             reports, extras = _OPERATIONS[op_name](op_params, ctx)
         else:
             raise ConfigError(f"unknown operation: {op_name!r}")
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE, None
     except (ValueError, KeyError, TypeError, NotImplementedError) as exc:
         print(f"error: scenario {path.name}: {exc}", file=sys.stderr)
         return EXIT_USAGE, None

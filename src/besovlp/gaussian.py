@@ -3,7 +3,8 @@ gamma-radonifying norms.
 
 Exact gamma-bounds are intractable outside the Hilbert case, so the
 estimators here return certified lower bounds found by randomized
-search (random restarts plus coordinate hill-climbing), while
+search (structured and random starts plus coordinate hill-climbing on
+the prefix-stable schedule of ``sampling._hill_climb``), while
 ``gamma_bound_hilbert`` supplies the exact value between Hilbert
 spaces, where the gamma-bound collapses to the uniform operator-norm
 bound.  Searches climb against a frozen Gaussian draw and the winning
@@ -20,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .reports import VerificationReport
-from .sampling import GaussianSampler, MCEstimate, SearchBudget
+from .sampling import GaussianSampler, MCEstimate, SearchBudget, _hill_climb
 from .spaces import DimensionMismatchError, GridFunction, ValueSpace, dft, lp_norm, _lp_combine
 
 __all__ = [
@@ -152,54 +153,38 @@ def _search_vector_families(
     """Generic maximizer over finite vector families.
 
     ratio_of(vectors, gauss_draws) -> float is evaluated against one
-    frozen draw during the climb.  Returns the best witness found.
+    frozen draw during the climb.  Returns the best witness found.  The
+    three structured starts count inside budget.restarts, which must be >= 1.
     """
+    if budget.restarts < 1:
+        raise ValueError(f"type/cotype searches need restarts >= 1, got {budget.restarts}")
     dim = space.dim
     n_search = min(budget.search_samples, sampler.n_samples)
     Kmax = budget.max_vectors
     g_all = sampler.complex_gaussians((n_search, Kmax), op_code, 0)
 
-    def evaluate(vectors):
-        return ratio_of(vectors, g_all[:, : vectors.shape[0]])
+    def start(i, rng):
+        if i < 3:  # a single vector, aligned copies, the coordinate family
+            v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            v = v / np.linalg.norm(v)
+            return (v[None, :], np.tile(v, (min(Kmax, 4), 1)),
+                    np.eye(dim, dtype=np.complex128)[: min(Kmax, dim)])[i]
+        K = int(rng.integers(1, Kmax + 1))
+        return rng.standard_normal((K, dim)) + 1j * rng.standard_normal((K, dim))
 
-    def structured_starts(rng):
-        starts = []
-        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        v = v / np.linalg.norm(v)
-        starts.append(v[None, :].copy())                      # single vector
-        starts.append(np.tile(v, (min(Kmax, 4), 1)))          # aligned copies
-        k = min(Kmax, dim)
-        starts.append(np.eye(dim, dtype=np.complex128)[:k])   # coordinate family
-        return starts
+    def propose(vecs, step, rng):
+        trial = vecs.copy()
+        idx = int(rng.integers(0, trial.shape[0]))
+        noise = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        trial[idx] = trial[idx] + step * noise
+        scale = np.max(space.norm_rows(trial))
+        return trial / scale if scale > 0 else trial
 
-    best_val = -np.inf
-    best_vecs = None
-    for restart in range(budget.restarts):
-        rng = sampler.generator(op_code, 100 + restart)
-        if restart < 3:
-            candidates = structured_starts(rng)
-            vecs = candidates[restart % len(candidates)]
-        else:
-            K = int(rng.integers(1, Kmax + 1))
-            vecs = rng.standard_normal((K, dim)) + 1j * rng.standard_normal((K, dim))
-        vecs = np.asarray(vecs, dtype=np.complex128)
-        val = evaluate(vecs)
-        step = budget.initial_step
-        for _ in range(budget.steps):
-            trial = vecs.copy()
-            idx = int(rng.integers(0, trial.shape[0]))
-            noise = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-            trial[idx] = trial[idx] + step * noise
-            scale = np.max(space.norm_rows(trial))
-            if scale > 0:
-                trial = trial / scale
-            tval = evaluate(trial)
-            if tval > val:
-                val, vecs = tval, trial
-            step *= budget.anneal
-        if val > best_val:
-            best_val, best_vecs = val, vecs
-    return best_vecs
+    def score(vecs):
+        return ratio_of(vecs, g_all[:, : vecs.shape[0]])
+
+    _, best = _hill_climb(sampler, op_code, budget.restarts, start, propose, score, budget)
+    return best
 
 
 def _moment_from_draw(vectors: np.ndarray, g: np.ndarray, space: ValueSpace) -> float:
@@ -309,7 +294,8 @@ def gamma_bound_search(
 
     members = np.stack(family.members)  # (M, n_out, n_in)
 
-    def ratio_of(assignment, vectors):
+    def ratio_of(state):
+        assignment, vectors = state
         g = g_all[:, : vectors.shape[0]]
         den = _moment_from_draw(vectors, g, X)
         if den == 0.0:
@@ -336,42 +322,33 @@ def gamma_bound_search(
                 for va, vb in pairs:
                     configs.append((np.array([i, j]), np.stack([va, vb])))
     if warm_start is not None:
-        configs.append((warm_start.assignment.copy(), warm_start.vectors.copy()))
+        configs.append(
+            (warm_start.assignment.copy(), np.array(warm_start.vectors, dtype=np.complex128))
+        )
 
-    best_val = -np.inf
-    best = None
-    n_starts = len(configs) + budget.restarts
-    for restart in range(n_starts):
-        rng = sampler.generator(_OP_GAMMA, 100 + restart)
-        if restart < len(configs):
-            assignment, vecs = configs[restart]
-            assignment = assignment.copy()
-            vecs = np.asarray(vecs, dtype=np.complex128).copy()
+    def start(i, rng):
+        if i < len(configs):
+            return configs[i]
+        K = int(rng.integers(1, Kmax + 1))
+        assignment = rng.integers(0, n_members, size=K)
+        return assignment, rng.standard_normal((K, n_in)) + 1j * rng.standard_normal((K, n_in))
+
+    def propose(state, step, rng):
+        trial_a, trial_v = state[0].copy(), state[1].copy()
+        idx = int(rng.integers(0, trial_v.shape[0]))
+        if n_members > 1 and rng.random() < 0.2:
+            trial_a[idx] = rng.integers(0, n_members)
         else:
-            K = int(rng.integers(1, Kmax + 1))
-            assignment = rng.integers(0, n_members, size=K)
-            vecs = rng.standard_normal((K, n_in)) + 1j * rng.standard_normal((K, n_in))
-        val = ratio_of(assignment, vecs)
-        step = budget.initial_step
-        for it in range(budget.steps):
-            trial_a = assignment.copy()
-            trial_v = vecs.copy()
-            idx = int(rng.integers(0, trial_v.shape[0]))
-            if n_members > 1 and rng.random() < 0.2:
-                trial_a[idx] = rng.integers(0, n_members)
-            else:
-                noise = rng.standard_normal(n_in) + 1j * rng.standard_normal(n_in)
-                trial_v[idx] = trial_v[idx] + step * noise
-                scale = np.max(X.norm_rows(trial_v))
-                if scale > 0:
-                    trial_v = trial_v / scale
-            tval = ratio_of(trial_a, trial_v)
-            if tval > val:
-                val, assignment, vecs = tval, trial_a, trial_v
-            step *= budget.anneal
-        if val > best_val:
-            best_val = val
-            best = (assignment, vecs)
+            noise = rng.standard_normal(n_in) + 1j * rng.standard_normal(n_in)
+            trial_v[idx] = trial_v[idx] + step * noise
+            scale = np.max(X.norm_rows(trial_v))
+            if scale > 0:
+                trial_v = trial_v / scale
+        return trial_a, trial_v
+
+    _, best = _hill_climb(
+        sampler, _OP_GAMMA, len(configs) + budget.restarts, start, propose, ratio_of, budget
+    )
 
     # fresh-draw scoring; the warm start is rescored alongside the search
     # winner so the estimate never drops when the family grows
@@ -556,7 +533,7 @@ def check_lemma42(
             "lq_norm": qnorm,
             "cube_side": cube_side,
             "p": p,
-            "q": "inf" if np.isinf(q) else q,
+            "q": q,
             "seed": sampler.seed,
         },
     )

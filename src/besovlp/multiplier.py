@@ -10,7 +10,8 @@ Operator norms over function spaces are suprema over an
 infinite-dimensional ball; the estimators here certify lower bounds by
 randomized witness search (structured starts: single modes at the
 largest symbol values, flat and per-annulus spectra, then random
-restarts with greedy refinement).  Verification reports then check the
+restarts, each refined greedily on the prefix-stable schedule of
+``sampling._hill_climb``).  Verification reports then check the
 measured lower bound against the displayed theoretical bound, which is
 the falsifiable direction.  The per-annulus gamma-bounds entering the
 bounds are exact between Hilbert spaces and search lower bounds
@@ -31,13 +32,13 @@ from .dyadic import (
     DyadicPartition,
     besov_norm,
     homogeneous_besov_norm,
-    lp_blocks,
     _annulus_mask,
     _require_band_limited,
+    _require_physical,
 )
 from .gaussian import MatrixFamily, gamma_bound_estimate, _top_right_singular_vector
 from .reports import VerificationReport
-from .sampling import GaussianSampler, SearchBudget
+from .sampling import GaussianSampler, SearchBudget, _hill_climb
 from .spaces import (
     DimensionMismatchError,
     GridFunction,
@@ -268,16 +269,19 @@ SYMBOL_CONSTRUCTORS = {
 # ---------------------------------------------------------------------------
 
 
-def apply_multiplier(m: OperatorSymbol, f: GridFunction) -> GridFunction:
-    """idft(m . dft(f)): frequency-diagonal action, exact on the grid."""
+def _require_applicable(m: OperatorSymbol, f: GridFunction) -> None:
     if f.grid != m.grid:
         raise ValueError("symbol and function live on different grids")
     if f.value_dim != m.n_in:
         raise DimensionMismatchError(
             f"symbol expects input dim {m.n_in}, function has {f.value_dim}"
         )
-    fhat = dft(f)
-    ghat = np.einsum("noi,ni->no", m.values, fhat.samples)
+
+
+def apply_multiplier(m: OperatorSymbol, f: GridFunction) -> GridFunction:
+    """idft(m . dft(f)): frequency-diagonal action, exact on the grid."""
+    _require_applicable(m, f)
+    ghat = _apply_to_spectrum(m, dft(f).samples)
     return idft(GridFunction(f.grid, ghat, "frequency"))
 
 
@@ -291,14 +295,16 @@ def blockwise_extension(
     """Sum over annuli of per-block multiplier applications.
 
     Coincides with apply_multiplier on band-limited inputs because the
-    partition of unity commutes with the frequency-diagonal action.
+    partition of unity commutes with the frequency-diagonal action.  The
+    blocks are summed as spectra phi_hat_k * fhat, so the whole
+    extension costs one forward and one inverse transform.
     """
-    _require_band_limited(part, dft(f).samples)
-    acc = None
-    for block in lp_blocks(f, part):
-        piece = apply_multiplier(m, GridFunction(f.grid, block, "physical"))
-        acc = piece.samples if acc is None else acc + piece.samples
-    return GridFunction(f.grid, acc, "physical")
+    _require_physical(f, part)
+    _require_applicable(m, f)
+    fhat = dft(f).samples
+    _require_band_limited(part, fhat)
+    ghat = sum(_apply_to_spectrum(m, row[:, None] * fhat) for row in part.phi_hat)
+    return idft(GridFunction(f.grid, ghat, "frequency"))
 
 
 def multiplier_norm_l2_exact(m: OperatorSymbol) -> float:
@@ -309,13 +315,6 @@ def multiplier_norm_l2_exact(m: OperatorSymbol) -> float:
 # ---------------------------------------------------------------------------
 # randomized witness search for operator norms
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class WitnessResult:
-    value: float
-    spectrum: np.ndarray  # (n_allowed, n_in)
-    allowed_idx: np.ndarray
 
 
 def _dyadic_annulus_masks(grid: GridSpec) -> list:
@@ -332,8 +331,8 @@ def _witness_search(
     allowed: np.ndarray,
     budget: SearchBudget,
     sampler: GaussianSampler,
-) -> WitnessResult:
-    """Maximize numerator(T f)/denominator(f) over spectra in a node mask.
+) -> float:
+    """Largest numerator(T f)/denominator(f) found over spectra in a node mask.
 
     Both functionals are deterministic, so the search is exact greedy
     hill-climbing; the schedule is prefix-stable in (restarts, steps),
@@ -375,41 +374,30 @@ def _witness_search(
             spec[sub, 0] = 1.0
             starts.append(spec)
 
-    best_val = -np.inf
-    best_spec = None
-    n_starts = len(starts) + budget.restarts
-    for restart in range(n_starts):
-        rng = sampler.generator(_OP_WITNESS, 100 + restart)
-        if restart < len(starts):
-            spec = starts[restart].copy()
-        else:
-            n_active = int(min(n_allowed, max(1, rng.integers(1, 33))))
-            idx = rng.choice(n_allowed, size=n_active, replace=False)
-            spec = np.zeros((n_allowed, n_in), dtype=np.complex128)
-            spec[idx] = rng.standard_normal((n_active, n_in)) + 1j * rng.standard_normal(
-                (n_active, n_in)
-            )
-        val = ratio_of(spec)
-        step = budget.initial_step
-        for _ in range(budget.steps):
-            trial = spec.copy()
-            n_touch = int(min(n_allowed, 1 + rng.integers(0, 8)))
-            idx = rng.choice(n_allowed, size=n_touch, replace=False)
-            noise = rng.standard_normal((n_touch, n_in)) + 1j * rng.standard_normal(
-                (n_touch, n_in)
-            )
-            trial[idx] = trial[idx] + step * noise
-            scale = np.abs(trial).max()
-            if scale > 0:
-                trial = trial / scale
-            tval = ratio_of(trial)
-            if tval > val:
-                val, spec = tval, trial
-            step *= budget.anneal
-        if val > best_val:
-            best_val, best_spec = val, spec
+    def start(i, rng):
+        if i < len(starts):
+            return starts[i]
+        n_active = int(min(n_allowed, max(1, rng.integers(1, 33))))
+        idx = rng.choice(n_allowed, size=n_active, replace=False)
+        spec = np.zeros((n_allowed, n_in), dtype=np.complex128)
+        shape = (n_active, n_in)
+        spec[idx] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return spec
 
-    return WitnessResult(value=best_val, spectrum=best_spec, allowed_idx=allowed_idx)
+    def propose(spec, step, rng):
+        trial = spec.copy()
+        n_touch = int(min(n_allowed, 1 + rng.integers(0, 8)))
+        idx = rng.choice(n_allowed, size=n_touch, replace=False)
+        shape = (n_touch, n_in)
+        noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        trial[idx] = trial[idx] + step * noise
+        scale = np.abs(trial).max()
+        return trial / scale if scale > 0 else trial
+
+    best_val, _ = _hill_climb(
+        sampler, _OP_WITNESS, len(starts) + budget.restarts, start, propose, ratio_of, budget
+    )
+    return best_val
 
 
 def estimate_multiplier_norm(
@@ -431,15 +419,8 @@ def estimate_multiplier_norm(
     )
     if mean_zero:
         allowed[0] = False
-    res = _witness_search(
-        m,
-        numerator=lambda g: lp_norm(g, q, codomain_space),
-        denominator=lambda f: lp_norm(f, p, domain_space),
-        allowed=allowed,
-        budget=budget,
-        sampler=sampler,
-    )
-    return res.value
+    return _witness_search(m, lambda g: lp_norm(g, q, codomain_space),
+                           lambda f: lp_norm(f, p, domain_space), allowed, budget, sampler)
 
 
 def besov_multiplier_norm_estimate(
@@ -468,8 +449,7 @@ def besov_multiplier_norm_estimate(
     else:
         norm_src = lambda f: besov_norm(f, src, part, domain_space)
         norm_dst = lambda g: besov_norm(g, dst, part, codomain_space)
-    res = _witness_search(m, norm_dst, norm_src, allowed, budget, sampler)
-    return res.value
+    return _witness_search(m, norm_dst, norm_src, allowed, budget, sampler)
 
 
 # ---------------------------------------------------------------------------
@@ -567,9 +547,7 @@ def verify_prop43(
         metadata={
             "statement": "compact-support multiplier bound",
             "cube": [a, b],
-            "p": p,
-            "q": "inf" if np.isinf(q) else q,
-            "r": "inf" if np.isinf(r) else r,
+            "p": p, "q": q, "r": r,
             "gamma_hat": gamma_hat,
             "gamma_exact": bool(exact),
             "type_const": tau,
@@ -647,11 +625,7 @@ def _verify_besov_scale(
         tolerance=tolerance,
         metadata={
             "statement": statement,
-            "s": s, "sigma": sigma,
-            "u": "inf" if np.isinf(u) else u,
-            "p": p, "v": "inf" if np.isinf(v) else v,
-            "q": "inf" if np.isinf(q) else q,
-            "w": "inf" if np.isinf(w) else w,
+            "s": s, "sigma": sigma, "u": u, "p": p, "v": v, "q": q, "w": w,
             **extra(dst),
             "gamma_weights": [float(x) for x in weights],
             "gamma_exact": bool(exact),
@@ -763,7 +737,7 @@ def verify_thm46(
         tolerance=tolerance,
         metadata={
             "statement": "Lp->Lq multiplier bound, unspecified constant recorded empirically",
-            "p": p, "q": "inf" if np.isinf(q) else q,
+            "p": p, "q": q,
             "d_over_r": dr,
             "weights_l1": float(np.sum(weights)),
             "empirical_constant": float(empirical_c),
@@ -825,11 +799,7 @@ def verify_prop34(
         metadata={
             "statement": "Fourier-type Besov multiplier bound (Hilbert chain, C = 1)",
             "c_k": [float(x) for x in cks],
-            "r": "inf" if np.isinf(r) else r,
-            "u": "inf" if np.isinf(u) else u,
-            "s": s, "p": p, "v": "inf" if np.isinf(v) else v,
-            "q": "inf" if np.isinf(q) else q,
-            "w": "inf" if np.isinf(w) else w,
+            "r": r, "u": u, "s": s, "p": p, "v": v, "q": q, "w": w,
             "q_inf_beyond_stated_range": bool(np.isinf(q)),
             "seed": sampler.seed,
         },

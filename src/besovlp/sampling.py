@@ -1,4 +1,5 @@
-"""Deterministic Gaussian sampling and the shared randomized-search budget.
+"""Deterministic Gaussian sampling, the randomized-search budget and the
+one search engine.
 
 Every estimator derives its random streams from (seed, operation code,
 stream index) through numpy's SeedSequence, so identical inputs give
@@ -6,12 +7,15 @@ bit-identical results and independent sub-streams never collide.
 Searches evaluate candidates against one frozen draw (a fixed stream)
 and re-evaluate the winning witness on a fresh stream, which removes
 the selection bias a maximizer would otherwise harvest from Monte-Carlo
-noise.
+noise.  Every search runs the same restart/anneal/accept schedule,
+``_hill_climb``; the searches differ only in their starts, their
+proposal move and their score.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -75,11 +79,11 @@ class MCEstimate:
 class SearchBudget:
     """Knobs of the randomized witness searches.
 
-    restarts/steps form a deterministic prefix-stable schedule: enlarging
-    either never removes candidates, so returned estimates are monotone
-    in the budget.  search_samples is the (smaller) Monte-Carlo size used
-    while climbing; final values are re-evaluated at the sampler's full
-    n_samples.
+    restarts/steps drive the prefix-stable schedule of ``_hill_climb``:
+    enlarging either never removes candidates, so returned estimates are
+    monotone in the budget.  search_samples is the (smaller) Monte-Carlo
+    size used while climbing; final values are re-evaluated at the
+    sampler's full n_samples.
     """
 
     restarts: int = 64
@@ -89,6 +93,12 @@ class SearchBudget:
     anneal: float = 0.97
     search_samples: int = 4000
 
+    def __post_init__(self):
+        for name, low in (("restarts", 0), ("steps", 0), ("max_vectors", 1),
+                          ("search_samples", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+
     def scaled(self, factor: float) -> "SearchBudget":
         return replace(
             self,
@@ -97,6 +107,31 @@ class SearchBudget:
         )
 
 
-def quick_budget() -> SearchBudget:
-    """Small budget for tests and sweeps."""
-    return SearchBudget(restarts=8, steps=40, max_vectors=4, search_samples=2000)
+def _hill_climb(sampler: GaussianSampler, op_code: int, n_starts: int, start: Callable,
+                propose: Callable, score: Callable, budget: SearchBudget) -> tuple:
+    """Greedy annealed hill-climbing from n_starts starts; (best_value, best_state).
+
+    Start i draws from stream (op_code, 100 + i): state = start(i, rng),
+    then budget.steps times trial = propose(state, step, rng) replaces
+    the state only if score(trial) is strictly higher; step begins at
+    budget.initial_step and is multiplied by budget.anneal after every
+    trial.  propose must copy before it mutates, as starts may be shared.
+    The best state over the starts wins (an earlier start wins ties);
+    no starts give (-inf, None).  No start depends on n_starts or on the
+    other starts, so the best value is monotone in (n_starts, steps).
+    """
+    best_val, best = -np.inf, None
+    for i in range(n_starts):
+        rng = sampler.generator(op_code, 100 + i)
+        state = start(i, rng)
+        val = score(state)
+        step = budget.initial_step
+        for _ in range(budget.steps):
+            trial = propose(state, step, rng)
+            tval = score(trial)
+            if tval > val:
+                val, state = tval, trial
+            step *= budget.anneal
+        if val > best_val:
+            best_val, best = val, state
+    return best_val, best

@@ -167,6 +167,8 @@ def test_bad_parameter_exits_one_with_one_line(tmp_path, capsys, command, cfg):
     err = capsys.readouterr().err
     assert err.startswith("error: scenario bad.json: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+    # the message names the offending key, or the order the oracle covers
+    assert {"cz": "cz.alpha must be a number", "mihlin": "|alpha| <= 2"}[command] in err
 
 
 def test_suite_records_errors_and_keeps_going(tmp_path, capsys):

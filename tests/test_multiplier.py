@@ -3,9 +3,11 @@ import pytest
 
 from besovlp import (
     BesovParams,
+    DimensionMismatchError,
     GridFunction,
     GridSpec,
     SearchBudget,
+    SpectralTruncationError,
     ValueSpace,
     annulus_indicator_symbol,
     apply_multiplier,
@@ -90,6 +92,24 @@ def test_blockwise_identity(grid64, rng):
     f = random_band_limited(grid64, part.band_limit_mask(), rng)
     g = blockwise_extension(identity_symbol(grid64), f, part)
     assert np.abs(g.samples - f.samples).max() < 1e-10
+
+
+def test_blockwise_extension_guards(grid64, rng):
+    part = build_partition(grid64)
+    f = random_band_limited(grid64, part.band_limit_mask(), rng)
+    m = identity_symbol(grid64)
+    with pytest.raises(ValueError, match="physical"):
+        blockwise_extension(m, dft(f), part)
+    other = GridSpec(1, 64, 2.0)
+    with pytest.raises(ValueError, match="partition"):
+        blockwise_extension(m, f, build_partition(other))
+    with pytest.raises(ValueError, match="symbol"):
+        blockwise_extension(identity_symbol(other), f, part)
+    with pytest.raises(DimensionMismatchError):
+        blockwise_extension(identity_symbol(grid64, dim=2), f, part)
+    noise = GridFunction(grid64, rng.standard_normal((64, 1)), "physical")
+    with pytest.raises(SpectralTruncationError):
+        blockwise_extension(m, noise, part)
 
 
 def test_blockwise_vanishing_on_annulus(grid64, rng):

@@ -1,5 +1,7 @@
+import json
 import math
 
+import numpy as np
 import pytest
 
 from besovlp import VerificationReport
@@ -11,3 +13,10 @@ def test_non_finite_or_negative_measured_never_passes(measured):
     assert rep.verdict == "fail"
     assert not rep.passed
 
+
+
+def test_numpy_infinity_in_metadata_renders_as_valid_json():
+    rep = VerificationReport.build(1, 1, 0, {"q": np.float64(np.inf), "r": -np.inf})
+    text = rep.to_json()
+    assert "Infinity" not in text
+    assert json.loads(text)["metadata"] == {"q": "inf", "r": "-inf"}

@@ -1,0 +1,88 @@
+"""The shared hill-climb engine, the budget it runs on, and the frozen
+outputs of every search built on it."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from besovlp import GaussianSampler, SearchBudget, ValueSpace, type_constant_lower
+from besovlp.sampling import _hill_climb
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _make_goldens():
+    spec = importlib.util.spec_from_file_location(
+        "make_goldens", ROOT / "tools" / "make_goldens.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_search_results_match_golden_exactly():
+    golden = json.loads((ROOT / "tests" / "golden" / "search_results.json").read_text())
+    got = json.loads(json.dumps(_make_goldens().search_results()))
+    assert sorted(got) == sorted(golden)
+    for key, value in golden.items():
+        assert got[key] == value, key
+
+
+def _count_climb(n_starts, budget, scores):
+    """Climb on integer states; score(state) = scores[state]; log every call."""
+    log = []
+
+    def start(i, rng):
+        log.append(("start", i, float(rng.random())))
+        return 10 * i
+
+    def propose(state, step, rng):
+        log.append(("propose", state, step))
+        return state + 1
+
+    value, state = _hill_climb(
+        GaussianSampler(3), 7, n_starts, start, propose, lambda s: scores.get(s, 0.0), budget
+    )
+    return value, state, log
+
+
+def test_hill_climb_accepts_only_strict_improvements_and_anneals():
+    budget = SearchBudget(steps=3, initial_step=0.5, anneal=0.5)
+    # 0 -> 1 improves; 1 -> 2 only ties, so both later trials start from 1
+    value, state, log = _count_climb(1, budget, {0: 1.0, 1: 2.0, 2: 2.0})
+    assert (value, state) == (2.0, 1)
+    assert log[1:] == [
+        ("propose", 0, 0.5), ("propose", 1, 0.25), ("propose", 1, 0.125),
+    ]
+
+
+def test_hill_climb_earlier_start_wins_ties_and_streams_are_per_start():
+    budget = SearchBudget(steps=0)
+    value, state, log = _count_climb(3, budget, {0: 1.0, 10: 1.0, 20: 1.0})
+    assert (value, state) == (1.0, 0)
+    sampler = GaussianSampler(3)
+    assert [entry[2] for entry in log] == [
+        float(sampler.generator(7, 100 + i).random()) for i in range(3)
+    ]
+
+
+def test_hill_climb_with_no_starts():
+    value, state, log = _count_climb(0, SearchBudget(), {})
+    assert value == -np.inf and state is None and log == []
+
+
+def test_type_search_needs_one_restart():
+    budget = SearchBudget(restarts=0, steps=3, search_samples=1000)
+    with pytest.raises(ValueError, match="restarts"):
+        type_constant_lower(ValueSpace.lp(1.0, 3), 2.0, budget, GaussianSampler(1, 1000))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("restarts", -2), ("steps", -1), ("max_vectors", 0), ("search_samples", 0),
+])
+def test_budget_rejects_out_of_range_fields(field, value):
+    with pytest.raises(ValueError, match=field):
+        SearchBudget(**{field: value})

@@ -9,6 +9,11 @@ re-verifies fresh random draws against the frozen values.
 
 The suite checksums are the sha256 of each bundled scenario's report
 JSON: any change to a report's bytes shows up as a mismatch.
+
+The search results are the exact repr of every randomized search's
+output (type/cotype constants, gamma-bound searches, multiplier-norm
+witness searches) at three budgets, so a change to the search schedule
+shows up in the last bit.
 """
 
 import contextlib
@@ -25,11 +30,20 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from besovlp import (  # noqa: E402
     BesovParams,
+    GaussianSampler,
     GridSpec,
+    MatrixFamily,
+    OperatorSymbol,
+    SearchBudget,
     ValueSpace,
+    besov_multiplier_norm_estimate,
     besov_norm,
     build_partition,
+    cotype_constant_lower,
+    estimate_multiplier_norm,
+    gamma_bound_search,
     lp_norm,
+    type_constant_lower,
 )
 from besovlp.cli import run_suite  # noqa: E402
 from besovlp.testfunctions import random_band_limited  # noqa: E402
@@ -107,6 +121,85 @@ def suite_reports() -> dict:
         }
 
 
+# (restarts, steps); type/cotype searches count their three structured
+# starts inside restarts, so they start at one restart
+SEARCH_BUDGETS = [(0, 3), (2, 7), (6, 20)]
+VECTOR_BUDGETS = [(1, 3), (2, 7), (6, 20)]
+
+
+def _budget(restarts: int, steps: int) -> SearchBudget:
+    return SearchBudget(restarts=restarts, steps=steps, max_vectors=4, search_samples=1000)
+
+
+def _gamma_entry(res) -> dict:
+    return {
+        "value": repr(res.value),
+        "assignment": repr(res.assignment.tolist()),
+        "vectors_sha256": hashlib.sha256(res.vectors.tobytes()).hexdigest(),
+        "vectors_shape": list(res.vectors.shape),
+    }
+
+
+def search_results() -> dict:
+    """Exact search outputs; the inputs are chosen so that a random restart,
+    not a structured start, wins at least one type/cotype, one gamma and
+    one witness search at the largest budget."""
+    sampler = GaussianSampler(20240603, 2000)
+    out = {}
+
+    vector_cases = [
+        ("type", type_constant_lower, ValueSpace.lp(1.0, 3), 2.0),
+        ("type", type_constant_lower, ValueSpace.lp(3.0, 2), 1.5),
+        ("cotype", cotype_constant_lower, ValueSpace.lp(np.inf, 3), 2.0),
+        ("cotype", cotype_constant_lower, ValueSpace.lp(1.5, 3), 4.0),
+    ]
+    for kind, fn, space, expo in vector_cases:
+        for restarts, steps in VECTOR_BUDGETS:
+            key = f"{kind} {space.label} exponent={expo:g} budget={restarts}x{steps}"
+            out[key] = repr(fn(space, expo, _budget(restarts, steps), sampler))
+
+    rng = np.random.default_rng(2)
+    mats = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
+    linf_3, l1_3 = ValueSpace.lp(np.inf, 3), ValueSpace.lp(1.0, 3)
+    family = MatrixFamily(tuple(mats), linf_3, l1_3)
+    pair = MatrixFamily(tuple(mats[:2]), linf_3, l1_3)
+    single = MatrixFamily(tuple(mats[:1]), linf_3, l1_3)
+    for restarts, steps in SEARCH_BUDGETS:
+        budget = _budget(restarts, steps)
+        tag = f"budget={restarts}x{steps}"
+        out[f"gamma 4 x (3x3) linf->l1 {tag}"] = _gamma_entry(
+            gamma_bound_search(family, budget, sampler))
+        out[f"gamma 1 x (3x3) linf->l1 {tag}"] = _gamma_entry(
+            gamma_bound_search(single, budget, sampler))
+        warm = gamma_bound_search(pair, budget, sampler)
+        out[f"gamma 4 x (3x3) linf->l1 warm-started from 2 members {tag}"] = _gamma_entry(
+            gamma_bound_search(family, budget, sampler, warm_start=warm))
+
+    grid = GridSpec(1, 32, 1.0)
+    part = build_partition(grid)
+    rng = np.random.default_rng(63)
+    values = rng.standard_normal((grid.n_nodes, 2, 2)) + 1j * rng.standard_normal(
+        (grid.n_nodes, 2, 2))
+    m = OperatorSymbol(grid, values, name="random")
+    l1_2, l3_2, linf_2 = ValueSpace.lp(1.0, 2), ValueSpace.lp(3.0, 2), ValueSpace.lp(np.inf, 2)
+    support = np.abs(grid.frequency_coords()[:, 0]) < 6
+    for restarts, steps in SEARCH_BUDGETS:
+        budget = _budget(restarts, steps)
+        tag = f"budget={restarts}x{steps}"
+        out[f"multiplier L2->L4 l3->linf support |xi|<6 {tag}"] = repr(
+            estimate_multiplier_norm(m, 2.0, 4.0, l3_2, linf_2, budget, sampler,
+                                     support_mask=support))
+        out[f"multiplier L1.5->L3 l1->l3 mean-zero {tag}"] = repr(
+            estimate_multiplier_norm(m, 1.5, 3.0, l1_2, l3_2, budget, sampler,
+                                     mean_zero=True))
+        for homogeneous in (False, True):
+            name = "homogeneous" if homogeneous else "inhomogeneous"
+            out[f"besov multiplier {name} {tag}"] = repr(besov_multiplier_norm_estimate(
+                m, BesovParams(0.5, 1.5, 2.0), BesovParams(0.0, 3.0, 1.0), part,
+                l1_2, linf_2, budget, sampler, homogeneous=homogeneous))
+    return out
+
+
 def main() -> None:
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     artifacts = {
@@ -114,6 +207,7 @@ def main() -> None:
         "cutoff_equivalence.json": cutoff_equivalence(),
         "partition_export.json": partition_export(),
         "suite_reports.json": suite_reports(),
+        "search_results.json": search_results(),
     }
     for name, obj in artifacts.items():
         path = GOLDEN_DIR / name
