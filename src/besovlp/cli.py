@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,7 @@ from .extrapolation import (
     mihlin_check,
     sharpness_probe,
     extrapolation_sweep,
+    symbol_of_kernel,
     verify_weak_type,
 )
 from .gaussian import check_lemma42, gamma_function_norm
@@ -44,7 +46,7 @@ from .multiplier import (
     verify_thm45,
     verify_thm46,
 )
-from .reports import VerificationReport
+from .reports import VerificationReport, _jsonable
 from .sampling import GaussianSampler, SearchBudget
 from .spaces import GridFunction, GridSpec, ValueSpace, lp_norm
 
@@ -60,11 +62,23 @@ class ConfigError(ValueError):
 
 
 def _exponent(value):
+    """An integrability or summation exponent: a number, or 'inf'."""
     if value == "inf":
         return np.inf
     if isinstance(value, (int, float)):
         return float(value)
-    raise ConfigError(f"exponent must be a number or 'inf', got {value!r}")
+    raise TypeError(f"not an exponent: {value!r}")
+
+
+def _exponent_pair(value):
+    p, q = value
+    return _exponent(p), _exponent(q)
+
+
+_KINDS = {int: "an integer", float: "a number", _exponent: "a number or 'inf'",
+          _exponent_pair: "a [p, q] pair of numbers or 'inf'"}
+_REQUIRED = object()
+_EXPONENT_DEFAULTS = {"u": "inf", "v": 2.0, "w": 2.0}
 
 
 def _require(cfg: dict, key: str, ctx: str):
@@ -73,15 +87,26 @@ def _require(cfg: dict, key: str, ctx: str):
     return cfg[key]
 
 
-def _param(cfg: dict, key, ctx: str, cast=float, default=None):
-    """cfg[key] read as a float or an int (cast), required unless a default is
-    given; a value the cast rejects is a ConfigError naming ctx.key."""
-    value = _require(cfg, key, ctx) if default is None else cfg.get(key, default)
+def _param(cfg: dict, key, ctx: str, cast=float, default=_REQUIRED):
+    """cfg[key] read through cast (one of _KINDS), required unless a default
+    is given; with default None an unset or null value reads as None.  A
+    value the cast rejects is a ConfigError naming ctx.key and its kind."""
+    value = _require(cfg, key, ctx) if default is _REQUIRED else cfg.get(key, default)
+    if value is None and default is None:
+        return None
     try:
         return cast(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        kind = "an integer" if cast is int else "a number"
-        raise ConfigError(f"config schema: {ctx}.{key} must be {kind}, got {value!r}") from exc
+        raise ConfigError(
+            f"config schema: {ctx}.{key} must be {_KINDS[cast]}, got {value!r}"
+        ) from exc
+
+
+def _exponents(cfg: dict, ctx: str, keys: str = "p q") -> dict:
+    """The exponents named in keys, by name: u, v, w (the summation exponents
+    of the Besov-scale bounds) default to inf, 2, 2; the rest are required."""
+    return {k: _param(cfg, k, ctx, _exponent, _EXPONENT_DEFAULTS.get(k, _REQUIRED))
+            for k in keys.split()}
 
 
 def _build_grid(cfg: dict) -> GridSpec:
@@ -94,13 +119,25 @@ def _build_grid(cfg: dict) -> GridSpec:
         raise ConfigError(f"config schema: bad grid: {exc}") from exc
 
 
-def _build_space(spec: dict | None, default_dim: int = 1) -> ValueSpace:
+def _space(ctx: dict, role: str, default_dim: int) -> ValueSpace:
+    """The value space configured as spaces.<role>, or l^2 of default_dim."""
+    spec = ctx["raw"].get("spaces", {}).get(role)
     if spec is None:
         return ValueSpace.lp(2.0, default_dim)
     kind = spec.get("kind", "lp")
     if kind != "lp":
         raise ConfigError(f"config schema: unsupported value-space kind {kind!r}")
-    return ValueSpace.lp(_exponent(spec.get("p", 2.0)), _param(spec, "dim", "space", int, 1))
+    where = f"spaces.{role}"
+    return ValueSpace.lp(_param(spec, "p", where, _exponent, 2.0),
+                         _param(spec, "dim", where, int, 1))
+
+
+def _operator_kwargs(ctx: dict, m) -> dict:
+    """The value spaces of symbol m (l^2 of its dims unless configured), the
+    budget and the sampler, as the keywords every operator estimate takes."""
+    return dict(domain_space=_space(ctx, "domain", m.n_in),
+                codomain_space=_space(ctx, "codomain", m.n_out),
+                budget=ctx["budget"], sampler=ctx["sampler"])
 
 
 def _build_symbol(cfg: dict, grid: GridSpec):
@@ -179,19 +216,6 @@ def _build_function(spec: dict, grid: GridSpec, seed: int) -> GridFunction:
     raise ConfigError(f"config schema: unknown function kind {kind!r}")
 
 
-def _spaces_for_symbol(ctx: dict, m) -> tuple:
-    """Configured value spaces, or Hilbert defaults sized to the symbol."""
-    spec = ctx["raw"].get("spaces", {})
-    domain = (
-        _build_space(spec["domain"]) if "domain" in spec else ValueSpace.lp(2.0, m.n_in)
-    )
-    codomain = (
-        _build_space(spec["codomain"]) if "codomain" in spec
-        else ValueSpace.lp(2.0, m.n_out)
-    )
-    return domain, codomain
-
-
 def _build_budget(cfg: dict) -> SearchBudget:
     spec = cfg.get("budget", {})
     return SearchBudget(
@@ -200,6 +224,10 @@ def _build_budget(cfg: dict) -> SearchBudget:
         max_vectors=_param(spec, "max_vectors", "budget", int, 8),
         search_samples=_param(spec, "search_samples", "budget", int, 4000),
     )
+
+
+def _partition(cfg: dict, ctx: dict, op: str):
+    return build_partition(ctx["grid"], _param(cfg, "smoothness", op, int, 3))
 
 
 def _grids(cfg: dict, ctx: dict, op: str) -> list:
@@ -222,7 +250,7 @@ def _value_report(name: str, value: float, metadata: dict) -> VerificationReport
 
 
 def _op_partition(cfg, ctx):
-    part = build_partition(ctx["grid"], _param(cfg, "smoothness", "partition", int, 3))
+    part = _partition(cfg, ctx, "partition")
     mags = ctx["grid"].frequency_magnitudes()
     inside = mags <= 2.0**part.k_max
     dev = float(np.abs(part.partition_sum[inside] - 1.0).max())
@@ -241,10 +269,11 @@ def _op_partition(cfg, ctx):
 
 def _op_besov_norm(cfg, ctx):
     f = _build_function(_require(cfg, "function", "besov-norm"), ctx["grid"], ctx["seed"])
-    part = build_partition(ctx["grid"], _param(cfg, "smoothness", "besov-norm", int, 3))
-    params = BesovParams(_param(cfg, "s", "besov-norm", float, 0.0), _exponent(cfg.get("p", 2.0)),
-                         _exponent(cfg.get("v", 2.0)))
-    space = _build_space(ctx["raw"].get("spaces", {}).get("domain"), f.value_dim)
+    part = _partition(cfg, ctx, "besov-norm")
+    params = BesovParams(_param(cfg, "s", "besov-norm", float, 0.0),
+                         _param(cfg, "p", "besov-norm", _exponent, 2.0),
+                         _param(cfg, "v", "besov-norm", _exponent, 2.0))
+    space = _space(ctx, "domain", f.value_dim)
     if cfg.get("homogeneous", False):
         value = homogeneous_besov_norm(f, params, part, space)
     else:
@@ -254,10 +283,8 @@ def _op_besov_norm(cfg, ctx):
 
 def _op_multiplier(cfg, ctx):
     m = _build_symbol(ctx["raw"], ctx["grid"])
-    dspace, cspace = _spaces_for_symbol(ctx, m)
     value = estimate_multiplier_norm(
-        m, _exponent(_require(cfg, "p", "multiplier")), _exponent(_require(cfg, "q", "multiplier")),
-        dspace, cspace, ctx["budget"], ctx["sampler"],
+        m, **_exponents(cfg, "multiplier"), **_operator_kwargs(ctx, m),
         mean_zero=bool(cfg.get("mean_zero", False)),
     )
     return [_value_report("multiplier_norm", value, {})], {"value": value}
@@ -265,8 +292,7 @@ def _op_multiplier(cfg, ctx):
 
 def _op_gamma(cfg, ctx):
     f = _build_function(_require(cfg, "function", "gamma"), ctx["grid"], ctx["seed"])
-    space = _build_space(ctx["raw"].get("spaces", {}).get("domain"), f.value_dim)
-    est = gamma_function_norm(f, space, ctx["sampler"])
+    est = gamma_function_norm(f, _space(ctx, "domain", f.value_dim), ctx["sampler"])
     return (
         [_value_report("gamma_function_norm", est.value, est.to_dict())],
         {"estimate": est.to_dict()},
@@ -293,11 +319,11 @@ def _op_mihlin(cfg, ctx):
     m = _build_symbol(ctx["raw"], ctx["grid"])
     rep = mihlin_check(
         m,
-        r=_exponent(_require(cfg, "r", "mihlin")),
-        rho=_exponent(cfg.get("rho", 2.0)),
-        n=cfg.get("n"),
+        r=_param(cfg, "r", "mihlin", _exponent),
+        rho=_param(cfg, "rho", "mihlin", _exponent, 2.0),
+        n=_param(cfg, "n", "mihlin", int, None),
         mode=cfg.get("mode", "oracle"),
-        h=cfg.get("h"),
+        h=_param(cfg, "h", "mihlin", float, None),
         adjoint=bool(cfg.get("adjoint", False)),
     )
     return (
@@ -309,7 +335,7 @@ def _op_mihlin(cfg, ctx):
 
 def _op_cz(cfg, ctx):
     f = _build_function(_require(cfg, "function", "cz"), ctx["grid"], ctx["seed"])
-    space = _build_space(ctx["raw"].get("spaces", {}).get("domain"), f.value_dim)
+    space = _space(ctx, "domain", f.value_dim)
     l1 = lp_norm(f, 1.0, space)
     if l1 > 0:
         f = f * (1.0 / l1)
@@ -342,27 +368,20 @@ def _op_weak_type(cfg, ctx):
     if ctx["raw"].get("symbol") is not None:
         m = _build_symbol(ctx["raw"], ctx["grid"])
     elif kernel is not None:
-        from .extrapolation import symbol_of_kernel
-
         m = symbol_of_kernel(kernel)
     else:
         raise ConfigError("config schema: weak-type needs a 'symbol' or 'kernel' entry")
-    dspace, cspace = _spaces_for_symbol(ctx, m)
     f_set = tf.adversarial_l1_family(
         ctx["grid"], _param(cfg, "f_count", "weak-type", int, 24), seed=ctx["seed"], dim=m.n_in
     )
     rep = verify_weak_type(
         a=_param(cfg, "a", "weak-type"),
-        p0=_exponent(_require(cfg, "p0", "weak-type")),
-        q0=_exponent(_require(cfg, "q0", "weak-type")),
+        **_exponents(cfg, "weak-type", "p0 q0"),
         f_set=f_set,
         symbol=m,
         kernel=kernel,
-        domain_space=dspace,
-        codomain_space=cspace,
-        sampler=ctx["sampler"],
-        budget=ctx["budget"],
-        tolerance=ctx["tolerance"] if ctx["tolerance"] is not None else 1e-9,
+        **ctx["tolerance"],
+        **_operator_kwargs(ctx, m),
     )
     return [rep], {}
 
@@ -376,25 +395,22 @@ def _op_sweep(cfg, ctx):
     def factory(grid):
         return _build_symbol({"symbol": spec}, grid)
 
+    pairs = dict(enumerate(_require(cfg, "pairs", "sweep")))
     rep = extrapolation_sweep(
         factory,
-        _exponent(_require(cfg, "r", "sweep")),
-        [(_exponent(p), _exponent(q)) for p, q in _require(cfg, "pairs", "sweep")],
+        _param(cfg, "r", "sweep", _exponent),
+        [_param(pairs, i, "sweep.pairs", _exponent_pair) for i in pairs],
         grids,
         budget=ctx["budget"],
         sampler=ctx["sampler"],
     )
-    spread_cap = cfg.get("spread_cap")
-    reports = []
-    worst = max(v["spread"] for v in rep.stability.values())
-    reports.append(
-        VerificationReport.build(
-            measured=worst, bound=1.0,
-            tolerance=(spread_cap - 1.0) if spread_cap else np.inf,
-            metadata={"quantity": "sweep_stability_spread", "fits": rep.endpoint_fits},
-        )
+    spread_cap = _param(cfg, "spread_cap", "sweep", float, None)
+    report = VerificationReport.build(
+        measured=max(v["spread"] for v in rep.stability.values()), bound=1.0,
+        tolerance=(spread_cap - 1.0) if spread_cap else np.inf,
+        metadata={"quantity": "sweep_stability_spread", "fits": rep.endpoint_fits},
     )
-    return reports, {"sweep": rep.to_dict(), "csv_rows": rep.to_csv_rows()}
+    return [report], {"sweep": rep.to_dict(), "csv_rows": rep.to_csv_rows()}
 
 
 def _op_sharpness(cfg, ctx):
@@ -414,80 +430,72 @@ def _op_sharpness(cfg, ctx):
     return [report], {"probe": probe}
 
 
-def _op_verify(cfg, ctx, which: str):
-    if which == "lemma42":
-        return _op_verify_lemma42(cfg, ctx)
+def _op_prop43(cfg, ctx):
     m = _build_symbol(ctx["raw"], ctx["grid"])
-    dspace, cspace = _spaces_for_symbol(ctx, m)
-    part = build_partition(ctx["grid"], _param(cfg, "smoothness", which, int, 3))
-    tol = ctx["tolerance"] if ctx["tolerance"] is not None else 0.05
-    common = dict(
-        part=part,
-        domain_space=dspace,
-        codomain_space=cspace,
-        budget=ctx["budget"],
-        sampler=ctx["sampler"],
+    rep = verify_prop43(
+        m, tuple(_require(cfg, "cube", "prop43")), **_exponents(cfg, "prop43"),
+        **ctx["tolerance"], **_operator_kwargs(ctx, m),
     )
-    if which == "prop43":
-        rep = verify_prop43(
-            m, tuple(_require(cfg, "cube", "prop43")),
-            _exponent(_require(cfg, "p", "prop43")), _exponent(_require(cfg, "q", "prop43")),
-            dspace, cspace, ctx["budget"], ctx["sampler"],
-            tolerance=tol,
-        )
-    elif which in ("thm44", "thm45"):
-        fn = verify_thm44 if which == "thm44" else verify_thm45
-        rep = fn(
-            m,
-            s=_param(cfg, "s", which, float, 0.0), sigma=_param(cfg, "sigma", which, float, 0.0),
-            u=_exponent(cfg.get("u", "inf")),
-            p=_exponent(_require(cfg, "p", which)), v=_exponent(cfg.get("v", 2.0)),
-            q=_exponent(_require(cfg, "q", which)), w=_exponent(cfg.get("w", 2.0)),
-            tolerance=tol, **common,
-        )
-    elif which == "thm46":
-        rep = verify_thm46(
-            m, p=_exponent(_require(cfg, "p", which)), q=_exponent(_require(cfg, "q", which)),
-            c_cap=cfg.get("c_cap"), **common,
-        )
-    elif which == "prop34":
-        rep = verify_prop34(
-            m,
-            r=_exponent(_require(cfg, "r", which)), u=_exponent(cfg.get("u", "inf")),
-            s=_param(cfg, "s", which, float, 0.0),
-            p=_exponent(_require(cfg, "p", which)), v=_exponent(cfg.get("v", 2.0)),
-            q=_exponent(_require(cfg, "q", which)), w=_exponent(cfg.get("w", 2.0)),
-            tolerance=tol, **common,
-        )
-    else:
-        raise ConfigError(f"unknown operation: verify {which}")
     return [rep], {}
 
 
-def _op_verify_lemma42(cfg, ctx):
+def _op_besov_scale(verify, which, cfg, ctx):
+    m = _build_symbol(ctx["raw"], ctx["grid"])
+    rep = verify(
+        m, s=_param(cfg, "s", which, float, 0.0), sigma=_param(cfg, "sigma", which, float, 0.0),
+        **_exponents(cfg, which, "u p v q w"), part=_partition(cfg, ctx, which),
+        **ctx["tolerance"], **_operator_kwargs(ctx, m),
+    )
+    return [rep], {}
+
+
+def _op_thm46(cfg, ctx):
+    m = _build_symbol(ctx["raw"], ctx["grid"])
+    rep = verify_thm46(
+        m, **_exponents(cfg, "thm46"), part=_partition(cfg, ctx, "thm46"),
+        c_cap=_param(cfg, "c_cap", "thm46", float, None), **_operator_kwargs(ctx, m),
+    )
+    return [rep], {}
+
+
+def _op_prop34(cfg, ctx):
+    m = _build_symbol(ctx["raw"], ctx["grid"])
+    rep = verify_prop34(
+        m, s=_param(cfg, "s", "prop34", float, 0.0), **_exponents(cfg, "prop34", "r u p v q w"),
+        part=_partition(cfg, ctx, "prop34"), **ctx["tolerance"],
+        **_operator_kwargs(ctx, m),
+    )
+    return [rep], {}
+
+
+def _op_lemma42(cfg, ctx):
     f = _build_function(_require(cfg, "function", "lemma42"), ctx["grid"], ctx["seed"])
-    space = _build_space(ctx["raw"].get("spaces", {}).get("domain"), f.value_dim)
     rep = check_lemma42(
-        f, _param(cfg, "cube_side", "lemma42"),
-        _exponent(_require(cfg, "p", "lemma42")), _exponent(_require(cfg, "q", "lemma42")),
-        space, ctx["sampler"],
+        f, _param(cfg, "cube_side", "lemma42"), **_exponents(cfg, "lemma42"),
+        space=_space(ctx, "domain", f.value_dim), sampler=ctx["sampler"],
     )
     return [rep], {}
 
 
+# (subcommand, verify target) -> runner; the CLI's subcommands come from here
 _OPERATIONS = {
-    "partition": _op_partition,
-    "besov-norm": _op_besov_norm,
-    "multiplier": _op_multiplier,
-    "gamma": _op_gamma,
-    "hormander": _op_hormander,
-    "mihlin": _op_mihlin,
-    "cz": _op_cz,
-    "weak-type": _op_weak_type,
-    "sweep": _op_sweep,
-    "sharpness": _op_sharpness,
+    ("partition", None): _op_partition,
+    ("besov-norm", None): _op_besov_norm,
+    ("multiplier", None): _op_multiplier,
+    ("gamma", None): _op_gamma,
+    ("hormander", None): _op_hormander,
+    ("mihlin", None): _op_mihlin,
+    ("cz", None): _op_cz,
+    ("weak-type", None): _op_weak_type,
+    ("sweep", None): _op_sweep,
+    ("sharpness", None): _op_sharpness,
+    ("verify", "thm44"): partial(_op_besov_scale, verify_thm44, "thm44"),
+    ("verify", "thm45"): partial(_op_besov_scale, verify_thm45, "thm45"),
+    ("verify", "thm46"): _op_thm46,
+    ("verify", "prop34"): _op_prop34,
+    ("verify", "prop43"): _op_prop43,
+    ("verify", "lemma42"): _op_lemma42,
 }
-_VERIFY_TARGETS = ("thm44", "thm45", "thm46", "prop34", "prop43", "lemma42")
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -522,43 +530,32 @@ def run_scenario(path, seed_override=None, tolerance_override=None,
         op_spec = _require(raw, "operation", "scenario")
         op_name = _require(op_spec, "name", "operation")
         op_params = dict(op_spec.get("params", {}))
-        if expected_operation is not None:
-            want_op, want_target = expected_operation
-            if op_name != want_op or (
-                want_target is not None and op_spec.get("target") != want_target
-            ):
-                raise ConfigError(
-                    f"config schema: operation {op_name!r} (target "
-                    f"{op_spec.get('target')!r}) does not match subcommand "
-                    f"{want_op!r} {want_target or ''}".strip()
-                )
+        key = (op_name, _require(op_spec, "target", "operation") if op_name == "verify" else None)
+        label = " ".join(map(str, filter(None, key)))
+        if expected_operation is not None and key != expected_operation:
+            raise ConfigError(f"config schema: operation {label!r} does not match "
+                              f"subcommand {' '.join(filter(None, expected_operation))!r}")
+        if key not in _OPERATIONS:
+            raise ConfigError(f"unknown operation: {label!r}")
         if "seed" not in raw:
             raise ConfigError("config schema: missing mandatory 'seed'")
-        seed = (int(seed_override) if seed_override is not None
-                else _param(raw, "seed", "scenario", int))
+        if seed_override is not None:
+            raw = dict(raw, seed=seed_override)
+        seed = _param(raw, "seed", "scenario", int)
         grid = _build_grid(raw)
         sampler = GaussianSampler(seed, _param(raw, "n_samples", "scenario", int, 20000))
+        tolerance = (tolerance_override if tolerance_override is not None
+                     else _param(raw, "tolerance", "scenario", float, None))
         ctx = {
             "raw": raw,
             "grid": grid,
             "seed": seed,
             "sampler": sampler,
             "budget": _build_budget(raw),
-            "tolerance": (
-                tolerance_override if tolerance_override is not None
-                else raw.get("tolerance")
-            ),
+            # passed to a verifier only when set, so each keeps its own default
+            "tolerance": {} if tolerance is None else {"tolerance": tolerance},
         }
-
-        if op_name == "verify":
-            target = _require(op_spec, "target", "operation")
-            if target not in _VERIFY_TARGETS:
-                raise ConfigError(f"unknown operation: verify {target!r}")
-            reports, extras = _op_verify(op_params, ctx, target)
-        elif op_name in _OPERATIONS:
-            reports, extras = _OPERATIONS[op_name](op_params, ctx)
-        else:
-            raise ConfigError(f"unknown operation: {op_name!r}")
+        reports, extras = _OPERATIONS[key](op_params, ctx)
     except (ValueError, KeyError, TypeError, NotImplementedError) as exc:
         print(f"error: scenario {path.name}: {exc}", file=sys.stderr)
         return EXIT_USAGE, None
@@ -571,13 +568,15 @@ def run_scenario(path, seed_override=None, tolerance_override=None,
         "seed": seed,
         "n_samples": sampler.n_samples,
     }
-    report_obj = {
+    # one renderer: sorted keys, numpy scalars as Python numbers and
+    # non-finite numbers as "inf"/"-inf"/"nan", so the text is strict JSON
+    report_obj = _jsonable({
         "config": resolved,
         "reports": [r.to_dict() for r in reports],
         "extras": {k: v for k, v in extras.items() if k != "csv_rows"},
         "verdict": "pass" if all(r.passed for r in reports) else "fail",
-    }
-    text = json.dumps(report_obj, sort_keys=True, indent=2) + "\n"
+    })
+    text = json.dumps(report_obj, indent=2) + "\n"
 
     out_spec = raw.get("output", {})
     json_path = out_override or out_spec.get("json")
@@ -619,17 +618,12 @@ def run_suite(directory, jobs=1, out=None, report_dir=None, **kwargs):
         per_out = str(Path(report_dir) / f.name) if report_dir else None
         return run_scenario(f, out_override=per_out, **kwargs)
 
-    results = {}
     if jobs > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            futs = {pool.submit(launch, f): f for f in files}
-            for fut in concurrent.futures.as_completed(futs):
-                f = futs[fut]
-                code, rep = fut.result()
-                results[f.name] = (code, rep)
+            outcomes = list(pool.map(launch, files))
     else:
-        for f in files:
-            results[f.name] = launch(f)
+        outcomes = [launch(f) for f in files]
+    results = {f.name: outcome for f, outcome in zip(files, outcomes)}
 
     matrix = {}
     for fname in sorted(results):
@@ -663,12 +657,14 @@ def main(argv=None) -> int:
         sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--tolerance", type=float, default=None)
 
-    for name in _OPERATIONS:
-        add_common(sub.add_parser(name, help=f"run a {name} scenario"))
-
-    sp_verify = sub.add_parser("verify", help="run a theorem verification scenario")
-    sp_verify.add_argument("target", choices=_VERIFY_TARGETS)
-    add_common(sp_verify)
+    targets = {}
+    for name, target in _OPERATIONS:
+        targets.setdefault(name, []).append(target)
+    for name, choices in targets.items():
+        sp = sub.add_parser(name, help=f"run a {name} scenario")
+        if choices != [None]:
+            sp.add_argument("target", choices=choices)
+        add_common(sp)
 
     sp_suite = sub.add_parser("suite", help="run every scenario in a directory")
     sp_suite.add_argument("directory")
@@ -687,17 +683,13 @@ def main(argv=None) -> int:
         return run_suite(args.directory, jobs=args.jobs, out=args.out,
                          report_dir=args.report_dir, seed_override=args.seed)
 
-    if args.command == "verify":
-        expected = ("verify", args.target)
-    else:
-        expected = (args.command, None)
     code, _ = run_scenario(
         args.config,
         seed_override=args.seed,
         tolerance_override=args.tolerance,
         out_override=args.out,
         fmt=args.format,
-        expected_operation=expected,
+        expected_operation=(args.command, getattr(args, "target", None)),
     )
     return code
 

@@ -93,10 +93,6 @@ class EtaZetaSystem:
             raise ValueError(f"zeta index {j} outside representable range {self.js[0]}..{self.js[-1]}")
         return self.zeta_hat[j - self.js[0]]
 
-    def eta_scaled(self, scale: float) -> np.ndarray:
-        """eta_hat(scale * xi) sampled on the grid."""
-        return _eta_profile(self.grid.frequency_magnitudes() * scale, self.smoothness)
-
     @property
     def j_max(self) -> int:
         return self.js[-1]
@@ -413,7 +409,7 @@ class MihlinReport:
         return {
             "constant": self.constant,
             "order": self.order,
-            "r": "inf" if np.isinf(self.r) else self.r,
+            "r": self.r,
             "rho": self.rho,
             "mode": self.mode,
             "samples": self.samples,
@@ -779,7 +775,7 @@ class SweepReport:
 
     def to_dict(self) -> dict:
         return {
-            "r": "inf" if np.isinf(self.r) else self.r,
+            "r": self.r,
             "rows": self.rows,
             "stability": {k: v for k, v in sorted(self.stability.items())},
             "endpoint_fits": self.endpoint_fits,

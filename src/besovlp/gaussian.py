@@ -283,13 +283,19 @@ def gamma_bound_search(
     so the ratio is exactly 1-homogeneous in the family.  The final value
     is the fresh-draw score of the best configuration (warm starts from a
     sub-family are rescored here too, which makes the estimate monotone
-    under family growth).
+    under family growth).  A warm start holds at most budget.max_vectors
+    vectors.
     """
     X, Y = family.domain_space, family.codomain_space
     n_in = family.n_in
     n_members = len(family)
     n_search = min(budget.search_samples, sampler.n_samples)
     Kmax = budget.max_vectors
+    if warm_start is not None and len(warm_start.vectors) > Kmax:
+        raise ValueError(
+            f"warm start holds {len(warm_start.vectors)} vectors, more than "
+            f"budget.max_vectors = {Kmax}"
+        )
     g_all = sampler.complex_gaussians((n_search, Kmax), _OP_GAMMA, 0)
 
     members = np.stack(family.members)  # (M, n_out, n_in)
@@ -306,12 +312,13 @@ def gamma_bound_search(
 
     configs = []
     # structured starts: each member on its own top singular direction,
-    # then member pairs on canonical and sign-pattern vector pairs
+    # then, when the budget allows two vectors, member pairs on canonical
+    # and sign-pattern vector pairs
     for j in range(min(n_members, 8)):
         configs.append(
             (np.array([j]), _top_right_singular_vector(family.members[j])[None, :])
         )
-    if n_in >= 2:
+    if n_in >= 2 and Kmax >= 2:
         e1 = np.zeros(n_in, dtype=np.complex128)
         e2 = np.zeros(n_in, dtype=np.complex128)
         e1[0] = 1.0

@@ -18,8 +18,9 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, (np.floating, np.integer)):
         obj = obj.item()
-    if isinstance(obj, float) and math.isinf(obj):
-        return "inf" if obj > 0 else "-inf"
+    if isinstance(obj, float) and not math.isfinite(obj):
+        # strict JSON has no literal for these
+        return "nan" if math.isnan(obj) else "inf" if obj > 0 else "-inf"
     return obj
 
 

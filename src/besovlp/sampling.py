@@ -49,9 +49,6 @@ class GaussianSampler:
         im = rng.standard_normal(shape)
         return (re + 1j * im) / np.sqrt(2.0)
 
-    def with_samples(self, n_samples: int) -> "GaussianSampler":
-        return replace(self, n_samples=n_samples)
-
 
 @dataclass(frozen=True)
 class MCEstimate:

@@ -146,8 +146,8 @@ def test_suite_mixed_results(tmp_path, capsys):
     assert sum(1 for v in matrix.values() if v == "fail") == 1
 
 
-# a cz scenario whose alpha is null, and a mihlin check of an order the
-# riesz derivative oracle does not cover
+# a cz scenario whose alpha is null, a mihlin check of an order the riesz
+# derivative oracle does not cover, and a thm44 check whose p is null
 NULL_ALPHA = dict(
     BASE,
     symbol=None,
@@ -158,17 +158,46 @@ MIHLIN_ORDER_3 = dict(
     symbol={"constructor": "riesz", "params": {"sigma": 0.5}},
     operation={"name": "mihlin", "params": {"r": 2.0, "n": 3}},
 )
+NULL_P = dict(
+    BASE,
+    operation={"name": "verify", "target": "thm44", "params": {"p": None, "q": 2.0}},
+)
 
 
-@pytest.mark.parametrize("command, cfg", [("cz", NULL_ALPHA), ("mihlin", MIHLIN_ORDER_3)])
+@pytest.mark.parametrize("command, cfg", [
+    ("cz", NULL_ALPHA), ("mihlin", MIHLIN_ORDER_3), ("verify thm44", NULL_P),
+])
 def test_bad_parameter_exits_one_with_one_line(tmp_path, capsys, command, cfg):
     path = write(tmp_path, "bad.json", cfg)
-    assert main([command, "--config", str(path)]) == EXIT_USAGE
+    assert main([*command.split(), "--config", str(path)]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: scenario bad.json: ")
     assert err.count("\n") == 1 and "Traceback" not in err
     # the message names the offending key, or the order the oracle covers
-    assert {"cz": "cz.alpha must be a number", "mihlin": "|alpha| <= 2"}[command] in err
+    assert {
+        "cz": "cz.alpha must be a number",
+        "mihlin": "|alpha| <= 2",
+        "verify thm44": "thm44.p must be a number or 'inf'",
+    }[command] in err
+
+
+def test_sweep_of_a_zero_symbol_writes_strict_json(tmp_path):
+    # every estimate is 0, so each stability spread is infinite
+    cfg = dict(
+        BASE,
+        grid={"d": 1, "n_per_dim": 32, "period": 1.0},
+        symbol={"constructor": "annulus_indicator", "params": {"k": 12}},
+        operation={"name": "sweep", "params": {"r": 2.0, "pairs": [[2.0, 2.0]],
+                                               "grids": [32, 64]}},
+    )
+    out = tmp_path / "sweep.json"
+    run_scenario(write(tmp_path, "zero.json", cfg), out_override=out)
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    rep = json.loads(out.read_text(), parse_constant=reject)
+    assert rep["extras"]["sweep"]["stability"]["p=2,q=2"]["spread"] == "inf"
 
 
 def test_suite_records_errors_and_keeps_going(tmp_path, capsys):

@@ -16,7 +16,8 @@ def test_non_finite_or_negative_measured_never_passes(measured):
 
 
 def test_numpy_infinity_in_metadata_renders_as_valid_json():
-    rep = VerificationReport.build(1, 1, 0, {"q": np.float64(np.inf), "r": -np.inf})
+    rep = VerificationReport.build(
+        1, 1, 0, {"q": np.float64(np.inf), "r": -np.inf, "s": np.float64(np.nan)})
     text = rep.to_json()
-    assert "Infinity" not in text
-    assert json.loads(text)["metadata"] == {"q": "inf", "r": "-inf"}
+    assert "Infinity" not in text and "NaN" not in text
+    assert json.loads(text)["metadata"] == {"q": "inf", "r": "-inf", "s": "nan"}

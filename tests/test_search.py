@@ -8,7 +8,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from besovlp import GaussianSampler, SearchBudget, ValueSpace, type_constant_lower
+from besovlp import (
+    GaussianSampler,
+    MatrixFamily,
+    SearchBudget,
+    ValueSpace,
+    gamma_bound_search,
+    type_constant_lower,
+)
+from besovlp.gaussian import GammaSearchResult
 from besovlp.sampling import _hill_climb
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -86,3 +94,23 @@ def test_type_search_needs_one_restart():
 def test_budget_rejects_out_of_range_fields(field, value):
     with pytest.raises(ValueError, match=field):
         SearchBudget(**{field: value})
+
+
+def _gamma_family():
+    """Two random 3x3 members, l^inf_3 -> l^1_3."""
+    rng = np.random.default_rng(5)
+    mats = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
+    return MatrixFamily(tuple(mats), ValueSpace.lp(np.inf, 3), ValueSpace.lp(1.0, 3))
+
+
+def test_gamma_search_with_one_vector_skips_the_pair_starts():
+    budget = SearchBudget(restarts=1, steps=2, max_vectors=1, search_samples=1000)
+    res = gamma_bound_search(_gamma_family(), budget, GaussianSampler(1, 1000))
+    assert res.vectors.shape == (1, 3) and res.value > 0
+
+
+def test_gamma_search_rejects_a_warm_start_longer_than_the_budget():
+    warm = GammaSearchResult(1.0, np.zeros(4, dtype=int), np.ones((4, 3), dtype=complex))
+    budget = SearchBudget(restarts=1, steps=2, max_vectors=2, search_samples=1000)
+    with pytest.raises(ValueError, match="4 vectors.*max_vectors = 2"):
+        gamma_bound_search(_gamma_family(), budget, GaussianSampler(1, 1000), warm_start=warm)

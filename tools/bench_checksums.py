@@ -1,0 +1,64 @@
+"""Check that every benchmark op still gives the answer recorded in the manifest.
+
+Run from the repository root:  python3 tools/bench_checksums.py
+
+For seeds 0-9 on each benchmark workload this builds the ops of
+perfbench/workloads.py, runs each once, hashes its inspected text and
+combines the hashes the way perfbench/worker.py does.  The result must
+equal ``reference_checksums`` in perfbench/manifest.json; a change that
+is meant to leave every answer byte-identical shows any drift here.
+Exit status: 0 when all match, 1 on any mismatch.
+"""
+
+import hashlib
+import json
+import os
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+sys.path[:0] = [str(ROOT / "src"), str(PERFBENCH)]
+
+from worker import THREAD_VARS  # noqa: E402
+
+# the benchmark pins BLAS and OpenMP to one thread; do so before numpy loads
+for var in THREAD_VARS:
+    os.environ[var] = "1"
+
+import workloads  # noqa: E402
+
+SEEDS = range(10)
+
+
+def checksum(workload: str, seed: int) -> str:
+    """sha256 over the ops' digests, '-' for an op that raised."""
+    digests = []
+    for op in workloads.WORKLOADS[workload](seed):
+        try:
+            result, text = op.run()
+        except Exception as exc:  # an op that raises hashes as '-', as in the worker
+            print(f"  {op.label}: raised {type(exc).__name__}: {exc}", file=sys.stderr)
+            digests.append("-")
+            continue
+        _, canonical = op.inspect(result, text)
+        digests.append(hashlib.sha256(canonical.encode()).hexdigest())
+    return hashlib.sha256("".join(digests).encode()).hexdigest()
+
+
+def main() -> int:
+    reference = json.loads((PERFBENCH / "manifest.json").read_text())["reference_checksums"]
+    mismatches = total = 0
+    for workload, by_seed in reference.items():
+        for seed in SEEDS:
+            got = checksum(workload, seed)
+            ok = got == by_seed[str(seed)]
+            total += 1
+            mismatches += not ok
+            print(f"{workload} seed {seed}: {'match' if ok else 'MISMATCH ' + got}", flush=True)
+    print(f"{total - mismatches}/{total} match reference_checksums")
+    return 1 if mismatches else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
