@@ -19,6 +19,7 @@ import sys
 import tempfile
 from functools import partial
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -102,6 +103,19 @@ def _param(cfg: dict, key, ctx: str, cast=float, default=_REQUIRED):
         ) from exc
 
 
+def _section(cfg: dict, key: str, ctx: Optional[str] = None, default=_REQUIRED):
+    """cfg[key], which must be an object (a JSON dict), named ctx.key in
+    errors (key alone at the top level); required unless a default is
+    given, which an unset or null key reads as."""
+    value = _require(cfg, key, ctx or "scenario") if default is _REQUIRED else cfg.get(key)
+    if value is None and default is not _REQUIRED:
+        return default
+    if not isinstance(value, dict):
+        name = key if ctx is None else f"{ctx}.{key}"
+        raise ConfigError(f"config schema: {name} must be an object, got {value!r}")
+    return value
+
+
 def _exponents(cfg: dict, ctx: str, keys: str = "p q") -> dict:
     """The exponents named in keys, by name: u, v, w (the summation exponents
     of the Besov-scale bounds) default to inf, 2, 2; the rest are required."""
@@ -110,7 +124,7 @@ def _exponents(cfg: dict, ctx: str, keys: str = "p q") -> dict:
 
 
 def _build_grid(cfg: dict) -> GridSpec:
-    g = _require(cfg, "grid", "scenario")
+    g = _section(cfg, "grid")
     d, n = _param(g, "d", "grid", int), _param(g, "n_per_dim", "grid", int)
     period = _param(g, "period", "grid", float, 1.0)
     try:
@@ -121,7 +135,7 @@ def _build_grid(cfg: dict) -> GridSpec:
 
 def _space(ctx: dict, role: str, default_dim: int) -> ValueSpace:
     """The value space configured as spaces.<role>, or l^2 of default_dim."""
-    spec = ctx["raw"].get("spaces", {}).get(role)
+    spec = _section(_section(ctx["raw"], "spaces", default={}), role, "spaces", None)
     if spec is None:
         return ValueSpace.lp(2.0, default_dim)
     kind = spec.get("kind", "lp")
@@ -217,7 +231,7 @@ def _build_function(spec: dict, grid: GridSpec, seed: int) -> GridFunction:
 
 
 def _build_budget(cfg: dict) -> SearchBudget:
-    spec = cfg.get("budget", {})
+    spec = _section(cfg, "budget", default={})
     return SearchBudget(
         restarts=_param(spec, "restarts", "budget", int, 16),
         steps=_param(spec, "steps", "budget", int, 60),
@@ -449,7 +463,14 @@ def _op_besov_scale(verify, which, cfg, ctx):
     return [rep], {}
 
 
+def _refuse_tolerance(ctx: dict, op: str, reason: str) -> None:
+    """A verify target whose verdict has no tolerance to set refuses one."""
+    if ctx["tolerance"]:
+        raise ConfigError(f"config schema: verify {op} takes no tolerance; {reason}")
+
+
 def _op_thm46(cfg, ctx):
+    _refuse_tolerance(ctx, "thm46", "its verdict comes from thm46.c_cap")
     m = _build_symbol(ctx["raw"], ctx["grid"])
     rep = verify_thm46(
         m, **_exponents(cfg, "thm46"), part=_partition(cfg, ctx, "thm46"),
@@ -469,6 +490,8 @@ def _op_prop34(cfg, ctx):
 
 
 def _op_lemma42(cfg, ctx):
+    _refuse_tolerance(ctx, "lemma42", "its tolerance is three Monte-Carlo standard errors "
+                      "of the gamma norm")
     f = _build_function(_require(cfg, "function", "lemma42"), ctx["grid"], ctx["seed"])
     rep = check_lemma42(
         f, _param(cfg, "cube_side", "lemma42"), **_exponents(cfg, "lemma42"),
@@ -522,14 +545,16 @@ def run_scenario(path, seed_override=None, tolerance_override=None,
         return EXIT_USAGE, None
 
     try:
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config schema: a scenario must be an object, got {raw!r}")
         if raw.get("schema") != SCHEMA_VERSION:
             raise ConfigError(
                 f"config schema: expected schema {SCHEMA_VERSION}, got {raw.get('schema')!r}"
             )
         name = _require(raw, "name", "scenario")
-        op_spec = _require(raw, "operation", "scenario")
+        op_spec = _section(raw, "operation")
         op_name = _require(op_spec, "name", "operation")
-        op_params = dict(op_spec.get("params", {}))
+        op_params = dict(_section(op_spec, "params", "operation", {}))
         key = (op_name, _require(op_spec, "target", "operation") if op_name == "verify" else None)
         label = " ".join(map(str, filter(None, key)))
         if expected_operation is not None and key != expected_operation:
@@ -555,6 +580,7 @@ def run_scenario(path, seed_override=None, tolerance_override=None,
             # passed to a verifier only when set, so each keeps its own default
             "tolerance": {} if tolerance is None else {"tolerance": tolerance},
         }
+        out_spec = _section(raw, "output", default={})
         reports, extras = _OPERATIONS[key](op_params, ctx)
     except (ValueError, KeyError, TypeError, NotImplementedError) as exc:
         print(f"error: scenario {path.name}: {exc}", file=sys.stderr)
@@ -578,7 +604,6 @@ def run_scenario(path, seed_override=None, tolerance_override=None,
     })
     text = json.dumps(report_obj, indent=2) + "\n"
 
-    out_spec = raw.get("output", {})
     json_path = out_override or out_spec.get("json")
     if json_path:
         _atomic_write(Path(json_path), text)

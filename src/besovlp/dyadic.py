@@ -35,7 +35,11 @@ from .spaces import (
     idft,
     lp_norm,
     _check_exponent,
+    _dft_stack,
+    _idft_stack,
     _lp_combine,
+    _lp_norms,
+    _lp_rows,
 )
 
 __all__ = [
@@ -185,11 +189,15 @@ class DyadicPartition:
 
     def spectral_residual_fraction(self, fhat: np.ndarray) -> float:
         """Fraction of L^2 mass at nodes not fully covered by the partition."""
-        power = np.sum(np.abs(fhat) ** 2, axis=1)
-        total = power.sum()
-        if total == 0.0:
-            return 0.0
-        return float(power[~self._complete].sum() / total)
+        return float(self._residual_fractions(fhat))
+
+    def _residual_fractions(self, fhat: np.ndarray) -> np.ndarray:
+        """spectral_residual_fraction of a spectrum, or of each spectrum of a stack."""
+        power = np.sum(np.abs(fhat) ** 2, axis=-1)
+        total = power.sum(axis=-1)
+        # np.compress: boolean indexing behind an Ellipsis is several times slower
+        residual = np.compress(~self._complete, power, axis=-1).sum(axis=-1)
+        return np.divide(residual, total, out=np.zeros_like(total), where=total != 0.0)
 
     def to_summary(self) -> dict:
         def support_bounds(row):
@@ -238,31 +246,74 @@ def lp_block(f: GridFunction, k: int, part: DyadicPartition) -> GridFunction:
 
 
 def _require_band_limited(part: DyadicPartition, fhat: np.ndarray) -> None:
-    """The band-limit guard: at most 1e-8 of the L^2 mass beyond the partition."""
-    if part.spectral_residual_fraction(fhat) > 1e-8:
+    """The band-limit guard: at most 1e-8 of the L^2 mass beyond the partition,
+    for a spectrum or for each spectrum of a stack."""
+    if np.any(part._residual_fractions(fhat) > 1e-8):
         raise SpectralTruncationError(
             "input carries significant spectral mass above the top annulus"
         )
 
 
-def _blocks(fhat: np.ndarray, rows: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Physical blocks idft(row * fhat) of a row stack, in batched transforms."""
-    n_rows, dim = rows.shape[0], fhat.shape[1]
-    out = np.empty((n_rows,) + grid.spatial_shape() + (dim,), dtype=np.complex128)
-    per_batch = max(1, _BLOCK_BATCH_ENTRIES // fhat.size)
+def _require_mean_zero(fhat: np.ndarray) -> None:
+    """The homogeneous norms' guard: at most 1e-10 of the L^2 mass in the zero
+    mode, for a spectrum or for each spectrum of a stack."""
+    power = np.sum(np.abs(fhat) ** 2, axis=-1)
+    total = power.sum(axis=-1)
+    share = np.divide(power[..., 0], total, out=np.zeros_like(total), where=total > 0)
+    if np.any(share > 1e-10):
+        raise ValueError(
+            "homogeneous Besov norm needs a mean-zero input "
+            "(nonzero-mean functions are only defined modulo polynomials)"
+        )
+
+
+def _block_batches(fhats: np.ndarray, rows: np.ndarray, grid: GridSpec, out=None):
+    """Physical blocks idft(row * fhat) of a stack of spectra (S, n_nodes, dim).
+
+    Yields the blocks of every (spectrum, row) pair, spectrum-major, as
+    batches (B, n_nodes, dim), one batched transform of at most
+    _BLOCK_BATCH_ENTRIES samples each, so a caller can reduce a batch
+    while it is still in cache.  With out, an array of S * n_rows
+    blocks, each batch is written to its slice of out.
+    """
+    n_rows = rows.shape[0]
+    n_pairs, (n_nodes, dim) = fhats.shape[0] * n_rows, fhats.shape[1:]
+    per_batch = max(1, _BLOCK_BATCH_ENTRIES // (n_nodes * dim))
+    lattice = grid.spatial_shape() + (dim,)
     axes = tuple(range(1, grid.d + 1))
     scale = (grid.n_per_dim / grid.period) ** grid.d
-    for j in range(0, n_rows, per_batch):
-        stacked = rows[j:j + per_batch, :, None] * fhat[None, :, :]
-        batch = np.fft.ifftn(stacked.reshape((-1,) + out.shape[1:]), axes=axes)
-        np.multiply(batch, scale, out=out[j:j + per_batch])
-    return out.reshape(n_rows, grid.n_nodes, dim)
+    for j in range(0, n_pairs, per_batch):
+        stop = min(j + per_batch, n_pairs)
+        # one broadcast product per spectrum in the batch, joined only when
+        # the batch spans several spectra
+        products = [rows[max(j - s * n_rows, 0):stop - s * n_rows, :, None] * fhats[s]
+                    for s in range(j // n_rows, (stop - 1) // n_rows + 1)]
+        stacked = products[0] if len(products) == 1 else np.concatenate(products)
+        batch = np.fft.ifftn(stacked.reshape((-1,) + lattice), axes=axes)
+        dest = batch if out is None else out[j:stop].reshape(batch.shape)
+        yield np.multiply(batch, scale, out=dest).reshape(-1, n_nodes, dim)
+
+
+def _blocks(fhat: np.ndarray, rows: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Physical blocks idft(row * fhat) of one spectrum, (n_rows, n_nodes, dim)."""
+    out = np.empty((rows.shape[0],) + fhat.shape, dtype=np.complex128)
+    for _ in _block_batches(fhat[None], rows, grid, out):
+        pass
+    return out
 
 
 def _block_norms(
     f: GridFunction, blocks: np.ndarray, p: float, space: Optional[ValueSpace]
 ) -> list:
     return [lp_norm(GridFunction(f.grid, b, "physical"), p, space) for b in blocks]
+
+
+def _besov_weights(part: DyadicPartition, params: BesovParams, homogeneous: bool) -> tuple:
+    """(rows, weights) of a Besov norm: phi_hat with 2^(ks) over k = 0..k_max as
+    one array power, or psi_hat with 2^(ks) over hom_ks as scalar powers."""
+    if homogeneous:
+        return part.psi_hat, np.asarray([2.0 ** (k * params.s) for k in part.hom_ks])
+    return part.phi_hat, 2.0 ** (np.arange(part.k_max + 1) * params.s)
 
 
 def lp_blocks(f: GridFunction, part: DyadicPartition) -> np.ndarray:
@@ -284,9 +335,9 @@ def besov_norm(
     """
     _require_physical(f, part)
     _require_band_limited(part, dft(f).samples)
+    _, weights = _besov_weights(part, params, homogeneous=False)
     norms = np.array(_block_norms(f, lp_blocks(f, part), params.p, space))
-    ks = np.arange(part.k_max + 1)
-    return _lp_combine(2.0 ** (ks * params.s) * norms, params.v)
+    return _lp_combine(weights * norms, params.v)
 
 
 def homogeneous_besov_norm(
@@ -303,14 +354,34 @@ def homogeneous_besov_norm(
     """
     _require_physical(f, part)
     fhat = dft(f).samples
-    power = np.sum(np.abs(fhat) ** 2, axis=1)
-    total = power.sum()
-    if total > 0 and power[0] / total > 1e-10:
-        raise ValueError(
-            "homogeneous Besov norm needs a mean-zero input "
-            "(nonzero-mean functions are only defined modulo polynomials)"
-        )
+    _require_mean_zero(fhat)
     _require_band_limited(part, fhat)
-    norms = _block_norms(f, _blocks(fhat, part.psi_hat, part.grid), params.p, space)
-    weights = [2.0 ** (k * params.s) * nrm for k, nrm in zip(part.hom_ks, norms)]
-    return _lp_combine(np.asarray(weights), params.v)
+    rows, weights = _besov_weights(part, params, homogeneous=True)
+    norms = np.array(_block_norms(f, _blocks(fhat, rows, part.grid), params.p, space))
+    return _lp_combine(weights * norms, params.v)
+
+
+def _besov_norms(
+    spectra: np.ndarray,
+    params: BesovParams,
+    part: DyadicPartition,
+    space: ValueSpace,
+    homogeneous: bool,
+) -> list:
+    """besov_norm (or homogeneous_besov_norm) of idft(fhat) for each spectrum
+    fhat of a stack (S, n_nodes, dim), bit for bit.
+
+    The stack takes the same idft/dft round trip as those norms' inputs
+    (skipping it would move the last bits), the same guards, and the
+    block core with each transform batch reduced as soon as it is done.
+    """
+    grid = part.grid
+    fhats = _dft_stack(_idft_stack(spectra, grid), grid)
+    if homogeneous:
+        _require_mean_zero(fhats)
+    _require_band_limited(part, fhats)
+    rows, weights = _besov_weights(part, params, homogeneous)
+    norms = []
+    for batch in _block_batches(fhats, rows, grid):
+        norms += _lp_norms(batch, params.p, space, grid.cell_volume)
+    return _lp_rows(weights * np.reshape(norms, (len(fhats), len(rows))), params.v)

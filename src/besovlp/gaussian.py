@@ -183,7 +183,8 @@ def _search_vector_families(
     def score(vecs):
         return ratio_of(vecs, g_all[:, : vecs.shape[0]])
 
-    _, best = _hill_climb(sampler, op_code, budget.restarts, start, propose, score, budget)
+    _, best = _hill_climb(sampler, op_code, budget.restarts, start, propose,
+                          lambda states: [score(s) for s in states], budget)
     return best
 
 
@@ -354,7 +355,8 @@ def gamma_bound_search(
         return trial_a, trial_v
 
     _, best = _hill_climb(
-        sampler, _OP_GAMMA, len(configs) + budget.restarts, start, propose, ratio_of, budget
+        sampler, _OP_GAMMA, len(configs) + budget.restarts, start, propose,
+        lambda states: [ratio_of(s) for s in states], budget,
     )
 
     # fresh-draw scoring; the warm start is rescored alongside the search

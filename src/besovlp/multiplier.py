@@ -11,7 +11,11 @@ infinite-dimensional ball; the estimators here certify lower bounds by
 randomized witness search (structured starts: single modes at the
 largest symbol values, flat and per-annulus spectra, then random
 restarts, each refined greedily on the prefix-stable schedule of
-``sampling._hill_climb``).  Verification reports then check the
+``sampling._hill_climb``).  All starts climb in lockstep, and each
+step's candidates are scored together from their spectra: a stack of
+witness spectra takes one batched transform per side, and the Besov
+scorer one batched block core, with the same values, bit for bit, as
+norm calls on one function at a time.  Verification reports then check the
 measured lower bound against the displayed theoretical bound, which is
 the falsifiable direction.  The per-annulus gamma-bounds entering the
 bounds are exact between Hilbert spaces and search lower bounds
@@ -30,9 +34,9 @@ import numpy as np
 from .dyadic import (
     BesovParams,
     DyadicPartition,
-    besov_norm,
-    homogeneous_besov_norm,
+    _BLOCK_BATCH_ENTRIES,
     _annulus_mask,
+    _besov_norms,
     _require_band_limited,
     _require_physical,
 )
@@ -46,10 +50,13 @@ from .spaces import (
     ValueSpace,
     dft,
     idft,
-    lp_norm,
+    _check_exponent,
+    _idft_stack,
     _inv,
     _lp_combine,
+    _lp_norms,
     _pack_complex,
+    _space_for,
     _unpack_complex,
 )
 
@@ -286,7 +293,8 @@ def apply_multiplier(m: OperatorSymbol, f: GridFunction) -> GridFunction:
 
 
 def _apply_to_spectrum(m: OperatorSymbol, fhat: np.ndarray) -> np.ndarray:
-    return np.einsum("noi,ni->no", m.values, fhat)
+    """m(xi) fhat(xi) at every node, of a spectrum or of each spectrum of a stack."""
+    return np.einsum("noi,...ni->...no", m.values, fhat)
 
 
 def blockwise_extension(
@@ -326,15 +334,18 @@ def _dyadic_annulus_masks(grid: GridSpec) -> list:
 
 def _witness_search(
     m: OperatorSymbol,
-    numerator: Callable[[GridFunction], float],
-    denominator: Callable[[GridFunction], float],
     allowed: np.ndarray,
     budget: SearchBudget,
     sampler: GaussianSampler,
+    score_spectra: Callable[[np.ndarray], Sequence[float]],
 ) -> float:
-    """Largest numerator(T f)/denominator(f) found over spectra in a node mask.
+    """Largest score found over witness spectra supported in a node mask.
 
-    Both functionals are deterministic, so the search is exact greedy
+    score_spectra maps a stack (S, n_nodes, n_in) of spectra to their S
+    scores.  Every start climbs in lockstep, so each step scores all
+    candidates together, a chunk of at most _BLOCK_BATCH_ENTRIES samples
+    per stack, which bounds the scoring memory however many starts run.
+    The score is deterministic, so the search is exact greedy
     hill-climbing; the schedule is prefix-stable in (restarts, steps),
     which makes the returned value monotone in the budget.
     """
@@ -345,15 +356,16 @@ def _witness_search(
     n_in = m.n_in
     n_allowed = allowed_idx.size
 
-    def ratio_of(spec: np.ndarray) -> float:
-        fhat = np.zeros((grid.n_nodes, n_in), dtype=np.complex128)
-        fhat[allowed_idx] = spec
-        f = idft(GridFunction(grid, fhat, "frequency"))
-        den = denominator(f)
-        if den <= 0:
-            return -np.inf
-        tf = idft(GridFunction(grid, _apply_to_spectrum(m, fhat), "frequency"))
-        return numerator(tf) / den
+    per_chunk = max(1, _BLOCK_BATCH_ENTRIES // (grid.n_nodes * max(n_in, m.n_out)))
+
+    def score_batch(specs):
+        scores = []
+        for j in range(0, len(specs), per_chunk):
+            chunk = specs[j:j + per_chunk]
+            fhats = np.zeros((len(chunk), grid.n_nodes, n_in), dtype=np.complex128)
+            fhats[:, allowed_idx] = chunk
+            scores += score_spectra(fhats)
+        return scores
 
     # structured starts: single modes at the largest symbol values,
     # a flat spectrum, and flat per-annulus spectra
@@ -395,9 +407,45 @@ def _witness_search(
         return trial / scale if scale > 0 else trial
 
     best_val, _ = _hill_climb(
-        sampler, _OP_WITNESS, len(starts) + budget.restarts, start, propose, ratio_of, budget
+        sampler, _OP_WITNESS, len(starts) + budget.restarts, start, propose, score_batch, budget
     )
     return best_val
+
+
+def _ratio_scorer(m: OperatorSymbol, norms: Callable, src: tuple, dst: tuple) -> Callable:
+    """Witness score ||T f|| / ||f|| of each spectrum fhat of a stack; -inf
+    where ||f|| <= 0.
+
+    norms(fhats, *side) gives the norms of the functions whose spectra a
+    stack holds; src and dst are the two sides' extra arguments.
+    """
+    def score(fhats: np.ndarray) -> list:
+        den = norms(fhats, *src)
+        num = norms(_apply_to_spectrum(m, fhats), *dst)
+        return [-np.inf if d <= 0 else n / d for n, d in zip(num, den)]
+
+    return score
+
+
+def _lp_scorer(m: OperatorSymbol, p: float, q: float, domain_space: ValueSpace,
+               codomain_space: ValueSpace) -> Callable:
+    """||T f||_q / ||f||_p of a stack of spectra: one batched idft and one
+    vectorized L^p reduction per side."""
+    def norms(fhats, r, space):
+        return _lp_norms(_idft_stack(fhats, m.grid), r, space, m.grid.cell_volume)
+
+    return _ratio_scorer(m, norms, (p, domain_space), (q, codomain_space))
+
+
+def _besov_scorer(m: OperatorSymbol, src: BesovParams, dst: BesovParams,
+                  part: DyadicPartition, domain_space: ValueSpace,
+                  codomain_space: ValueSpace, homogeneous: bool) -> Callable:
+    """||T f||_dst / ||f||_src of a stack of spectra, equal bit for bit to
+    the quotient of besov_norm (or homogeneous_besov_norm) calls."""
+    def norms(fhats, params, space):
+        return _besov_norms(fhats, params, part, space, homogeneous)
+
+    return _ratio_scorer(m, norms, (src, domain_space), (dst, codomain_space))
 
 
 def estimate_multiplier_norm(
@@ -411,16 +459,22 @@ def estimate_multiplier_norm(
     support_mask: Optional[np.ndarray] = None,
     mean_zero: bool = False,
 ) -> float:
-    """Witness-search lower bound on ||T_m||_{L^p -> L^q}; monotone in budget."""
-    domain_space = domain_space or ValueSpace.lp(2.0, m.n_in)
-    codomain_space = codomain_space or ValueSpace.lp(2.0, m.n_out)
+    """Witness-search lower bound on ||T_m||_{L^p -> L^q}; monotone in budget.
+
+    Witnesses are scored from their spectra: each side takes one batched
+    idft and one vectorized L^p reduction per chunk of witnesses.
+    """
+    _check_exponent(p, "p")
+    _check_exponent(q, "q")
+    domain_space = _space_for(m.n_in, domain_space)
+    codomain_space = _space_for(m.n_out, codomain_space)
     allowed = (
         np.ones(m.grid.n_nodes, dtype=bool) if support_mask is None else support_mask.copy()
     )
     if mean_zero:
         allowed[0] = False
-    return _witness_search(m, lambda g: lp_norm(g, q, codomain_space),
-                           lambda f: lp_norm(f, p, domain_space), allowed, budget, sampler)
+    score = _lp_scorer(m, p, q, domain_space, codomain_space)
+    return _witness_search(m, allowed, budget, sampler, score)
 
 
 def besov_multiplier_norm_estimate(
@@ -437,19 +491,19 @@ def besov_multiplier_norm_estimate(
     """Witness-search lower bound on the Besov -> Besov multiplier norm.
 
     Witness spectra are confined to the exact range of the partition, so
-    the norm evaluations never hit the spectral-truncation guard.
+    the norm evaluations never hit the spectral-truncation guard.  They
+    are scored from their spectra, many witnesses at a time, with the
+    results of besov_norm (or homogeneous_besov_norm) bit for bit.
     """
-    domain_space = domain_space or ValueSpace.lp(2.0, m.n_in)
-    codomain_space = codomain_space or ValueSpace.lp(2.0, m.n_out)
+    if part.grid != m.grid:
+        raise ValueError("symbol and partition live on different grids")
+    domain_space = _space_for(m.n_in, domain_space)
+    codomain_space = _space_for(m.n_out, codomain_space)
     allowed = part.band_limit_mask()
     if homogeneous:
         allowed[0] = False
-        norm_src = lambda f: homogeneous_besov_norm(f, src, part, domain_space)
-        norm_dst = lambda g: homogeneous_besov_norm(g, dst, part, codomain_space)
-    else:
-        norm_src = lambda f: besov_norm(f, src, part, domain_space)
-        norm_dst = lambda g: besov_norm(g, dst, part, codomain_space)
-    return _witness_search(m, norm_dst, norm_src, allowed, budget, sampler)
+    score = _besov_scorer(m, src, dst, part, domain_space, codomain_space, homogeneous)
+    return _witness_search(m, allowed, budget, sampler, score)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,11 @@ and re-evaluate the winning witness on a fresh stream, which removes
 the selection bias a maximizer would otherwise harvest from Monte-Carlo
 noise.  Every search runs the same restart/anneal/accept schedule,
 ``_hill_climb``; the searches differ only in their starts, their
-proposal move and their score.
+proposal move and their score.  The engine runs all starts in lockstep
+and scores each step's candidates with one batched call, so a search
+whose score vectorizes over candidates (the multiplier witness
+searches score a whole stack of spectra at once) pays the Python
+overhead once per step instead of once per candidate.
 """
 
 from __future__ import annotations
@@ -105,30 +109,36 @@ class SearchBudget:
 
 
 def _hill_climb(sampler: GaussianSampler, op_code: int, n_starts: int, start: Callable,
-                propose: Callable, score: Callable, budget: SearchBudget) -> tuple:
-    """Greedy annealed hill-climbing from n_starts starts; (best_value, best_state).
+                propose: Callable, score_batch: Callable, budget: SearchBudget) -> tuple:
+    """Greedy annealed hill-climbing from n_starts starts in lockstep; (best_value, best_state).
 
-    Start i draws from stream (op_code, 100 + i): state = start(i, rng),
-    then budget.steps times trial = propose(state, step, rng) replaces
-    the state only if score(trial) is strictly higher; step begins at
-    budget.initial_step and is multiplied by budget.anneal after every
-    trial.  propose must copy before it mutates, as starts may be shared.
-    The best state over the starts wins (an earlier start wins ties);
-    no starts give (-inf, None).  No start depends on n_starts or on the
-    other starts, so the best value is monotone in (n_starts, steps).
+    Start i draws from its own stream (op_code, 100 + i): its state is
+    start(i, rng), then budget.steps times trial = propose(state, step,
+    rng) replaces the state only if the trial scores strictly higher;
+    step begins at budget.initial_step and is multiplied by budget.anneal
+    after every trial.  The starts advance together, so one
+    score_batch(states) call scores every start's state (or trial) of a
+    step and returns one float per state, in order.  Each start's
+    trajectory is the one it would follow alone.  propose must copy
+    before it mutates, as starts may be shared.  The best state over the
+    starts wins (an earlier start wins ties); no starts give (-inf,
+    None).  No start depends on n_starts or on the other starts, so the
+    best value is monotone in (n_starts, steps).
     """
+    rngs = [sampler.generator(op_code, 100 + i) for i in range(n_starts)]
+    states = [start(i, rng) for i, rng in enumerate(rngs)]
+    if not states:
+        return -np.inf, None
+    values = list(score_batch(states))
+    step = budget.initial_step
+    for _ in range(budget.steps):
+        trials = [propose(state, step, rng) for state, rng in zip(states, rngs)]
+        for i, tval in enumerate(score_batch(trials)):
+            if tval > values[i]:
+                values[i], states[i] = tval, trials[i]
+        step *= budget.anneal
     best_val, best = -np.inf, None
-    for i in range(n_starts):
-        rng = sampler.generator(op_code, 100 + i)
-        state = start(i, rng)
-        val = score(state)
-        step = budget.initial_step
-        for _ in range(budget.steps):
-            trial = propose(state, step, rng)
-            tval = score(trial)
-            if tval > val:
-                val, state = tval, trial
-            step *= budget.anneal
+    for val, state in zip(values, states):
         if val > best_val:
             best_val, best = val, state
     return best_val, best

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -123,15 +124,24 @@ class GridSpec:
         return (self.n_per_dim,) * self.d
 
 
-def _lp_combine(values: np.ndarray, p: float, weight: float = 1.0) -> float:
-    """(weight * sum |v|^p)^(1/p) with max semantics for p = inf.
+def _lp_rows(values: np.ndarray, p: float, weight: float = 1.0) -> list:
+    """(weight * sum_j |v_ij|^p)^(1/p) of each row i of a 2-d array, max for p = inf.
 
     The one l^p reducer: L^p quadratures pass their cell measure as the
-    weight, sequence norms the default 1.
+    weight, sequence norms the default 1.  The sums are vectorized over
+    the rows; the final power stays a scalar power per row, because
+    numpy's vectorized power need not round like it.
     """
-    if np.isinf(p):
-        return float(np.max(values)) if values.size else 0.0
-    return float((weight * np.sum(values**p)) ** (1.0 / p))
+    if math.isinf(p):
+        if not values.shape[-1]:
+            return [0.0] * len(values)
+        return [float(x) for x in values.max(axis=-1)]
+    return [float((weight * total) ** (1.0 / p)) for total in (values**p).sum(axis=-1)]
+
+
+def _lp_combine(values: np.ndarray, p: float, weight: float = 1.0) -> float:
+    """_lp_rows of a single row."""
+    return _lp_rows(values[None], p, weight)[0]
 
 
 def _inv(x: float) -> float:
@@ -367,24 +377,35 @@ class GridFunction:
         return idft(self)
 
 
+def _transform_stack(transform, samples: np.ndarray, grid: GridSpec, scale: float) -> np.ndarray:
+    """transform over the lattice axes of each member of a stack (S, n_nodes, dim), times scale."""
+    shape = samples.shape
+    lattice = samples.reshape((shape[0],) + grid.spatial_shape() + (shape[-1],))
+    return (transform(lattice, axes=tuple(range(1, grid.d + 1))) * scale).reshape(shape)
+
+
+def _dft_stack(samples: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """dft of each member of a stack (S, n_nodes, dim) of physical samples."""
+    return _transform_stack(np.fft.fftn, samples, grid, grid.cell_volume)
+
+
+def _idft_stack(spectra: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """idft of each member of a stack (S, n_nodes, dim) of spectra."""
+    return _transform_stack(np.fft.ifftn, spectra, grid, (grid.n_per_dim / grid.period) ** grid.d)
+
+
 def dft(f: GridFunction) -> GridFunction:
     """Forward transform, physical -> frequency, continuum normalization."""
     if f.domain_tag != "physical":
         raise ValueError("dft expects a physical-domain function")
-    g = f.spatial_view()
-    axes = tuple(range(f.grid.d))
-    out = np.fft.fftn(g, axes=axes) * f.grid.cell_volume
-    return GridFunction(f.grid, out.reshape(f.grid.n_nodes, f.value_dim), "frequency")
+    return GridFunction(f.grid, _dft_stack(f.samples[None], f.grid)[0], "frequency")
 
 
 def idft(f: GridFunction) -> GridFunction:
     """Inverse transform, frequency -> physical."""
     if f.domain_tag != "frequency":
         raise ValueError("idft expects a frequency-domain function")
-    g = f.spatial_view()
-    axes = tuple(range(f.grid.d))
-    out = np.fft.ifftn(g, axes=axes) * (f.grid.n_per_dim / f.grid.period) ** f.grid.d
-    return GridFunction(f.grid, out.reshape(f.grid.n_nodes, f.value_dim), "physical")
+    return GridFunction(f.grid, _idft_stack(f.samples[None], f.grid)[0], "physical")
 
 
 def _check_exponent(p: float, name: str = "p", allow_inf: bool = True) -> None:
@@ -396,14 +417,21 @@ def _check_exponent(p: float, name: str = "p", allow_inf: bool = True) -> None:
         raise ValueError(f"{name} must lie in [1, inf], got {p}")
 
 
-def _space_for(f: GridFunction, space: Optional[ValueSpace]) -> ValueSpace:
+def _space_for(value_dim: int, space: Optional[ValueSpace]) -> ValueSpace:
+    """The value space of functions with value_dim components; l^2 when None."""
     if space is None:
-        return ValueSpace.lp(2.0, f.value_dim)
-    if space.dim != f.value_dim:
+        return ValueSpace.lp(2.0, value_dim)
+    if space.dim != value_dim:
         raise DimensionMismatchError(
-            f"value space dimension {space.dim} != function value_dim {f.value_dim}"
+            f"value space dimension {space.dim} != function value_dim {value_dim}"
         )
     return space
+
+
+def _lp_norms(samples: np.ndarray, p: float, space: ValueSpace, measure: float) -> list:
+    """lp_norm of each member of a stack (S, n_nodes, dim) of samples."""
+    vals = space.norm_rows(samples.reshape(-1, samples.shape[-1]))
+    return _lp_rows(vals.reshape(samples.shape[:-1]), p, measure)
 
 
 def lp_norm(f: GridFunction, p: float, space: Optional[ValueSpace] = None) -> float:
@@ -413,9 +441,7 @@ def lp_norm(f: GridFunction, p: float, space: Optional[ValueSpace] = None) -> fl
     measure (1/L)^d so that Parseval holds exactly for p = 2.
     """
     _check_exponent(p)
-    space = _space_for(f, space)
-    vals = space.norm_rows(f.samples)
-    return _lp_combine(vals, p, f.measure)
+    return _lp_norms(f.samples[None], p, _space_for(f.value_dim, space), f.measure)[0]
 
 
 def weak_lp_norm(f: GridFunction, a: float, space: Optional[ValueSpace] = None) -> float:
@@ -426,7 +452,7 @@ def weak_lp_norm(f: GridFunction, a: float, space: Optional[ValueSpace] = None) 
     sup over alpha > 0.
     """
     _check_exponent(a, "a", allow_inf=False)
-    space = _space_for(f, space)
+    space = _space_for(f.value_dim, space)
     vals = np.sort(space.norm_rows(f.samples))[::-1]
     if vals.size == 0 or vals[0] == 0.0:
         return 0.0

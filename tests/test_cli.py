@@ -147,7 +147,8 @@ def test_suite_mixed_results(tmp_path, capsys):
 
 
 # a cz scenario whose alpha is null, a mihlin check of an order the riesz
-# derivative oracle does not cover, and a thm44 check whose p is null
+# derivative oracle does not cover, a thm44 check whose p is null, and
+# sections that must be objects but are not
 NULL_ALPHA = dict(
     BASE,
     symbol=None,
@@ -164,21 +165,54 @@ NULL_P = dict(
 )
 
 
-@pytest.mark.parametrize("command, cfg", [
-    ("cz", NULL_ALPHA), ("mihlin", MIHLIN_ORDER_3), ("verify thm44", NULL_P),
-])
+# (command, config, what the message names: the offending key, or the
+# order the oracle covers)
+BAD_CONFIGS = [
+    ("cz", NULL_ALPHA, "cz.alpha must be a number"),
+    ("mihlin", MIHLIN_ORDER_3, "|alpha| <= 2"),
+    ("verify thm44", NULL_P, "thm44.p must be a number or 'inf'"),
+    ("multiplier", dict(BASE, budget=3), "config schema: budget must be an object, got 3"),
+    ("multiplier", dict(BASE, spaces={"domain": 3}),
+     "config schema: spaces.domain must be an object, got 3"),
+    ("multiplier", dict(BASE, grid=[64]), "config schema: grid must be an object, got [64]"),
+]
+
+
+@pytest.mark.parametrize("command, cfg", [case[:2] for case in BAD_CONFIGS])
 def test_bad_parameter_exits_one_with_one_line(tmp_path, capsys, command, cfg):
     path = write(tmp_path, "bad.json", cfg)
     assert main([*command.split(), "--config", str(path)]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: scenario bad.json: ")
     assert err.count("\n") == 1 and "Traceback" not in err
-    # the message names the offending key, or the order the oracle covers
-    assert {
-        "cz": "cz.alpha must be a number",
-        "mihlin": "|alpha| <= 2",
-        "verify thm44": "thm44.p must be a number or 'inf'",
-    }[command] in err
+    assert next(named for _, bad, named in BAD_CONFIGS if bad is cfg) in err
+
+
+THM46 = dict(
+    BASE, operation={"name": "verify", "target": "thm46", "params": {"p": 2.0, "q": 2.0}},
+)
+LEMMA42 = dict(
+    BASE,
+    operation={"name": "verify", "target": "lemma42",
+               "params": {"function": {"kind": "single_mode"}, "cube_side": 1.0,
+                          "p": 2.0, "q": 2.0}},
+)
+
+
+@pytest.mark.parametrize("target, cfg, flags, reason", [
+    ("thm46", THM46, ["--tolerance", "-0.9"], "thm46.c_cap"),
+    ("lemma42", dict(LEMMA42, tolerance=0.5), [], "Monte-Carlo standard errors"),
+])
+def test_verify_targets_without_a_tolerance_refuse_one(tmp_path, capsys, target, cfg, flags,
+                                                       reason):
+    path = write(tmp_path, "tol.json", cfg)
+    assert main(["verify", target, "--config", str(path), *flags]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: scenario tol.json: ") and err.count("\n") == 1
+    assert f"verify {target} takes no tolerance" in err and reason in err
+    # without the tolerance the same check runs
+    assert main(["verify", target, "--config", str(write(tmp_path, "ok.json", THM46 if
+                target == "thm46" else LEMMA42))]) == EXIT_PASS
 
 
 def test_sweep_of_a_zero_symbol_writes_strict_json(tmp_path):

@@ -28,8 +28,8 @@ from besovlp import (
     verify_thm45,
     verify_thm46,
 )
-from besovlp import GaussianSampler, besov_norm, dft
-from besovlp.multiplier import OperatorSymbol
+from besovlp import GaussianSampler, besov_norm, dft, homogeneous_besov_norm, idft, lp_norm
+from besovlp.multiplier import OperatorSymbol, _besov_scorer, _lp_scorer
 from besovlp.testfunctions import random_band_limited, single_mode
 
 BUDGET = SearchBudget(restarts=8, steps=40, search_samples=2000)
@@ -188,6 +188,14 @@ def test_besov_estimate_homogeneity(grid64):
     assert est == pytest.approx(2.0, abs=1e-10)
 
 
+def test_besov_estimate_rejects_a_partition_on_another_grid(grid64):
+    part = build_partition(GridSpec(1, 64, 2.0))
+    params = BesovParams(0.0, 2.0, 2.0)
+    with pytest.raises(ValueError, match="different grids"):
+        besov_multiplier_norm_estimate(identity_symbol(grid64), params, params, part,
+                                       budget=BUDGET, sampler=SAMPLER)
+
+
 def test_besov_estimate_beats_direct_quotient_oracle():
     # direct norm-quotient oracle on a fixed single-block witness family
     grid = GridSpec(1, 16, 1.0)
@@ -207,6 +215,88 @@ def test_besov_estimate_beats_direct_quotient_oracle():
             )
     est = besov_multiplier_norm_estimate(m, src, dst, part, budget=BUDGET, sampler=SAMPLER)
     assert est >= oracle * (1.0 - 1e-9)
+
+
+# -- batched witness scorers -------------------------------------------------
+
+
+def _witness_stack(grid, part, n_in, n_spectra, homogeneous, rng):
+    """Random witness spectra inside the partition's exact range, the last one zero."""
+    allowed = part.band_limit_mask()
+    allowed[0] = False if homogeneous else allowed[0]
+    shape = (n_spectra, grid.n_nodes, n_in)
+    fhats = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    fhats[:, ~allowed] = 0.0
+    fhats[-1] = 0.0
+    return fhats
+
+
+def _scorer_symbol(grid, shape, rng):
+    n = grid.n_nodes
+    return OperatorSymbol(grid, rng.standard_normal((n,) + shape)
+                          + 1j * rng.standard_normal((n,) + shape))
+
+
+def _serial_ratios(m, fhats, norm_src, norm_dst):
+    """The quotient of single-function norm calls, one witness at a time."""
+    out = []
+    for fhat in fhats:
+        den = norm_src(idft(GridFunction(m.grid, fhat, "frequency")))
+        tf = idft(GridFunction(m.grid, np.einsum("noi,ni->no", m.values, fhat), "frequency"))
+        out.append(-np.inf if den <= 0 else norm_dst(tf) / den)
+    return out
+
+
+@pytest.mark.parametrize("homogeneous", [False, True])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, np.inf])
+@pytest.mark.parametrize("lp", [1.0, 3.0, np.inf])
+@pytest.mark.parametrize("shape", [(1, 1), (3, 2)])
+def test_batched_besov_scorer_equals_the_norm_quotient_exactly(shape, lp, p, homogeneous):
+    grid = GridSpec(1, 32, 1.0)
+    part = build_partition(grid)
+    rng = np.random.default_rng(71)
+    m = _scorer_symbol(grid, shape, rng)
+    x, y = ValueSpace.lp(lp, shape[1]), ValueSpace.lp(lp, shape[0])
+    src, dst = BesovParams(0.5, p, 1.5), BesovParams(-0.25, p, np.inf)
+    norm = homogeneous_besov_norm if homogeneous else besov_norm
+    fhats = _witness_stack(grid, part, shape[1], 4, homogeneous, rng)
+    got = _besov_scorer(m, src, dst, part, x, y, homogeneous)(fhats)
+    assert got == _serial_ratios(m, fhats, lambda f: norm(f, src, part, x),
+                                 lambda g: norm(g, dst, part, y))
+    assert all(type(r) is float for r in got) and got[-1] == -np.inf
+
+
+@pytest.mark.parametrize("homogeneous", [False, True])
+def test_batched_besov_scorer_exact_across_block_batches(homogeneous):
+    # d=2, N=128: 4 scalar blocks per 1 MB transform batch, 6 blocks per
+    # witness, so the second batch holds blocks of two witnesses
+    grid = GridSpec(2, 128, 1.0)
+    part = build_partition(grid)
+    rng = np.random.default_rng(72)
+    m = _scorer_symbol(grid, (1, 1), rng)
+    src, dst = BesovParams(0.5, 1.5, 2.0), BesovParams(0.0, 3.0, 1.0)
+    norm = homogeneous_besov_norm if homogeneous else besov_norm
+    fhats = _witness_stack(grid, part, 1, 5, homogeneous, rng)
+    got = _besov_scorer(m, src, dst, part, SCALAR, SCALAR, homogeneous)(fhats)
+    assert got == _serial_ratios(m, fhats, lambda f: norm(f, src, part, SCALAR),
+                                 lambda g: norm(g, dst, part, SCALAR))
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, np.inf])
+@pytest.mark.parametrize("lp", [1.0, 3.0, np.inf])
+@pytest.mark.parametrize("shape", [(1, 1), (3, 2)])
+def test_batched_lp_scorer_equals_the_norm_quotient_exactly(shape, lp, p):
+    grid = GridSpec(1, 32, 1.0)
+    rng = np.random.default_rng(73)
+    m = _scorer_symbol(grid, shape, rng)
+    x, y = ValueSpace.lp(lp, shape[1]), ValueSpace.lp(lp, shape[0])
+    shape_stack = (4, grid.n_nodes, shape[1])
+    fhats = rng.standard_normal(shape_stack) + 1j * rng.standard_normal(shape_stack)
+    fhats[-1] = 0.0
+    got = _lp_scorer(m, p, 3.0, x, y)(fhats)
+    assert got == _serial_ratios(m, fhats, lambda f: lp_norm(f, p, x),
+                                 lambda g: lp_norm(g, 3.0, y))
+    assert all(type(r) is float for r in got) and got[-1] == -np.inf
 
 
 # -- compact support bound ---------------------------------------------------

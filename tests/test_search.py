@@ -52,7 +52,8 @@ def _count_climb(n_starts, budget, scores):
         return state + 1
 
     value, state = _hill_climb(
-        GaussianSampler(3), 7, n_starts, start, propose, lambda s: scores.get(s, 0.0), budget
+        GaussianSampler(3), 7, n_starts, start, propose,
+        lambda states: [scores.get(s, 0.0) for s in states], budget,
     )
     return value, state, log
 
@@ -80,6 +81,58 @@ def test_hill_climb_earlier_start_wins_ties_and_streams_are_per_start():
 def test_hill_climb_with_no_starts():
     value, state, log = _count_climb(0, SearchBudget(), {})
     assert value == -np.inf and state is None and log == []
+
+
+def _serial_hill_climb(sampler, op_code, n_starts, start, propose, score, budget):
+    """The one-start-at-a-time engine the lockstep engine replaced, kept as
+    its reference."""
+    best_val, best = -np.inf, None
+    for i in range(n_starts):
+        rng = sampler.generator(op_code, 100 + i)
+        state = start(i, rng)
+        val = score(state)
+        step = budget.initial_step
+        for _ in range(budget.steps):
+            trial = propose(state, step, rng)
+            tval = score(trial)
+            if tval > val:
+                val, state = tval, trial
+            step *= budget.anneal
+        if val > best_val:
+            best_val, best = val, state
+    return best_val, best
+
+
+@pytest.mark.parametrize("n_starts", [0, 1, 2, 7])
+@pytest.mark.parametrize("steps", [0, 1, 9])
+@pytest.mark.parametrize("seed", range(6))
+def test_lockstep_engine_matches_the_serial_reference(seed, steps, n_starts):
+    # integer states scored through a table of few values: ties and -inf
+    # scores are common, and a whole search can score -inf throughout
+    table = np.random.default_rng(seed).choice([-np.inf, 0.0, 1.0, 1.0, 2.5], size=17)
+    if seed == 0:
+        table[:] = -np.inf
+
+    def score(state):
+        return float(table[state % 17])
+
+    def start(i, rng):
+        return int(rng.integers(0, 40)) if i % 3 else 5 * i
+
+    def propose(state, step, rng):
+        return state + int(rng.integers(-3, 4)) + int(8 * step)
+
+    calls = []
+
+    def score_batch(states):
+        calls.append(len(states))
+        return [score(s) for s in states]
+
+    sampler, budget = GaussianSampler(seed), SearchBudget(steps=steps, anneal=0.8)
+    got = _hill_climb(sampler, 9, n_starts, start, propose, score_batch, budget)
+    assert got == _serial_hill_climb(sampler, 9, n_starts, start, propose, score, budget)
+    # one batched call per step, each over every start
+    assert calls == ([n_starts] * (steps + 1) if n_starts else [])
 
 
 def test_type_search_needs_one_restart():

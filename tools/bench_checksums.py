@@ -1,13 +1,16 @@
 """Check that every benchmark op still gives the answer recorded in the manifest.
 
-Run from the repository root:  python3 tools/bench_checksums.py
+Run from the repository root:  python3 tools/bench_checksums.py [WORKLOAD ...]
+
+With no arguments every workload is checked; name workloads (e.g.
+``thm44-grid``) to check only those.
 
 For seeds 0-9 on each benchmark workload this builds the ops of
 perfbench/workloads.py, runs each once, hashes its inspected text and
 combines the hashes the way perfbench/worker.py does.  The result must
 equal ``reference_checksums`` in perfbench/manifest.json; a change that
 is meant to leave every answer byte-identical shows any drift here.
-Exit status: 0 when all match, 1 on any mismatch.
+Exit status: 0 when all match, 1 on any mismatch, 2 on an unknown workload.
 """
 
 import hashlib
@@ -46,13 +49,18 @@ def checksum(workload: str, seed: int) -> str:
     return hashlib.sha256("".join(digests).encode()).hexdigest()
 
 
-def main() -> int:
+def main(names: list) -> int:
     reference = json.loads((PERFBENCH / "manifest.json").read_text())["reference_checksums"]
+    unknown = [name for name in names if name not in reference]
+    if unknown:
+        print(f"unknown workload(s) {', '.join(unknown)}; choose from {', '.join(reference)}",
+              file=sys.stderr)
+        return 2
     mismatches = total = 0
-    for workload, by_seed in reference.items():
+    for workload in names or reference:
         for seed in SEEDS:
             got = checksum(workload, seed)
-            ok = got == by_seed[str(seed)]
+            ok = got == reference[workload][str(seed)]
             total += 1
             mismatches += not ok
             print(f"{workload} seed {seed}: {'match' if ok else 'MISMATCH ' + got}", flush=True)
@@ -61,4 +69,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

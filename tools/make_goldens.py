@@ -197,6 +197,34 @@ def search_results() -> dict:
             out[f"besov multiplier {name} {tag}"] = repr(besov_multiplier_norm_estimate(
                 m, BesovParams(0.5, 1.5, 2.0), BesovParams(0.0, 3.0, 1.0), part,
                 l1_2, linf_2, budget, sampler, homogeneous=homogeneous))
+
+    # a rectangular symbol: two input components, three output components
+    rng = np.random.default_rng(64)
+    values = rng.standard_normal((grid.n_nodes, 3, 2)) + 1j * rng.standard_normal(
+        (grid.n_nodes, 3, 2))
+    rect = OperatorSymbol(grid, values, name="rectangular")
+    l1_3, l3_3 = ValueSpace.lp(1.0, 3), ValueSpace.lp(3.0, 3)
+    for restarts, steps in SEARCH_BUDGETS:
+        budget = _budget(restarts, steps)
+        tag = f"budget={restarts}x{steps}"
+        out[f"rectangular 3x2 multiplier Linf->L2 linf->l3 {tag}"] = repr(
+            estimate_multiplier_norm(rect, np.inf, 2.0, linf_2, l3_3, budget, sampler))
+        for homogeneous in (False, True):
+            name = "homogeneous" if homogeneous else "inhomogeneous"
+            out[f"rectangular 3x2 besov multiplier {name} {tag}"] = repr(
+                besov_multiplier_norm_estimate(
+                    rect, BesovParams(-0.5, 2.0, np.inf), BesovParams(0.25, 1.0, 1.5),
+                    part, l3_2, l1_3, budget, sampler, homogeneous=homogeneous))
+
+    # d=2, N=128: one block transform batch holds blocks of two witnesses
+    grid2 = GridSpec(2, 128, 1.0)
+    rng = np.random.default_rng(65)
+    values = rng.standard_normal(grid2.n_nodes) + 1j * rng.standard_normal(grid2.n_nodes)
+    out["besov multiplier d=2 N=128 inhomogeneous budget=0x1"] = repr(
+        besov_multiplier_norm_estimate(
+            OperatorSymbol(grid2, values, name="random"), BesovParams(0.5, 1.5, 2.0),
+            BesovParams(0.0, 3.0, 1.0), build_partition(grid2), budget=_budget(0, 1),
+            sampler=sampler))
     return out
 
 
