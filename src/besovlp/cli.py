@@ -250,6 +250,16 @@ def _grids(cfg: dict, ctx: dict, op: str) -> list:
     return [GridSpec(grid.d, _param(ns, i, f"{op}.grids", int), grid.period) for i in ns]
 
 
+def _refuse_tolerance(ctx: dict, command: str, reason: str) -> None:
+    """An operation whose verdict has no tolerance to set refuses one."""
+    if ctx["tolerance"]:
+        raise ConfigError(f"config schema: {command} takes no tolerance; {reason}")
+
+
+_INFORMATIONAL = "it reports a value and always passes"
+_EXACT = "its verdict is an exact check against 1e-12"
+
+
 def _value_report(name: str, value: float, metadata: dict) -> VerificationReport:
     # informational operation: record the value, always passing
     return VerificationReport.build(
@@ -264,6 +274,7 @@ def _value_report(name: str, value: float, metadata: dict) -> VerificationReport
 
 
 def _op_partition(cfg, ctx):
+    _refuse_tolerance(ctx, "partition", _EXACT)
     part = _partition(cfg, ctx, "partition")
     mags = ctx["grid"].frequency_magnitudes()
     inside = mags <= 2.0**part.k_max
@@ -282,6 +293,7 @@ def _op_partition(cfg, ctx):
 
 
 def _op_besov_norm(cfg, ctx):
+    _refuse_tolerance(ctx, "besov-norm", _INFORMATIONAL)
     f = _build_function(_require(cfg, "function", "besov-norm"), ctx["grid"], ctx["seed"])
     part = _partition(cfg, ctx, "besov-norm")
     params = BesovParams(_param(cfg, "s", "besov-norm", float, 0.0),
@@ -296,6 +308,7 @@ def _op_besov_norm(cfg, ctx):
 
 
 def _op_multiplier(cfg, ctx):
+    _refuse_tolerance(ctx, "multiplier", _INFORMATIONAL)
     m = _build_symbol(ctx["raw"], ctx["grid"])
     value = estimate_multiplier_norm(
         m, **_exponents(cfg, "multiplier"), **_operator_kwargs(ctx, m),
@@ -305,6 +318,7 @@ def _op_multiplier(cfg, ctx):
 
 
 def _op_gamma(cfg, ctx):
+    _refuse_tolerance(ctx, "gamma", _INFORMATIONAL)
     f = _build_function(_require(cfg, "function", "gamma"), ctx["grid"], ctx["seed"])
     est = gamma_function_norm(f, _space(ctx, "domain", f.value_dim), ctx["sampler"])
     return (
@@ -314,6 +328,7 @@ def _op_gamma(cfg, ctx):
 
 
 def _op_hormander(cfg, ctx):
+    _refuse_tolerance(ctx, "hormander", _INFORMATIONAL)
     kernel = _build_kernel(ctx["raw"], ctx["grid"])
     if kernel is None:
         m = _build_symbol(ctx["raw"], ctx["grid"])
@@ -330,6 +345,7 @@ def _op_hormander(cfg, ctx):
 
 
 def _op_mihlin(cfg, ctx):
+    _refuse_tolerance(ctx, "mihlin", _INFORMATIONAL)
     m = _build_symbol(ctx["raw"], ctx["grid"])
     rep = mihlin_check(
         m,
@@ -348,6 +364,7 @@ def _op_mihlin(cfg, ctx):
 
 
 def _op_cz(cfg, ctx):
+    _refuse_tolerance(ctx, "cz", _EXACT)
     f = _build_function(_require(cfg, "function", "cz"), ctx["grid"], ctx["seed"])
     space = _space(ctx, "domain", f.value_dim)
     l1 = lp_norm(f, 1.0, space)
@@ -401,6 +418,7 @@ def _op_weak_type(cfg, ctx):
 
 
 def _op_sweep(cfg, ctx):
+    _refuse_tolerance(ctx, "sweep", "its verdict comes from sweep.spread_cap")
     grids = _grids(cfg, ctx, "sweep")
     spec = ctx["raw"].get("symbol")
     if spec is None:
@@ -428,6 +446,7 @@ def _op_sweep(cfg, ctx):
 
 
 def _op_sharpness(cfg, ctx):
+    _refuse_tolerance(ctx, "sharpness", "its verdict comes from sharpness.growth_tolerance")
     grids = _grids(cfg, ctx, "sharpness")
     probe = sharpness_probe(
         _param(cfg, "sigma", "sharpness"), _param(cfg, "r", "sharpness"),
@@ -463,14 +482,8 @@ def _op_besov_scale(verify, which, cfg, ctx):
     return [rep], {}
 
 
-def _refuse_tolerance(ctx: dict, op: str, reason: str) -> None:
-    """A verify target whose verdict has no tolerance to set refuses one."""
-    if ctx["tolerance"]:
-        raise ConfigError(f"config schema: verify {op} takes no tolerance; {reason}")
-
-
 def _op_thm46(cfg, ctx):
-    _refuse_tolerance(ctx, "thm46", "its verdict comes from thm46.c_cap")
+    _refuse_tolerance(ctx, "verify thm46", "its verdict comes from thm46.c_cap")
     m = _build_symbol(ctx["raw"], ctx["grid"])
     rep = verify_thm46(
         m, **_exponents(cfg, "thm46"), part=_partition(cfg, ctx, "thm46"),
@@ -490,8 +503,8 @@ def _op_prop34(cfg, ctx):
 
 
 def _op_lemma42(cfg, ctx):
-    _refuse_tolerance(ctx, "lemma42", "its tolerance is three Monte-Carlo standard errors "
-                      "of the gamma norm")
+    _refuse_tolerance(ctx, "verify lemma42",
+                      "its tolerance is three Monte-Carlo standard errors of the gamma norm")
     f = _build_function(_require(cfg, "function", "lemma42"), ctx["grid"], ctx["seed"])
     rep = check_lemma42(
         f, _param(cfg, "cube_side", "lemma42"), **_exponents(cfg, "lemma42"),

@@ -97,10 +97,6 @@ class EtaZetaSystem:
     def j_max(self) -> int:
         return self.js[-1]
 
-    @property
-    def j_min(self) -> int:
-        return self.js[0]
-
 
 def eta_zeta_system(grid: GridSpec, smoothness: int = 3) -> EtaZetaSystem:
     """Build the annular system used by the symbol-to-kernel truncation."""

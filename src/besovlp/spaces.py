@@ -144,6 +144,24 @@ def _lp_combine(values: np.ndarray, p: float, weight: float = 1.0) -> float:
     return _lp_rows(values[None], p, weight)[0]
 
 
+def _fold_columns(ufunc, a: np.ndarray) -> np.ndarray:
+    """ufunc.reduce(a, axis=-1), by folding the columns left to right when there are few.
+
+    numpy reduces a short last axis one row at a time, at 15-50 ns a row;
+    one ufunc call per column does the same work vectorized over the rows.
+    The bits agree: numpy's pairwise summation adds fewer than 8 terms in
+    order, as the fold does.  From 8 terms on it sums in blocks of 8, so a
+    fold would round differently and wider rows keep the reduce.
+    """
+    dim = a.shape[-1]
+    if dim >= 8:
+        return ufunc.reduce(a, axis=-1)
+    out = a[..., 0].copy()
+    for j in range(1, dim):
+        ufunc(out, a[..., j], out=out)
+    return out
+
+
 def _inv(x: float) -> float:
     """1/x, with 1/inf = 0."""
     return 0.0 if np.isinf(x) else 1.0 / x
@@ -223,7 +241,12 @@ class ValueSpace:
         return self.kind == "lp" and self.p_exponent == 2.0
 
     def norm_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Norms of the rows of an (n, dim) array."""
+        """Norms of the rows of an (n, dim) array.
+
+        The l^p sums and maxima fold the columns in order (_fold_columns),
+        bit-identical to a reduce over the last axis but without numpy's
+        per-row cost on the short rows of a value space.
+        """
         rows = np.atleast_2d(rows)
         if rows.shape[-1] != self.dim:
             raise DimensionMismatchError(
@@ -234,12 +257,12 @@ class ValueSpace:
         p = self.p_exponent
         a = np.abs(rows)
         if np.isinf(p):
-            return a.max(axis=-1)
+            return _fold_columns(np.maximum, a)
         if p == 1.0:
-            return a.sum(axis=-1)
+            return _fold_columns(np.add, a)
         if p == 2.0:
-            return np.sqrt((a * a).sum(axis=-1))
-        return (a**p).sum(axis=-1) ** (1.0 / p)
+            return np.sqrt(_fold_columns(np.add, a * a))
+        return _fold_columns(np.add, a**p) ** (1.0 / p)
 
     def norm(self, vec: np.ndarray) -> float:
         return float(self.norm_rows(np.asarray(vec).reshape(1, -1))[0])

@@ -215,6 +215,33 @@ def test_verify_targets_without_a_tolerance_refuse_one(tmp_path, capsys, target,
                 target == "thm46" else LEMMA42))]) == EXIT_PASS
 
 
+# (subcommand, bundled scenario, what the refusal names): the operations
+# whose verdict has no tolerance to set
+NO_TOLERANCE = [
+    ("partition", "partition-exactness.json", "exact check"),
+    ("besov-norm", "besov-single-block.json", "always passes"),
+    ("multiplier", "annulus-multiplier-norm.json", "always passes"),
+    ("gamma", "gamma-band-limited.json", "always passes"),
+    ("hormander", "hormander-hilbert.json", "always passes"),
+    ("mihlin", "mihlin-riesz.json", "always passes"),
+    ("cz", "cz-plateau.json", "exact check"),
+    ("sweep", "riesz-sweep.json", "sweep.spread_cap"),
+    ("sharpness", "sharpness-probe.json", "sharpness.growth_tolerance"),
+]
+
+
+@pytest.mark.parametrize("command, scenario, reason", NO_TOLERANCE)
+def test_operations_without_a_tolerance_refuse_one(tmp_path, capsys, command, scenario,
+                                                   reason):
+    cfg = dict(json.loads((SCENARIOS / scenario).read_text()), tolerance=0.5)
+    for path, flags in ((write(tmp_path, "tol.json", cfg), []),
+                        (SCENARIOS / scenario, ["--tolerance", "-0.9"])):
+        assert main([command, "--config", str(path), *flags]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: scenario {path.name}: ") and err.count("\n") == 1
+        assert f"{command} takes no tolerance" in err and reason in err
+
+
 def test_sweep_of_a_zero_symbol_writes_strict_json(tmp_path):
     # every estimate is 0, so each stability spread is infinite
     cfg = dict(

@@ -21,6 +21,7 @@ from besovlp import (
     lp_norm,
     type_constant_lower,
 )
+from besovlp.gaussian import _moment_from_draw
 from besovlp.testfunctions import random_band_limited, single_mode
 
 BUDGET = SearchBudget(restarts=16, steps=60, max_vectors=8, search_samples=3000)
@@ -69,6 +70,15 @@ def test_moment_determinism(sampler):
     a = gaussian_moment(xs, space, sampler)
     b = gaussian_moment(xs, space, sampler)
     assert a.value == b.value and a.std_error == b.std_error
+
+
+def test_moment_from_draw_matches_the_mean_form_exactly(sampler, rng):
+    space = ValueSpace.lp(1.5, 3)
+    for n in (1000, 4000, 20000):
+        g = sampler.complex_gaussians((n, 5), 1, n)
+        vecs = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+        mean_form = float(np.sqrt(np.mean(space.norm_rows(g @ vecs) ** 2)))
+        assert _moment_from_draw(vecs, g, space) == mean_form
 
 
 def test_moment_rejects_empty(sampler):

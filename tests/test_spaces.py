@@ -167,6 +167,31 @@ def test_value_space_norms_and_constants():
         l1.type_constant(2.0)
 
 
+def test_norm_rows_matches_the_last_axis_reduce_exactly(rng):
+    # the column fold below 8 components and the reduce from 8 on must both
+    # give the bits of a plain reduce over the last axis
+    def reference(rows, p):
+        a = np.abs(np.atleast_2d(rows))
+        if np.isinf(p):
+            return a.max(axis=-1)
+        if p == 1.0:
+            return a.sum(axis=-1)
+        if p == 2.0:
+            return np.sqrt((a * a).sum(axis=-1))
+        return (a**p).sum(axis=-1) ** (1.0 / p)
+
+    for dim in range(1, 13):
+        shape = (3, 500, dim)
+        scale = np.exp(rng.uniform(-20.0, 20.0, shape))
+        stack = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale
+        # a block, a 1-d vector, the reshaped (S*n, dim) stack, a column-major block
+        inputs = (stack[0], stack[1, 0], stack.reshape(-1, dim), np.asfortranarray(stack[2]))
+        for p in (1.0, 1.5, 2.0, 3.0, np.inf):
+            space = ValueSpace.lp(p, dim)
+            for rows in inputs:
+                assert np.array_equal(space.norm_rows(rows), reference(rows, p)), (dim, p)
+
+
 def test_custom_norm_oracle_spot_checks(rng):
     def taxi(rows):
         return np.abs(rows).sum(axis=-1)

@@ -1,6 +1,13 @@
 """Regenerate the frozen golden files in tests/golden/.
 
-Run from the repository root:  python3 tools/make_goldens.py
+Run from the repository root:
+
+    python3 tools/make_goldens.py                  # rewrite every golden
+    python3 tools/make_goldens.py NAME...          # rewrite only the named files
+    python3 tools/make_goldens.py --check [NAME...]
+
+--check recomputes the goldens and writes nothing; it names each file
+whose bytes would change and exits 1 if there is one.
 
 The band-limited sandwich constants and the cutoff-order equivalence
 ratios are implementation constants of the fixed partition construction:
@@ -16,6 +23,7 @@ witness searches) at three budgets, so a change to the search schedule
 shows up in the last bit.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -228,20 +236,40 @@ def search_results() -> dict:
     return out
 
 
-def main() -> None:
-    GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
-    artifacts = {
-        "sandwich_constants.json": sandwich_constants(),
-        "cutoff_equivalence.json": cutoff_equivalence(),
-        "partition_export.json": partition_export(),
-        "suite_reports.json": suite_reports(),
-        "search_results.json": search_results(),
-    }
-    for name, obj in artifacts.items():
+ARTIFACTS = {
+    "sandwich_constants.json": sandwich_constants,
+    "cutoff_equivalence.json": cutoff_equivalence,
+    "partition_export.json": partition_export,
+    "suite_reports.json": suite_reports,
+    "search_results.json": search_results,
+}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Regenerate or check the golden files.")
+    parser.add_argument("names", nargs="*", metavar="NAME",
+                        help=f"golden files to handle (default: all of {', '.join(ARTIFACTS)})")
+    parser.add_argument("--check", action="store_true",
+                        help="write nothing; exit 1 if any golden's bytes would change")
+    args = parser.parse_args(argv)
+    unknown = [name for name in args.names if name not in ARTIFACTS]
+    if unknown:
+        parser.error(f"unknown golden file(s): {', '.join(unknown)}")
+    changed = False
+    for name in args.names or ARTIFACTS:
         path = GOLDEN_DIR / name
-        path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
-        print(f"wrote {path}")
+        text = json.dumps(ARTIFACTS[name](), sort_keys=True, indent=2) + "\n"
+        if not args.check:
+            GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+            print(f"wrote {path}")
+        elif not path.exists() or path.read_bytes() != text.encode():
+            changed = True
+            print(f"would change: {path}")
+        else:
+            print(f"unchanged: {path}")
+    return 1 if changed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
