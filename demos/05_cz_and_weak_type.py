@@ -30,7 +30,10 @@ print(f"  height gamma*alpha^a = {res.height:.4f}   cubes: {len(res.bad_parts)}"
 for _, info in res.bad_parts:
     print(f"    cube side {info.side:.4f} at cell {info.corner_cells[0]} "
           f"(dilated side {info.dilated_side:.4f})")
-recon = res.good.samples + sum(bp.samples for bp, _ in res.bad_parts)
+recon = res.good.samples.copy()
+recon_view = recon.reshape(grid.spatial_shape() + (f.value_dim,))
+for bp, _ in res.bad_parts:
+    recon_view[bp.cube] += bp.values  # each part is held on its cube only
 print(f"  reconstruction error: {np.abs(recon - f.samples).max():.2e}")
 print(f"  ||g||_inf = {lp_norm(res.good, np.inf):.4f} <= "
       f"2^d * height = {2 * res.height:.4f}")

@@ -67,6 +67,7 @@ from .extrapolation import (
     hilbert_kernel,
     hormander_constant,
     mihlin_check,
+    CZBadPart,
     CZResult,
     cz_decompose,
     weak_type_constant,

@@ -12,7 +12,6 @@ files behind.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import os
 import sys
@@ -373,12 +372,15 @@ def _op_cz(cfg, ctx):
     res = cz_decompose(f, _param(cfg, "alpha", "cz"), _param(cfg, "a", "cz", float, 1.0),
                        _param(cfg, "B", "cz", float, 1.0), space)
     recon = res.good.samples.copy()
+    recon_view = recon.reshape(ctx["grid"].spatial_shape() + (f.value_dim,))
     worst_mean = 0.0
-    for bp, info in res.bad_parts:
-        recon += bp.samples
+    for bp, _ in res.bad_parts:
+        recon_view[bp.cube] += bp.values
+        # the mean is summed over the full grid, one part at a time: a sum
+        # over the cube alone rounds differently and would move the report
         worst_mean = max(
             worst_mean,
-            float(np.abs(bp.samples.sum(axis=0)).max()) * ctx["grid"].cell_volume,
+            float(np.abs(bp.to_function().samples.sum(axis=0)).max()) * ctx["grid"].cell_volume,
         )
     recon_err = float(np.abs(recon - f.samples).max())
     sup_ok = lp_norm(res.good, np.inf, space) <= 2 ** ctx["grid"].d * res.height + 1e-12
@@ -638,7 +640,7 @@ def run_scenario(path, seed_override=None, tolerance_override=None,
     return code, report_obj
 
 
-def run_suite(directory, jobs=1, out=None, report_dir=None, **kwargs):
+def run_suite(directory, out=None, report_dir=None, **kwargs):
     """Run every scenario in a directory; aggregate pass/fail matrix.
 
     A scenario that ends in a usage or config error is recorded as
@@ -652,16 +654,10 @@ def run_suite(directory, jobs=1, out=None, report_dir=None, **kwargs):
         print(f"error: no scenario files in {directory}", file=sys.stderr)
         return EXIT_USAGE
 
-    def launch(f):
+    results = {}
+    for f in files:
         per_out = str(Path(report_dir) / f.name) if report_dir else None
-        return run_scenario(f, out_override=per_out, **kwargs)
-
-    if jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(launch, files))
-    else:
-        outcomes = [launch(f) for f in files]
-    results = {f.name: outcome for f, outcome in zip(files, outcomes)}
+        results[f.name] = run_scenario(f, out_override=per_out, **kwargs)
 
     matrix = {}
     for fname in sorted(results):
@@ -706,7 +702,6 @@ def main(argv=None) -> int:
 
     sp_suite = sub.add_parser("suite", help="run every scenario in a directory")
     sp_suite.add_argument("directory")
-    sp_suite.add_argument("--jobs", type=int, default=1)
     sp_suite.add_argument("--seed", type=int, default=None)
     sp_suite.add_argument("--out", default=None)
     sp_suite.add_argument("--report-dir", default=None)
@@ -718,7 +713,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
 
     if args.command == "suite":
-        return run_suite(args.directory, jobs=args.jobs, out=args.out,
+        return run_suite(args.directory, out=args.out,
                          report_dir=args.report_dir, seed_override=args.seed)
 
     code, _ = run_scenario(

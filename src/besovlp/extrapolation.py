@@ -52,6 +52,7 @@ __all__ = [
     "hormander_constant",
     "MihlinReport",
     "mihlin_check",
+    "CZBadPart",
     "CZResult",
     "cz_decompose",
     "weak_type_constant",
@@ -554,11 +555,36 @@ class CubeInfo:
 
 
 @dataclass
+class CZBadPart:
+    """A bad part b_Q = (f - avg_Q f) 1_Q, held on its cube Q only.
+
+    ``cube`` is one slice per axis of the spatial lattice and ``values``
+    has shape cube side^d + (value_dim,); off the cube the part is zero.
+    """
+
+    grid: GridSpec
+    cube: tuple
+    values: np.ndarray
+
+    def to_function(self) -> GridFunction:
+        """The part as a full-grid function, zero off its cube."""
+        full = np.zeros(self.grid.spatial_shape() + self.values.shape[-1:],
+                        dtype=self.values.dtype)
+        full[self.cube] = self.values
+        return GridFunction(self.grid, full.reshape(self.grid.n_nodes, -1), "physical")
+
+    @property
+    def samples(self) -> np.ndarray:
+        """Full-grid samples, built by ``to_function`` on every access."""
+        return self.to_function().samples
+
+
+@dataclass
 class CZResult:
     """f = good + sum of bad parts, exactly, with the stopping-time cubes."""
 
     good: GridFunction
-    bad_parts: list  # [(GridFunction, CubeInfo)]
+    bad_parts: list  # [(CZBadPart, CubeInfo)]
     height: float
     gamma_param: float
     alpha: float
@@ -570,6 +596,20 @@ class CZResult:
 
     def total_cube_measure(self) -> float:
         return sum(info.measure for info in self.cubes)
+
+
+def _morton_keys(corners: np.ndarray, levels: int) -> np.ndarray:
+    """Bit-interleaved keys of lattice corners, axis 0 most significant.
+
+    Sorting disjoint dyadic cubes on the keys of their corners lists them
+    in the preorder of the cube tree whose children are visited in
+    ``itertools.product(range(2), repeat=d)`` order.
+    """
+    keys = np.zeros(len(corners), dtype=np.int64)
+    for bit in range(levels - 1, -1, -1):
+        for axis in range(corners.shape[1]):
+            keys = (keys << 1) | ((corners[:, axis] >> bit) & 1)
+    return keys
 
 
 def cz_decompose(
@@ -588,6 +628,9 @@ def cz_decompose(
     cube measure <= 1/height) hold exactly on the grid.  Requires
     ||f||_1 <= 1; if the root average already exceeds the height the
     whole domain becomes one bad part and the result is flagged.
+
+    Each bad part keeps only its cube's values (``CZBadPart``), so memory
+    is O(nodes + sum of cube cells), not O(nodes x cubes).
     """
     if f.domain_tag != "physical":
         raise ValueError("expected a physical-domain function")
@@ -616,40 +659,43 @@ def cz_decompose(
         pyramid.append(cur)
 
     root_mean = float(pyramid[-1].reshape(-1)[0])
+    whole_domain = root_mean > height
+
+    # maximal cubes, top level down: a cube above the height is bad unless
+    # an ancestor already is (the root is above it only in the whole-domain
+    # case); the blocked mask marks the cells under a bad cube
+    cube_levels, corners = [], []
+    blocked = np.zeros(pyramid[-1].shape, dtype=bool)
+    for level in range(levels, -1, -1):
+        bad = (pyramid[level] > height) & ~blocked
+        hits = np.argwhere(bad)
+        cube_levels += [level] * len(hits)
+        corners.append(hits * 2**level)
+        if level > 0:
+            blocked |= bad
+            for axis in range(d):
+                blocked = np.repeat(blocked, 2, axis=axis)
+    corners = np.concatenate(corners)
+
     good = samples_view.copy()
     bad_parts = []
     side_unit = grid.period / N
-
-    # maximal cubes in preorder: a cube above the height becomes a bad
-    # part, any other splits into its 2^d children, pushed in reverse so
-    # that they pop in order (the root is above the height only in the
-    # whole-domain case)
-    whole_domain = root_mean > height
-    child_offsets = list(product(range(2), repeat=d))[::-1]
-    pending = [(levels, (0,) * d)]
-    while pending:
-        level, idx = pending.pop()
-        if float(pyramid[level][idx]) > height:
-            step = 2**level
-            sl = tuple(slice(i * step, (i + 1) * step) for i in idx)
-            avg = samples_view[sl].reshape(-1, f.value_dim).mean(axis=0)
-            bad = np.zeros_like(samples_view)
-            bad[sl] = samples_view[sl] - avg
-            good[sl] = avg
-            side = side_unit * step
-            info = CubeInfo(
-                level=level,
-                corner_cells=tuple(i * step for i in idx),
-                side=side,
-                measure=side**d,
-                dilated_side=2.0 * math.sqrt(d) * side,
-            )
-            bad_parts.append(
-                (GridFunction(grid, bad.reshape(grid.n_nodes, f.value_dim), "physical"), info)
-            )
-        elif level > 0:
-            pending += [(level - 1, tuple([2 * i + o for i, o in zip(idx, offs)]))
-                        for offs in child_offsets]
+    for k in np.argsort(_morton_keys(corners, levels)):
+        level, corner = cube_levels[k], tuple(int(c) for c in corners[k])
+        step = 2**level
+        sl = tuple(slice(c, c + step) for c in corner)
+        avg = samples_view[sl].reshape(-1, f.value_dim).mean(axis=0)
+        values = samples_view[sl] - avg
+        good[sl] = avg
+        side = side_unit * step
+        info = CubeInfo(
+            level=level,
+            corner_cells=corner,
+            side=side,
+            measure=side**d,
+            dilated_side=2.0 * math.sqrt(d) * side,
+        )
+        bad_parts.append((CZBadPart(grid, sl, values), info))
 
     return CZResult(
         good=GridFunction(grid, good.reshape(grid.n_nodes, f.value_dim), "physical"),

@@ -225,12 +225,13 @@ def test_criterion_07_cz_exactness():
             continue
         recon = res.good.samples.copy()
         for bp, info in res.bad_parts:
-            recon += bp.samples
             start = info.corner_cells[0]
-            outside = np.ones(grid.n_nodes, dtype=bool)
-            outside[start:start + 2**info.level] = False
-            ok &= float(np.abs(bp.samples[outside]).max() if outside.any() else 0.0) == 0.0
-            ok &= float(np.abs(bp.samples.sum(axis=0)).max()) * grid.cell_volume < 1e-12
+            cube = slice(start, start + 2**info.level)
+            recon[cube] += bp.values
+            outside = bp.to_function().samples
+            outside[cube] = 0.0
+            ok &= bp.cube == (cube,) and float(np.abs(outside).max()) == 0.0
+            ok &= float(np.abs(bp.values.sum(axis=0)).max()) * grid.cell_volume < 1e-12
         ok &= float(np.abs(recon - f.samples).max()) < 1e-12
         ok &= lp_norm(res.good, 1.0) <= 1.0 + 1e-12
         ok &= lp_norm(res.good, np.inf) <= 2.0 * res.height + 1e-12

@@ -1,0 +1,17 @@
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_cz_workloads_match_their_reference_checksums_at_seed_0():
+    # grid2d-256 and scenario-suite are the workloads that run cz_decompose,
+    # so drift in its answers fails here without the full 40-run check
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "bench_checksums.py"), "--seeds", "0",
+         "grid2d-256", "scenario-suite"],
+        capture_output=True, text=True, timeout=300, cwd=ROOT,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.rstrip().endswith("2/2 match reference_checksums")

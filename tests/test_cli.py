@@ -273,7 +273,7 @@ def test_suite_records_errors_and_keeps_going(tmp_path, capsys):
 
 def test_suite_reports_match_golden_checksums(tmp_path, capsys):
     golden = json.loads((GOLDEN / "suite_reports.json").read_text())
-    assert run_suite(SCENARIOS, jobs=2, report_dir=tmp_path) == EXIT_PASS
+    assert run_suite(SCENARIOS, report_dir=tmp_path) == EXIT_PASS
     got = {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(tmp_path.glob("*.json"))

@@ -1,3 +1,5 @@
+import itertools
+import json
 import math
 
 import numpy as np
@@ -28,7 +30,8 @@ from besovlp import (
     weak_type_constant,
 )
 from besovlp import hilbert_symbol
-from besovlp.extrapolation import _eta_profile
+from besovlp.cli import run_scenario
+from besovlp.extrapolation import CubeInfo, _eta_profile
 from besovlp.testfunctions import adversarial_l1_family, spike
 
 BUDGET = SearchBudget(restarts=6, steps=30, search_samples=2000)
@@ -287,6 +290,33 @@ def test_mihlin_default_order():
 # -- Calderon-Zygmund decomposition ------------------------------------------
 
 
+def _cube_slice(info):
+    return tuple(slice(c, c + 2**info.level) for c in info.corner_cells)
+
+
+def _reconstruct(res):
+    """good + sum of bad parts, each added into its own cube."""
+    recon = res.good.samples.copy()
+    view = recon.reshape(res.good.grid.spatial_shape() + (res.good.value_dim,))
+    for bp, _ in res.bad_parts:
+        view[bp.cube] += bp.values
+    return recon
+
+
+def _assert_part_on_its_cube(bp, info):
+    """The part's cube is the info's cube, and it is zero off that cube."""
+    grid = bp.grid
+    assert bp.cube == _cube_slice(info)
+    assert bp.values.shape == (2**info.level,) * grid.d + bp.values.shape[-1:]
+    full = bp.to_function().samples.reshape(grid.spatial_shape() + bp.values.shape[-1:])
+    full[bp.cube] = 0.0
+    assert not full.any()
+
+
+def _bad_mean(bp):
+    return abs(bp.values.reshape(-1, bp.values.shape[-1]).sum(axis=0)).max() * bp.grid.cell_volume
+
+
 def test_cz_constant_below_height_has_no_cubes():
     grid = GridSpec(1, 64, 1.0)
     f = GridFunction(grid, np.full(64, 0.9))
@@ -307,7 +337,7 @@ def test_cz_spike_hand_traced_stopping_time():
     bad, info = res.bad_parts[0]
     assert info.level == 1 and info.corner_cells == (0,)
     assert info.measure == pytest.approx(0.25)
-    assert abs(bad.samples.sum(axis=0)).max() * grid.cell_volume < 1e-12
+    assert _bad_mean(bad) < 1e-12
     assert res.good.samples[0, 0] == pytest.approx(1.2)
     assert res.good.samples[1, 0] == pytest.approx(1.2)
     assert info.dilated_side == pytest.approx(2.0 * math.sqrt(1) * 0.25)
@@ -320,15 +350,10 @@ def test_cz_properties_exact_on_mixed_family():
         for alpha in (5.0, 9.0, 33.0):
             res = cz_decompose(f, alpha=alpha, a=1.0, B=1.0)
             assert not res.whole_domain
-            recon = res.good.samples.copy()
             for bp, info in res.bad_parts:
-                recon += bp.samples
-                outside = np.ones(grid.n_nodes, dtype=bool)
-                start = info.corner_cells[0]
-                outside[start:start + 2**info.level] = False
-                assert np.abs(bp.samples[outside]).max() == 0.0
-                assert abs(bp.samples.sum(axis=0)).max() * grid.cell_volume < 1e-12
-            assert np.abs(recon - f.samples).max() < 1e-12
+                _assert_part_on_its_cube(bp, info)
+                assert _bad_mean(bp) < 1e-12
+            assert np.abs(_reconstruct(res) - f.samples).max() < 1e-12
             assert lp_norm(res.good, 1.0) <= 1.0 + 1e-12
             assert lp_norm(res.good, np.inf) <= 2.0 * res.height + 1e-12
             assert res.total_cube_measure() <= 1.0 / res.height + 1e-12
@@ -336,9 +361,8 @@ def test_cz_properties_exact_on_mixed_family():
             claimed = np.zeros(grid.n_nodes, dtype=int)
             bad_l1 = 0.0
             for bp, info in res.bad_parts:
-                start = info.corner_cells[0]
-                claimed[start:start + 2**info.level] += 1
-                bad_l1 += lp_norm(bp, 1.0)
+                claimed[_cube_slice(info)] += 1
+                bad_l1 += lp_norm(bp.to_function(), 1.0)
             assert claimed.max() <= 1
             assert bad_l1 <= 2.0 + 1e-12
 
@@ -351,10 +375,7 @@ def test_cz_2d_properties(rng):
     f = GridFunction(grid, samples)
     f = f * (1.0 / lp_norm(f, 1.0))
     res = cz_decompose(f, alpha=4.0, a=1.0, B=1.0)  # gamma = 1/8, height 0.5
-    recon = res.good.samples.copy()
-    for bp, _ in res.bad_parts:
-        recon += bp.samples
-    assert np.abs(recon - f.samples).max() < 1e-12
+    assert np.abs(_reconstruct(res) - f.samples).max() < 1e-12
     assert lp_norm(res.good, np.inf) <= 4.0 * res.height + 1e-12
 
 
@@ -401,8 +422,139 @@ def test_cz_whole_domain_flag():
     res = cz_decompose(f, alpha=1.0, a=1.0, B=1.0)  # height 0.25 < mean 1
     assert res.whole_domain
     assert len(res.bad_parts) == 1
-    recon = res.good.samples + res.bad_parts[0][0].samples
-    assert np.abs(recon - f.samples).max() < 1e-12
+    assert np.abs(_reconstruct(res) - f.samples).max() < 1e-12
+
+
+def _reference_cz(f, alpha, a, B, space):
+    """The stack traversal with full-grid bad parts that cz_decompose replaced.
+
+    Returns (good samples, [(full-grid bad samples, CubeInfo)]) in preorder.
+    """
+    grid = f.grid
+    d, N = grid.d, grid.n_per_dim
+    height = B ** (-a) * 2.0 ** (-(d + a)) * alpha**a
+    norms = space.norm_rows(f.samples).reshape(grid.spatial_shape())
+    samples_view = f.samples.reshape(grid.spatial_shape() + (f.value_dim,))
+    levels = int(math.log2(N))
+    pyramid = [norms]
+    cur = norms
+    for _ in range(levels):
+        for axis in range(d):
+            cur = 0.5 * (np.take(cur, range(0, cur.shape[axis], 2), axis=axis)
+                         + np.take(cur, range(1, cur.shape[axis], 2), axis=axis))
+        pyramid.append(cur)
+    good = samples_view.copy()
+    parts = []
+    side_unit = grid.period / N
+    child_offsets = list(itertools.product(range(2), repeat=d))[::-1]
+    pending = [(levels, (0,) * d)]
+    while pending:
+        level, idx = pending.pop()
+        if float(pyramid[level][idx]) > height:
+            step = 2**level
+            sl = tuple(slice(i * step, (i + 1) * step) for i in idx)
+            avg = samples_view[sl].reshape(-1, f.value_dim).mean(axis=0)
+            bad = np.zeros_like(samples_view)
+            bad[sl] = samples_view[sl] - avg
+            good[sl] = avg
+            side = side_unit * step
+            info = CubeInfo(level=level, corner_cells=tuple(i * step for i in idx),
+                            side=side, measure=side**d,
+                            dilated_side=2.0 * math.sqrt(d) * side)
+            parts.append((bad.reshape(grid.n_nodes, f.value_dim), info))
+        elif level > 0:
+            pending += [(level - 1, tuple([2 * i + o for i, o in zip(idx, offs)]))
+                        for offs in child_offsets]
+    return good.reshape(grid.n_nodes, f.value_dim), parts
+
+
+def _spiky(grid, value_dim, space, seed):
+    """Seeded noise plus spikes whose masses span two decades, ||f||_1 = 1."""
+    rng = np.random.default_rng(seed)
+    shape = (grid.n_nodes, value_dim)
+    samples = 0.05 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    cells = rng.choice(grid.n_nodes, size=max(2, grid.n_nodes // 16), replace=False)
+    samples[cells] *= 10.0 ** rng.uniform(1.0, 3.0, size=(len(cells), 1))
+    f = GridFunction(grid, samples)
+    return f * (1.0 / lp_norm(f, 1.0, space))
+
+
+CZ_GRIDS = [GridSpec(1, 256, 1.0), GridSpec(2, 32, 1.0), GridSpec(3, 8, 2.0)]
+
+
+def test_cz_matches_the_reference_traversal_exactly():
+    seen = {"no cubes": 0, "whole domain": 0, "mixed levels": 0}
+    for seed, (grid, value_dim, p) in enumerate(
+            itertools.product(CZ_GRIDS, (1, 3), (1.0, 2.0, np.inf))):
+        space = ValueSpace.lp(p, value_dim)
+        f = _spiky(grid, value_dim, space, seed)
+        # the mean of ||f|| is 1/period^d; a=B=1 puts the height at alpha/2^(d+1)
+        base = 2.0 ** (grid.d + 1) / grid.period**grid.d
+        for alpha in (0.5 * base, 1.5 * base, 4.0 * base, 16.0 * base, 1e9):
+            res = cz_decompose(f, alpha=alpha, a=1.0, B=1.0, space=space)
+            ref_good, ref_parts = _reference_cz(f, alpha, 1.0, 1.0, space)
+            assert res.cubes == [info for _, info in ref_parts]
+            assert np.array_equal(res.good.samples, ref_good)
+            for (bp, _), (ref_bad, _) in zip(res.bad_parts, ref_parts):
+                assert np.array_equal(bp.to_function().samples, ref_bad)
+            seen["no cubes"] += not res.bad_parts
+            seen["whole domain"] += res.whole_domain
+            seen["mixed levels"] += len({info.level for info in res.cubes}) > 1
+    assert all(seen.values()), seen
+
+
+def test_cz_bad_parts_hold_only_their_cubes():
+    grid = GridSpec(2, 32, 1.0)
+    space = ValueSpace.lp(2.0, 3)
+    res = cz_decompose(_spiky(grid, 3, space, 7), alpha=24.0, a=1.0, B=1.0, space=space)
+    assert len({info.level for info in res.cubes}) > 1
+    cube_cells = sum(2 ** (info.level * grid.d) for info in res.cubes)
+    assert sum(bp.values.nbytes for bp, _ in res.bad_parts) == 16 * 3 * cube_cells
+
+
+@pytest.mark.parametrize("grid", CZ_GRIDS, ids=lambda g: f"d{g.d}")
+def test_cz_seeded_properties(grid):
+    # the decomposition's properties over seeded inputs and several heights
+    for seed in range(4):
+        space = ValueSpace.lp((1.0, 2.0, np.inf)[seed % 3], 1 + seed % 2)
+        f = _spiky(grid, 1 + seed % 2, space, 100 + seed)
+        scale = float(np.abs(f.samples).max())
+        base = 2.0 ** (grid.d + 1) / grid.period**grid.d
+        for alpha in (1.5 * base, 3.0 * base, 8.0 * base, 40.0 * base):
+            res = cz_decompose(f, alpha=alpha, a=1.0, B=1.0, space=space)
+            assert not res.whole_domain
+            assert np.abs(_reconstruct(res) - f.samples).max() <= 1e-12 * scale
+            claimed = np.zeros(grid.spatial_shape(), dtype=int)
+            for bp, info in res.bad_parts:
+                _assert_part_on_its_cube(bp, info)
+                assert _bad_mean(bp) <= 1e-12 * scale
+                claimed[_cube_slice(info)] += 1
+            assert claimed.max(initial=0) <= 1
+            assert lp_norm(res.good, np.inf, space) <= 2**grid.d * res.height * (1 + 1e-12)
+            assert res.total_cube_measure() <= 1.0 / res.height + 1e-12
+
+
+@pytest.mark.parametrize("d,n", [(1, 256), (2, 32), (3, 16)])
+def test_cz_scenario_reports_cubes_and_a_finite_measure(d, n, tmp_path):
+    n_cubes = []
+    for seed, dim in ((5, 1), (6, 3)):
+        cfg = {
+            "schema": 1, "name": f"cz-d{d}", "seed": seed,
+            "grid": {"d": d, "n_per_dim": n, "period": 1.0},
+            "spaces": {"domain": {"kind": "lp", "p": 1.0, "dim": dim}},
+            "operation": {"name": "cz", "params": {
+                "function": {"kind": "random_band_limited", "dim": dim},
+                "alpha": 2.0 ** (d + 2), "a": 1.0, "B": 1.0}},
+        }
+        path = tmp_path / f"cz-{seed}.json"
+        path.write_text(json.dumps(cfg))
+        code, rep = run_scenario(path, out_override=str(tmp_path / "out.json"))
+        (report,) = rep["reports"]
+        assert code == 0 and report["verdict"] == "pass"
+        assert rep["extras"]["n_cubes"] == report["metadata"]["n_cubes"] >= 0
+        assert math.isfinite(report["measured"]) and report["measured"] >= 0.0
+        n_cubes.append(report["metadata"]["n_cubes"])
+    assert sum(n_cubes) > 0
 
 
 # -- weak-type endpoint ------------------------------------------------------

@@ -1,18 +1,23 @@
 """Check that every benchmark op still gives the answer recorded in the manifest.
 
-Run from the repository root:  python3 tools/bench_checksums.py [WORKLOAD ...]
+Run from the repository root:
 
-With no arguments every workload is checked; name workloads (e.g.
-``thm44-grid``) to check only those.
+    python3 tools/bench_checksums.py [--seeds 0,3] [WORKLOAD ...]
 
-For seeds 0-9 on each benchmark workload this builds the ops of
+With no arguments every workload is checked at seeds 0-9; name workloads
+(e.g. ``thm44-grid``) to check only those, and list seeds with ``--seeds``
+to check only those.
+
+For each seed on each benchmark workload this builds the ops of
 perfbench/workloads.py, runs each once, hashes its inspected text and
 combines the hashes the way perfbench/worker.py does.  The result must
 equal ``reference_checksums`` in perfbench/manifest.json; a change that
 is meant to leave every answer byte-identical shows any drift here.
-Exit status: 0 when all match, 1 on any mismatch, 2 on an unknown workload.
+Exit status: 0 when all match, 1 on any mismatch, 2 on an unknown workload
+or a bad ``--seeds`` list.
 """
 
+import argparse
 import hashlib
 import json
 import os
@@ -31,8 +36,6 @@ for var in THREAD_VARS:
 
 import workloads  # noqa: E402
 
-SEEDS = range(10)
-
 
 def checksum(workload: str, seed: int) -> str:
     """sha256 over the ops' digests, '-' for an op that raised."""
@@ -49,16 +52,32 @@ def checksum(workload: str, seed: int) -> str:
     return hashlib.sha256("".join(digests).encode()).hexdigest()
 
 
-def main(names: list) -> int:
+def _seed_list(text: str) -> list:
+    return [int(seed) for seed in text.split(",")]
+
+
+def main(argv: list) -> int:
+    parser = argparse.ArgumentParser(description="Compare benchmark op checksums "
+                                     "with reference_checksums in perfbench/manifest.json.")
+    parser.add_argument("workloads", nargs="*", metavar="WORKLOAD")
+    parser.add_argument("--seeds", type=_seed_list, default=list(range(10)),
+                        help="comma-separated seeds with a reference checksum (default 0-9)")
+    args = parser.parse_args(argv)  # exits 2 on a bad argument
     reference = json.loads((PERFBENCH / "manifest.json").read_text())["reference_checksums"]
-    unknown = [name for name in names if name not in reference]
+    unknown = [name for name in args.workloads if name not in reference]
     if unknown:
         print(f"unknown workload(s) {', '.join(unknown)}; choose from {', '.join(reference)}",
               file=sys.stderr)
         return 2
+    for workload in args.workloads or reference:
+        missing = [seed for seed in args.seeds if str(seed) not in reference[workload]]
+        if missing:
+            print(f"no reference checksum for {workload} at seed(s) "
+                  f"{', '.join(map(str, missing))}", file=sys.stderr)
+            return 2
     mismatches = total = 0
-    for workload in names or reference:
-        for seed in SEEDS:
+    for workload in args.workloads or reference:
+        for seed in args.seeds:
             got = checksum(workload, seed)
             ok = got == reference[workload][str(seed)]
             total += 1
