@@ -17,12 +17,13 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .dyadic import smooth_cutoff
+from .dyadic import build_partition, smooth_cutoff
 from .multiplier import (
     OperatorSymbol,
     apply_multiplier,
     estimate_multiplier_norm,
     multiplier_norm_l2_exact,
+    riesz_symbol,
 )
 from .reports import VerificationReport
 from .sampling import GaussianSampler, SearchBudget
@@ -37,6 +38,7 @@ from .spaces import (
     _inv,
     _lp_combine,
     _pack_complex,
+    _space_for,
     _unpack_complex,
 )
 
@@ -335,7 +337,7 @@ def hormander_constant(
         t_samples = _default_t_samples(grid)
     if x_test is None:
         x_test = np.eye(kernel.n_in, dtype=np.complex128)
-    codomain_space = codomain_space or ValueSpace.lp(2.0, kernel.n_out)
+    codomain_space = _space_for(kernel.n_out, codomain_space)
 
     view = vals.reshape(grid.spatial_shape() + vals.shape[1:])
     exclude_origin = kernel.origin_convention in ("zero", "excluded")
@@ -753,8 +755,8 @@ def verify_weak_type(
     if symbol is None:
         symbol = symbol_of_kernel(kernel)
 
-    domain_space = domain_space or ValueSpace.lp(2.0, symbol.n_in)
-    codomain_space = codomain_space or ValueSpace.lp(2.0, symbol.n_out)
+    domain_space = _space_for(symbol.n_in, domain_space)
+    codomain_space = _space_for(symbol.n_out, codomain_space)
 
     hilbert_l2 = (
         p0 == 2.0 and q0 == 2.0
@@ -836,18 +838,19 @@ def extrapolation_sweep(
     r: float,
     pq_list: Sequence[tuple],
     grid_list: Sequence[GridSpec],
-    domain_space_factory: Optional[Callable[[OperatorSymbol], ValueSpace]] = None,
-    codomain_space_factory: Optional[Callable[[OperatorSymbol], ValueSpace]] = None,
     budget: SearchBudget = SearchBudget(),
     sampler: GaussianSampler = GaussianSampler(0),
 ) -> SweepReport:
     """Norm estimates across the line 1/p - 1/q = 1/r and a grid family.
 
-    Emits one row per (p, q, N); the stability table holds the max/min
-    spread of the estimates across grids, and the endpoint growth is
-    least-squares fitted against 1/(p-1) (as p drops to 1) and against q
-    (as q grows).  The fitted constants are informational: the
-    asymptotics hold in the limit, not at any fixed grid.
+    Emits one row per (p, q, N) between l^2 value spaces; the stability
+    table holds the max/min spread of the estimates across grids, and
+    the endpoint growth is least-squares fitted against 1/(p-1) (as p
+    drops to 1) and against q (as q grows).  Each fit uses the rows of
+    the finest grid where its abscissa is finite (p > 1, q < inf) and is
+    left out with fewer than two distinct abscissae.  The fitted
+    constants are informational: the asymptotics hold in the limit, not
+    at any fixed grid.
     """
     # sub-critical pairs (1/p - 1/q < 1/r) are admissible on the finite-measure
     # torus and are flagged; pairs demanding more smoothing than r provides
@@ -862,12 +865,10 @@ def extrapolation_sweep(
     rows = []
     for grid in grid_list:
         m = symbol_factory(grid)
-        dspace = domain_space_factory(m) if domain_space_factory else ValueSpace.lp(2.0, m.n_in)
-        cspace = codomain_space_factory(m) if codomain_space_factory else ValueSpace.lp(2.0, m.n_out)
         zero_at_origin = bool(np.all(m.values[0] == 0))
         for p, q in pq_list:
             est = estimate_multiplier_norm(
-                m, p, q, dspace, cspace, budget, sampler, mean_zero=zero_at_origin
+                m, p, q, budget=budget, sampler=sampler, mean_zero=zero_at_origin
             )
             rows.append(
                 {
@@ -890,19 +891,20 @@ def extrapolation_sweep(
 
     largest = max(g.n_per_dim for g in grid_list)
     final = [row for row in rows if row["n_per_dim"] == largest]
+    ps = np.array([row["p"] for row in final], dtype=float)
+    ests = np.array([row["estimate"] for row in final], dtype=float)
+    qs = np.array([row["q"] for row in final], dtype=float)
     fits = {}
-    if len(final) >= 2:
-        ps = np.array([row["p"] for row in final], dtype=float)
-        ests = np.array([row["estimate"] for row in final], dtype=float)
-        qs = np.array([row["q"] for row in final], dtype=float)
+    if np.all(ests > 0):
         with np.errstate(divide="ignore"):
-            if np.all(ests > 0) and len(np.unique(ps)) >= 2:
-                slope_p = np.polyfit(np.log(1.0 / (ps - 1.0)), np.log(ests), 1)[0]
-                slope_q = np.polyfit(np.log(qs), np.log(ests), 1)[0]
-                fits = {
-                    "exponent_vs_inv_p_minus_1": float(slope_p),
-                    "exponent_vs_q": float(slope_q),
-                }
+            abscissae = {
+                "exponent_vs_inv_p_minus_1": np.log(1.0 / (ps - 1.0)),
+                "exponent_vs_q": np.log(qs),
+            }
+        for key, x in abscissae.items():
+            finite = np.isfinite(x)
+            if len(np.unique(x[finite])) >= 2:
+                fits[key] = float(np.polyfit(x[finite], np.log(ests[finite]), 1)[0])
     return SweepReport(rows=rows, r=r, stability=stability, endpoint_fits=fits)
 
 
@@ -920,14 +922,10 @@ def sharpness_probe(
     above it shrinks.  Uses the deterministic smooth-annulus packet
     witness, evaluated at p = 2r/(r+1), q = 2r/(r-1).
     """
-    from .dyadic import build_partition
-
     if not (1.0 < r < np.inf):
         raise ValueError("probe needs a finite r > 1")
     p = 2.0 * r / (r + 1.0)
     q = 2.0 * r / (r - 1.0)
-
-    from .multiplier import riesz_symbol
 
     rows = []
     for grid in grid_list:

@@ -389,12 +389,11 @@ def gamma_bound_estimate(
     family: MatrixFamily,
     budget: SearchBudget,
     sampler: GaussianSampler,
-    safety_factor: float = 1.0,
 ) -> tuple:
-    """(gamma_hat, exact_flag): exact in the Hilbert case, else search x safety."""
+    """(gamma_hat, exact_flag): exact in the Hilbert case, else the search lower bound."""
     if family.domain_space.is_hilbert and family.codomain_space.is_hilbert:
         return gamma_bound_hilbert(family), True
-    return gamma_bound_lower(family, budget, sampler) * safety_factor, False
+    return gamma_bound_lower(family, budget, sampler), False
 
 
 # ---------------------------------------------------------------------------

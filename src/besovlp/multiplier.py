@@ -40,7 +40,7 @@ from .dyadic import (
     _require_band_limited,
     _require_physical,
 )
-from .gaussian import MatrixFamily, gamma_bound_estimate, _top_right_singular_vector
+from .gaussian import MatrixFamily, gamma_bound_lower, _top_right_singular_vector
 from .reports import VerificationReport
 from .sampling import GaussianSampler, SearchBudget, _hill_climb
 from .spaces import (
@@ -528,30 +528,42 @@ def _annuli(part: DyadicPartition, homogeneous: bool) -> tuple:
     return np.asarray(ks, dtype=float), [mask(k) for k in ks]
 
 
-def _annulus_gamma_hats(
+def _gamma_bound_terms(
     m: OperatorSymbol,
+    p: float,
+    q: float,
     masks: Sequence[np.ndarray],
     domain_space: ValueSpace,
     codomain_space: ValueSpace,
     budget: SearchBudget,
     sampler: GaussianSampler,
-    safety_factor: float,
 ) -> tuple:
-    """Per-annulus gamma-bounds; exact (max opnorm) in the Hilbert case."""
-    hilbert = domain_space.is_hilbert and codomain_space.is_hilbert
-    if hilbert:
-        opn = m.opnorms()
-        values = [float(opn[mask].max()) if np.any(mask) else 0.0 for mask in masks]
-        return np.asarray(values), True
-    values = []
+    """The shared front half of the gamma-bound verifiers.
+
+    Returns (r, d/r, tau_p, c_q, gammas, exact): the Hoelder exponent
+    with 1/r = 1/p - 1/q, d/r (0 when r = inf), the type and cotype
+    constants, and the gamma-bound of the symbol on each mask (0 on an
+    empty one), exact (max opnorm) in the Hilbert case and a search
+    lower bound otherwise.
+    """
+    _check_type_cotype_exponents(p, q)
+    r = _holder_r(p, q)
+    dr = 0.0 if np.isinf(r) else m.grid.d / r
+    tau = domain_space.type_constant(p)
+    c = codomain_space.cotype_constant(q)
+
+    exact = domain_space.is_hilbert and codomain_space.is_hilbert
+    opn = m.opnorms() if exact else None
+    gammas = []
     for mask in masks:
         if not np.any(mask):
-            values.append(0.0)
-            continue
-        family = MatrixFamily(tuple(m.values[mask]), domain_space, codomain_space)
-        gamma_hat, _ = gamma_bound_estimate(family, budget, sampler, safety_factor)
-        values.append(gamma_hat)
-    return np.asarray(values), False
+            gammas.append(0.0)
+        elif exact:
+            gammas.append(float(opn[mask].max()))
+        else:
+            family = MatrixFamily(tuple(m.values[mask]), domain_space, codomain_space)
+            gammas.append(gamma_bound_lower(family, budget, sampler))
+    return r, dr, tau, c, np.asarray(gammas), exact
 
 
 def verify_prop43(
@@ -564,7 +576,6 @@ def verify_prop43(
     budget: SearchBudget = SearchBudget(),
     sampler: GaussianSampler = GaussianSampler(0),
     tolerance: float = 0.05,
-    safety_factor: float = 1.0,
 ) -> VerificationReport:
     """Compact-Fourier-support bound: tau_p c_q (b-a)^(d/r) gamma(m on cube).
 
@@ -575,21 +586,16 @@ def verify_prop43(
     a, b = float(cube[0]), float(cube[1])
     if not a < b:
         raise ValueError("cube must satisfy a < b")
-    r = _holder_r(p, q)
-    tau = domain_space.type_constant(p)
-    c = codomain_space.cotype_constant(q)
-
     coords = m.grid.frequency_coords()
     mask = np.all((coords >= a) & (coords < b), axis=1)
     if not np.any(mask):
         raise ValueError("cube contains no lattice frequencies")
 
-    gammas, exact = _annulus_gamma_hats(
-        m, [mask], domain_space, codomain_space, budget, sampler, safety_factor
+    r, dr, tau, c, gammas, exact = _gamma_bound_terms(
+        m, p, q, [mask], domain_space, codomain_space, budget, sampler
     )
     gamma_hat = float(gammas[0])
-    side_factor = 1.0 if np.isinf(r) else (b - a) ** (m.grid.d / r)
-    bound = tau * c * side_factor * gamma_hat
+    bound = tau * c * (b - a) ** dr * gamma_hat
 
     measured = estimate_multiplier_norm(
         m, p, q, domain_space, codomain_space, budget, sampler, support_mask=mask
@@ -641,30 +647,19 @@ def _verify_besov_scale(
     budget: SearchBudget,
     sampler: GaussianSampler,
     tolerance: float,
-    safety_factor: float,
     homogeneous: bool,
-    statement: str,
-    extra: Callable[[BesovParams], dict],
 ) -> VerificationReport:
     """Besov-scale multiplier bound over one annulus system, constant 4^(d/r) tau_p c_q.
 
     Weight sequence: 2^(k sigma) gamma({m(xi): xi in annulus k}) in l^u;
-    destination smoothness s + sigma - d/r.  extra(dst) supplies the
-    statement-specific metadata.
+    destination smoothness s + sigma - d/r.
     """
     _check_uvw(u, v, w)
-    _check_type_cotype_exponents(p, q)
-    r = _holder_r(p, q)
-    d = m.grid.d
-    tau = domain_space.type_constant(p)
-    c = codomain_space.cotype_constant(q)
-
     ks, masks = _annuli(part, homogeneous)
-    gammas, exact = _annulus_gamma_hats(
-        m, masks, domain_space, codomain_space, budget, sampler, safety_factor
+    r, dr, tau, c, gammas, exact = _gamma_bound_terms(
+        m, p, q, masks, domain_space, codomain_space, budget, sampler
     )
     weights = 2.0 ** (ks * sigma) * gammas
-    dr = 0.0 if np.isinf(r) else d / r
     bound = 4.0**dr * tau * c * _lp_combine(weights, u)
 
     src = BesovParams(s, p, v)
@@ -673,6 +668,12 @@ def _verify_besov_scale(
         m, src, dst, part, domain_space, codomain_space, budget, sampler,
         homogeneous=homogeneous,
     )
+    if homogeneous:
+        statement = "Besov multiplier bound (homogeneous annuli)"
+        extra = {"k_range": [part.k_min_hom, part.k_max]}
+    else:
+        statement = "Besov multiplier bound (inhomogeneous annuli)"
+        extra = {"dst_smoothness": dst.s}
     return VerificationReport.build(
         measured=measured,
         bound=bound,
@@ -680,7 +681,7 @@ def _verify_besov_scale(
         metadata={
             "statement": statement,
             "s": s, "sigma": sigma, "u": u, "p": p, "v": v, "q": q, "w": w,
-            **extra(dst),
+            **extra,
             "gamma_weights": [float(x) for x in weights],
             "gamma_exact": bool(exact),
             "q_inf_beyond_stated_range": bool(np.isinf(q)),
@@ -704,7 +705,6 @@ def verify_thm44(
     budget: SearchBudget = SearchBudget(),
     sampler: GaussianSampler = GaussianSampler(0),
     tolerance: float = 0.05,
-    safety_factor: float = 1.0,
 ) -> VerificationReport:
     """Besov-scale multiplier bound with constant 4^(d/r) tau_p c_q.
 
@@ -713,9 +713,7 @@ def verify_thm44(
     """
     return _verify_besov_scale(
         m, s, sigma, u, p, v, q, w, part, domain_space, codomain_space, budget, sampler,
-        tolerance, safety_factor, homogeneous=False,
-        statement="Besov multiplier bound (inhomogeneous annuli)",
-        extra=lambda dst: {"dst_smoothness": dst.s},
+        tolerance, homogeneous=False,
     )
 
 
@@ -734,14 +732,11 @@ def verify_thm45(
     budget: SearchBudget = SearchBudget(),
     sampler: GaussianSampler = GaussianSampler(0),
     tolerance: float = 0.05,
-    safety_factor: float = 1.0,
 ) -> VerificationReport:
     """Homogeneous-scale analog over the annuli J_k with mean-zero witnesses."""
     return _verify_besov_scale(
         m, s, sigma, u, p, v, q, w, part, domain_space, codomain_space, budget, sampler,
-        tolerance, safety_factor, homogeneous=True,
-        statement="Besov multiplier bound (homogeneous annuli)",
-        extra=lambda dst: {"k_range": [part.k_min_hom, part.k_max]},
+        tolerance, homogeneous=True,
     )
 
 
@@ -755,7 +750,6 @@ def verify_thm46(
     budget: SearchBudget = SearchBudget(),
     sampler: GaussianSampler = GaussianSampler(0),
     c_cap: Optional[float] = None,
-    safety_factor: float = 1.0,
 ) -> VerificationReport:
     """L^p -> L^q bound via the l^1 sum of 2^(kd/r) gamma(J_k) weights.
 
@@ -764,16 +758,9 @@ def verify_thm46(
     empirical estimate of that constant.  It must stay bounded under
     grid refinement; pass c_cap to turn that into a verdict.
     """
-    _check_type_cotype_exponents(p, q)
-    r = _holder_r(p, q)
-    d = m.grid.d
-    dr = 0.0 if np.isinf(r) else d / r
-    tau = domain_space.type_constant(p)
-    c = codomain_space.cotype_constant(q)
-
     ks, masks = _annuli(part, homogeneous=True)
-    gammas, exact = _annulus_gamma_hats(
-        m, masks, domain_space, codomain_space, budget, sampler, safety_factor
+    _, dr, tau, c, gammas, exact = _gamma_bound_terms(
+        m, p, q, masks, domain_space, codomain_space, budget, sampler
     )
     weights = 2.0 ** (ks * dr) * gammas
     bound_without_c = 4.0**dr * tau * c * float(np.sum(weights))
@@ -832,8 +819,7 @@ def verify_prop34(
     expected_r = _holder_r(p, q)
     if not np.isclose(_inv(r), _inv(expected_r), atol=1e-9):
         raise ValueError(f"need 1/r = 1/p - 1/q; got r={r}, p={p}, q={q}")
-    if not (1.0 <= p <= 2.0 and 2.0 <= q):
-        raise ValueError("the Hausdorff-Young chain needs p in [1,2] and q in [2,inf]")
+    _check_type_cotype_exponents(p, q)
 
     opn = m.opnorms()
     cell = m.grid.freq_cell_volume

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from besovlp import (
+    DimensionMismatchError,
     GaussianSampler,
     GridFunction,
     GridSpec,
@@ -597,6 +598,18 @@ def test_weak_type_needs_some_operator(grid128):
         verify_weak_type(a=1.0, p0=2.0, q0=2.0, f_set=[], sampler=SAMPLER)
 
 
+def test_weak_type_and_hormander_check_space_dimensions(grid128):
+    pair = ValueSpace.lp(2.0, 2)
+    with pytest.raises(DimensionMismatchError):
+        verify_weak_type(a=1.0, p0=2.0, q0=2.0, f_set=[], symbol=identity_symbol(grid128),
+                         domain_space=pair, sampler=SAMPLER)
+    with pytest.raises(DimensionMismatchError):
+        verify_weak_type(a=1.0, p0=2.0, q0=2.0, f_set=[], symbol=identity_symbol(grid128),
+                         codomain_space=pair, sampler=SAMPLER)
+    with pytest.raises(DimensionMismatchError):
+        hormander_constant(hilbert_kernel(grid128), 1.0, codomain_space=pair)
+
+
 # -- sweeps and sharpness ----------------------------------------------------
 
 
@@ -625,6 +638,29 @@ def test_sweep_flags_subcritical_pair():
                               [(2.0, 10.0)], grids,
                               budget=BUDGET, sampler=SAMPLER)
     assert all(row["off_line"] for row in rep.rows)
+
+
+def test_sweep_fits_only_finite_endpoint_abscissae(capfd):
+    # p = 1 and q = inf have infinite abscissae log(1/(p-1)) and log(q):
+    # each fit drops those rows, and is left out with under two others
+    grids = [GridSpec(1, 32, 1.0)]
+    budget = SearchBudget(restarts=1, steps=3, search_samples=1000)
+
+    def sweep(pairs):
+        return extrapolation_sweep(lambda g: riesz_symbol(g, 0.5), 2.0, pairs, grids,
+                                   budget=budget, sampler=SAMPLER)
+
+    three = sweep([(1.0, 2.0), (4.0 / 3.0, 4.0), (2.0, np.inf)])
+    ests = np.log([row["estimate"] for row in three.rows])
+    inv_p_minus_1 = 1.0 / (np.array([4.0 / 3.0, 2.0]) - 1.0)
+    assert three.endpoint_fits == {
+        "exponent_vs_inv_p_minus_1": float(np.polyfit(np.log(inv_p_minus_1), ests[1:], 1)[0]),
+        "exponent_vs_q": float(np.polyfit(np.log([2.0, 4.0]), ests[:2], 1)[0]),
+    }
+    assert sweep([(1.0, 2.0), (2.0, np.inf)]).endpoint_fits == {}
+    assert sweep([(2.0, 4.0), (2.0, 10.0)]).endpoint_fits.keys() == {
+        "exponent_vs_q"}
+    assert capfd.readouterr().err == ""
 
 
 def test_sweep_detects_mihlin_violating_ridge():

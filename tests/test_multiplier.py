@@ -1,3 +1,8 @@
+import importlib.util
+import json
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -335,6 +340,27 @@ def test_prop43_rejects_inverted_cube(grid64):
     with pytest.raises(ValueError):
         verify_prop43(identity_symbol(grid64), (3.0, 1.0), 2.0, 2.0,
                       SCALAR, SCALAR, BUDGET, SAMPLER)
+
+
+@pytest.mark.parametrize("p, q, message", [
+    (3.0, 4.0, "type exponent p must lie in [1, 2]"),
+    (1.5, 1.5, "cotype exponent q must lie in [2, inf]"),
+])
+def test_prop43_rejects_exponents_outside_type_cotype_range(grid64, p, q, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        verify_prop43(identity_symbol(grid64), (-8.0, 8.0), p, q,
+                      ValueSpace.lp(1.5, 1), ValueSpace.lp(4.0, 1), BUDGET, SAMPLER)
+
+
+def test_verifier_reports_match_golden_exactly():
+    # scalar Hilbert (exact gamma-bounds) and l^1 -> l^inf (searched)
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location(
+        "make_goldens", root / "tools" / "make_goldens.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    golden = json.loads((root / "tests" / "golden" / "verifier_reports.json").read_text())
+    assert tool.verifier_reports() == golden
 
 
 # -- Besov-scale bounds ------------------------------------------------------

@@ -17,6 +17,11 @@ re-verifies fresh random draws against the frozen values.
 The suite checksums are the sha256 of each bundled scenario's report
 JSON: any change to a report's bytes shows up as a mismatch.
 
+The verifier reports are the sha256 of the report JSON of the four
+gamma-bound verifiers (Prop 4.3, Thm 4.4, 4.5, 4.6) on scalar Hilbert
+spaces and on a random 2x2 symbol from l^1 to l^inf, the case whose
+gamma-bounds come from a search.
+
 The search results are the exact repr of every randomized search's
 output (type/cotype constants, gamma-bound searches, multiplier-norm
 witness searches) at three budgets, so a change to the search schedule
@@ -44,6 +49,7 @@ from besovlp import (  # noqa: E402
     OperatorSymbol,
     SearchBudget,
     ValueSpace,
+    riesz_symbol,
     besov_multiplier_norm_estimate,
     besov_norm,
     build_partition,
@@ -52,6 +58,10 @@ from besovlp import (  # noqa: E402
     gamma_bound_search,
     lp_norm,
     type_constant_lower,
+    verify_prop43,
+    verify_thm44,
+    verify_thm45,
+    verify_thm46,
 )
 from besovlp.cli import run_suite  # noqa: E402
 from besovlp.testfunctions import random_band_limited  # noqa: E402
@@ -236,12 +246,53 @@ def search_results() -> dict:
     return out
 
 
+def _verifier_entries(label, m, p, q, domain_space, codomain_space, budget, sampler) -> dict:
+    part = build_partition(m.grid)
+    spaces = dict(domain_space=domain_space, codomain_space=codomain_space,
+                  budget=budget, sampler=sampler)
+    scale = dict(s=0.5, sigma=0.5, u=2.0, p=p, v=2.0, q=q, w=1.0, part=part, **spaces)
+    reports = {
+        "prop43": verify_prop43(m, (-8.0, 8.0), p, q, **spaces),
+        "thm44": verify_thm44(m, **scale),
+        "thm45": verify_thm45(m, **scale),
+        "thm46": verify_thm46(m, p, q, part, **spaces),
+    }
+    return {
+        f"{name} {label} p={p:g} q={q:g}": hashlib.sha256(rep.to_json().encode()).hexdigest()
+        for name, rep in reports.items()
+    }
+
+
+def verifier_reports() -> dict:
+    """sha256 of each gamma-bound verifier's report JSON: exact per-annulus
+    gamma-bounds between scalar Hilbert spaces, searched ones from l^1 to
+    l^inf."""
+    grid = GridSpec(1, 32, 1.0)
+    scalar = ValueSpace.scalar()
+    budget = SearchBudget(restarts=2, steps=8, max_vectors=4, search_samples=500)
+    sampler = GaussianSampler(20241018, 2000)
+    riesz = riesz_symbol(grid, 0.5)
+    out = {}
+    for p, q in ((2.0, 2.0), (1.5, 3.0)):
+        out.update(_verifier_entries("scalar riesz(0.5)", riesz, p, q, scalar, scalar,
+                                     budget, sampler))
+    rng = np.random.default_rng(66)
+    values = rng.standard_normal((grid.n_nodes, 2, 2)) + 1j * rng.standard_normal(
+        (grid.n_nodes, 2, 2))
+    m = OperatorSymbol(grid, values, name="random")
+    out.update(_verifier_entries("random 2x2 l1->linf", m, 1.0, np.inf,
+                                 ValueSpace.lp(1.0, 2), ValueSpace.lp(np.inf, 2),
+                                 budget, sampler))
+    return out
+
+
 ARTIFACTS = {
     "sandwich_constants.json": sandwich_constants,
     "cutoff_equivalence.json": cutoff_equivalence,
     "partition_export.json": partition_export,
     "suite_reports.json": suite_reports,
     "search_results.json": search_results,
+    "verifier_reports.json": verifier_reports,
 }
 
 
