@@ -36,6 +36,7 @@ from .spaces import (
     lp_norm,
     _check_exponent,
     _dft_stack,
+    _fold_columns,
     _idft_stack,
     _lp_combine,
     _lp_norms,
@@ -189,11 +190,11 @@ class DyadicPartition:
 
     def spectral_residual_fraction(self, fhat: np.ndarray) -> float:
         """Fraction of L^2 mass at nodes not fully covered by the partition."""
-        return float(self._residual_fractions(fhat))
+        return float(self._residual_fractions(_node_power(fhat)))
 
-    def _residual_fractions(self, fhat: np.ndarray) -> np.ndarray:
-        """spectral_residual_fraction of a spectrum, or of each spectrum of a stack."""
-        power = np.sum(np.abs(fhat) ** 2, axis=-1)
+    def _residual_fractions(self, power: np.ndarray) -> np.ndarray:
+        """spectral_residual_fraction of a spectrum, or of each spectrum of a
+        stack, from its _node_power."""
         total = power.sum(axis=-1)
         # np.compress: boolean indexing behind an Ellipsis is several times slower
         residual = np.compress(~self._complete, power, axis=-1).sum(axis=-1)
@@ -245,19 +246,25 @@ def lp_block(f: GridFunction, k: int, part: DyadicPartition) -> GridFunction:
     return idft(block_hat)
 
 
-def _require_band_limited(part: DyadicPartition, fhat: np.ndarray) -> None:
+def _node_power(fhat: np.ndarray) -> np.ndarray:
+    """sum_j |fhat_j|^2 at each node of a spectrum, or of each spectrum of a
+    stack: the input of the guards below."""
+    a = np.abs(fhat)
+    return _fold_columns(np.add, np.multiply(a, a, out=a))
+
+
+def _require_band_limited(part: DyadicPartition, power: np.ndarray) -> None:
     """The band-limit guard: at most 1e-8 of the L^2 mass beyond the partition,
-    for a spectrum or for each spectrum of a stack."""
-    if np.any(part._residual_fractions(fhat) > 1e-8):
+    for a spectrum or for each spectrum of a stack, given its _node_power."""
+    if np.any(part._residual_fractions(power) > 1e-8):
         raise SpectralTruncationError(
             "input carries significant spectral mass above the top annulus"
         )
 
 
-def _require_mean_zero(fhat: np.ndarray) -> None:
+def _require_mean_zero(power: np.ndarray) -> None:
     """The homogeneous norms' guard: at most 1e-10 of the L^2 mass in the zero
-    mode, for a spectrum or for each spectrum of a stack."""
-    power = np.sum(np.abs(fhat) ** 2, axis=-1)
+    mode, for a spectrum or for each spectrum of a stack, given its _node_power."""
     total = power.sum(axis=-1)
     share = np.divide(power[..., 0], total, out=np.zeros_like(total), where=total > 0)
     if np.any(share > 1e-10):
@@ -273,25 +280,26 @@ def _block_batches(fhats: np.ndarray, rows: np.ndarray, grid: GridSpec, out=None
     Yields the blocks of every (spectrum, row) pair, spectrum-major, as
     batches (B, n_nodes, dim), one batched transform of at most
     _BLOCK_BATCH_ENTRIES samples each, so a caller can reduce a batch
-    while it is still in cache.  With out, an array of S * n_rows
-    blocks, each batch is written to its slice of out.
+    while it is still in cache.  The products, the transform and the
+    scaling all write into the batch itself.  Without out every batch is
+    one buffer, reused: a yielded batch is valid only until the next
+    one.  With out, an array of S * n_rows blocks, each batch is its
+    slice of out.
     """
     n_rows = rows.shape[0]
     n_pairs, (n_nodes, dim) = fhats.shape[0] * n_rows, fhats.shape[1:]
     per_batch = max(1, _BLOCK_BATCH_ENTRIES // (n_nodes * dim))
-    lattice = grid.spatial_shape() + (dim,)
-    axes = tuple(range(1, grid.d + 1))
-    scale = (grid.n_per_dim / grid.period) ** grid.d
+    if out is None:
+        buf = np.empty((min(per_batch, n_pairs), n_nodes, dim), dtype=np.complex128)
     for j in range(0, n_pairs, per_batch):
         stop = min(j + per_batch, n_pairs)
-        # one broadcast product per spectrum in the batch, joined only when
-        # the batch spans several spectra
-        products = [rows[max(j - s * n_rows, 0):stop - s * n_rows, :, None] * fhats[s]
-                    for s in range(j // n_rows, (stop - 1) // n_rows + 1)]
-        stacked = products[0] if len(products) == 1 else np.concatenate(products)
-        batch = np.fft.ifftn(stacked.reshape((-1,) + lattice), axes=axes)
-        dest = batch if out is None else out[j:stop].reshape(batch.shape)
-        yield np.multiply(batch, scale, out=dest).reshape(-1, n_nodes, dim)
+        batch = buf[:stop - j] if out is None else out[j:stop]
+        # one broadcast product per spectrum in the batch, into its rows
+        for s in range(j // n_rows, (stop - 1) // n_rows + 1):
+            lo, hi = max(j - s * n_rows, 0), min(stop - s * n_rows, n_rows)
+            np.multiply(rows[lo:hi, :, None], fhats[s],
+                        out=batch[s * n_rows + lo - j:s * n_rows + hi - j])
+        yield _idft_stack(batch, grid, out=batch)
 
 
 def _blocks(fhat: np.ndarray, rows: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -334,7 +342,7 @@ def besov_norm(
     sits beyond the exact range of the partition.
     """
     _require_physical(f, part)
-    _require_band_limited(part, dft(f).samples)
+    _require_band_limited(part, _node_power(dft(f).samples))
     _, weights = _besov_weights(part, params, homogeneous=False)
     norms = np.array(_block_norms(f, lp_blocks(f, part), params.p, space))
     return _lp_combine(weights * norms, params.v)
@@ -354,8 +362,9 @@ def homogeneous_besov_norm(
     """
     _require_physical(f, part)
     fhat = dft(f).samples
-    _require_mean_zero(fhat)
-    _require_band_limited(part, fhat)
+    power = _node_power(fhat)
+    _require_mean_zero(power)
+    _require_band_limited(part, power)
     rows, weights = _besov_weights(part, params, homogeneous=True)
     norms = np.array(_block_norms(f, _blocks(fhat, rows, part.grid), params.p, space))
     return _lp_combine(weights * norms, params.v)
@@ -376,10 +385,12 @@ def _besov_norms(
     block core with each transform batch reduced as soon as it is done.
     """
     grid = part.grid
-    fhats = _dft_stack(_idft_stack(spectra, grid), grid)
+    fhats = _idft_stack(spectra, grid)
+    _dft_stack(fhats, grid, out=fhats)
+    power = _node_power(fhats)
     if homogeneous:
-        _require_mean_zero(fhats)
-    _require_band_limited(part, fhats)
+        _require_mean_zero(power)
+    _require_band_limited(part, power)
     rows, weights = _besov_weights(part, params, homogeneous)
     norms = []
     for batch in _block_batches(fhats, rows, grid):

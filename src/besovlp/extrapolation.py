@@ -35,6 +35,8 @@ from .spaces import (
     idft,
     lp_norm,
     weak_lp_norm,
+    _dft_stack,
+    _idft_stack,
     _inv,
     _lp_combine,
     _pack_complex,
@@ -212,11 +214,8 @@ def kernel_of_symbol(
         if -n_levels <= j <= n_levels:
             window += system.zeta_row(j)
     truncated = window[:, None, None] * m.values
-    shape = m.grid.spatial_shape() + (m.n_out, m.n_in)
-    axes = tuple(range(m.grid.d))
-    vals = np.fft.ifftn(truncated.reshape(shape), axes=axes)
-    vals *= (m.grid.n_per_dim / m.grid.period) ** m.grid.d
-    return Kernel(m.grid, vals.reshape(m.grid.n_nodes, m.n_out, m.n_in), "finite")
+    vals = _idft_stack(truncated.reshape(1, m.grid.n_nodes, -1), m.grid)
+    return Kernel(m.grid, vals.reshape(truncated.shape), "finite")
 
 
 def symbol_of_kernel(kernel: Kernel) -> OperatorSymbol:
@@ -224,9 +223,7 @@ def symbol_of_kernel(kernel: Kernel) -> OperatorSymbol:
     vals = kernel.values.copy()
     if kernel.origin_convention == "excluded":
         vals[0] = 0.0
-    shape = kernel.grid.spatial_shape() + (kernel.n_out, kernel.n_in)
-    axes = tuple(range(kernel.grid.d))
-    out = np.fft.fftn(vals.reshape(shape), axes=axes) * kernel.grid.cell_volume
+    out = _dft_stack(vals.reshape(1, kernel.grid.n_nodes, -1), kernel.grid)
     return OperatorSymbol(kernel.grid, out.reshape(vals.shape), name="kernel-symbol")
 
 

@@ -37,6 +37,7 @@ from .dyadic import (
     _BLOCK_BATCH_ENTRIES,
     _annulus_mask,
     _besov_norms,
+    _node_power,
     _require_band_limited,
     _require_physical,
 )
@@ -310,7 +311,7 @@ def blockwise_extension(
     _require_physical(f, part)
     _require_applicable(m, f)
     fhat = dft(f).samples
-    _require_band_limited(part, fhat)
+    _require_band_limited(part, _node_power(fhat))
     ghat = sum(_apply_to_spectrum(m, row[:, None] * fhat) for row in part.phi_hat)
     return idft(GridFunction(f.grid, ghat, "frequency"))
 
@@ -362,9 +363,8 @@ def _witness_search(
         scores = []
         for j in range(0, len(specs), per_chunk):
             chunk = specs[j:j + per_chunk]
-            fhats = np.zeros((len(chunk), grid.n_nodes, n_in), dtype=np.complex128)
-            fhats[:, allowed_idx] = chunk
-            scores += score_spectra(fhats)
+            fhats[:len(chunk), allowed_idx] = chunk
+            scores += score_spectra(fhats[:len(chunk)])
         return scores
 
     # structured starts: single modes at the largest symbol values,
@@ -406,8 +406,13 @@ def _witness_search(
         scale = np.abs(trial).max()
         return trial / scale if scale > 0 else trial
 
+    # one zeroed chunk for the whole search, no larger than the lockstep
+    # states: only the allowed nodes are ever written, and score_spectra
+    # does not write into its input
+    n_starts = len(starts) + budget.restarts
+    fhats = np.zeros((min(per_chunk, n_starts), grid.n_nodes, n_in), dtype=np.complex128)
     best_val, _ = _hill_climb(
-        sampler, _OP_WITNESS, len(starts) + budget.restarts, start, propose, score_batch, budget
+        sampler, _OP_WITNESS, n_starts, start, propose, score_batch, budget
     )
     return best_val
 

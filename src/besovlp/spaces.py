@@ -136,7 +136,12 @@ def _lp_rows(values: np.ndarray, p: float, weight: float = 1.0) -> list:
         if not values.shape[-1]:
             return [0.0] * len(values)
         return [float(x) for x in values.max(axis=-1)]
-    return [float((weight * total) ** (1.0 / p)) for total in (values**p).sum(axis=-1)]
+    return _lp_roots((values**p).sum(axis=-1), p, weight)
+
+
+def _lp_roots(totals: np.ndarray, p: float, weight: float) -> list:
+    """(weight * total)^(1/p) of each row total of |v|^p, as a scalar power each."""
+    return [float((weight * total) ** (1.0 / p)) for total in totals]
 
 
 def _lp_combine(values: np.ndarray, p: float, weight: float = 1.0) -> float:
@@ -151,11 +156,14 @@ def _fold_columns(ufunc, a: np.ndarray) -> np.ndarray:
     one ufunc call per column does the same work vectorized over the rows.
     The bits agree: numpy's pairwise summation adds fewer than 8 terms in
     order, as the fold does.  From 8 terms on it sums in blocks of 8, so a
-    fold would round differently and wider rows keep the reduce.
+    fold would round differently and wider rows keep the reduce.  One
+    column comes back as a view of a.
     """
     dim = a.shape[-1]
     if dim >= 8:
         return ufunc.reduce(a, axis=-1)
+    if dim == 1:
+        return a[..., 0]
     out = a[..., 0].copy()
     for j in range(1, dim):
         ufunc(out, a[..., j], out=out)
@@ -261,7 +269,8 @@ class ValueSpace:
         if p == 1.0:
             return _fold_columns(np.add, a)
         if p == 2.0:
-            return np.sqrt(_fold_columns(np.add, a * a))
+            total = _fold_columns(np.add, np.multiply(a, a, out=a))
+            return np.sqrt(total, out=total)
         return _fold_columns(np.add, a**p) ** (1.0 / p)
 
     def norm(self, vec: np.ndarray) -> float:
@@ -400,21 +409,34 @@ class GridFunction:
         return idft(self)
 
 
-def _transform_stack(transform, samples: np.ndarray, grid: GridSpec, scale: float) -> np.ndarray:
-    """transform over the lattice axes of each member of a stack (S, n_nodes, dim), times scale."""
-    shape = samples.shape
-    lattice = samples.reshape((shape[0],) + grid.spatial_shape() + (shape[-1],))
-    return (transform(lattice, axes=tuple(range(1, grid.d + 1))) * scale).reshape(shape)
+def _transform_stack(transform, samples: np.ndarray, grid: GridSpec, scale: float,
+                     out: Optional[np.ndarray] = None) -> np.ndarray:
+    """transform over the lattice axes of each member of a stack (S, n_nodes, dim), times scale.
+
+    Every axis pass and the scaling write into one buffer: out, a
+    C-contiguous complex array of the stack's shape that may be samples
+    itself, or a new array.  A fresh temporary per pass pushes a 256^2
+    transform out of the L2 cache and doubles its time; the bits are the
+    same either way.
+    """
+    if out is None:
+        out = np.empty(samples.shape, dtype=np.complex128)
+    lattice = (samples.shape[0],) + grid.spatial_shape() + (samples.shape[-1],)
+    buf = out.reshape(lattice)
+    transform(samples.reshape(lattice), axes=tuple(range(1, grid.d + 1)), out=buf)
+    np.multiply(buf, scale, out=buf)
+    return out
 
 
-def _dft_stack(samples: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """dft of each member of a stack (S, n_nodes, dim) of physical samples."""
-    return _transform_stack(np.fft.fftn, samples, grid, grid.cell_volume)
+def _dft_stack(samples: np.ndarray, grid: GridSpec, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """dft of each member of a stack (S, n_nodes, dim) of physical samples, into out if given."""
+    return _transform_stack(np.fft.fftn, samples, grid, grid.cell_volume, out)
 
 
-def _idft_stack(spectra: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """idft of each member of a stack (S, n_nodes, dim) of spectra."""
-    return _transform_stack(np.fft.ifftn, spectra, grid, (grid.n_per_dim / grid.period) ** grid.d)
+def _idft_stack(spectra: np.ndarray, grid: GridSpec, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """idft of each member of a stack (S, n_nodes, dim) of spectra, into out if given."""
+    return _transform_stack(np.fft.ifftn, spectra, grid,
+                            (grid.n_per_dim / grid.period) ** grid.d, out)
 
 
 def dft(f: GridFunction) -> GridFunction:
@@ -453,8 +475,13 @@ def _space_for(value_dim: int, space: Optional[ValueSpace]) -> ValueSpace:
 
 def _lp_norms(samples: np.ndarray, p: float, space: ValueSpace, measure: float) -> list:
     """lp_norm of each member of a stack (S, n_nodes, dim) of samples."""
-    vals = space.norm_rows(samples.reshape(-1, samples.shape[-1]))
-    return _lp_rows(vals.reshape(samples.shape[:-1]), p, measure)
+    vals = space.norm_rows(samples.reshape(-1, samples.shape[-1])).reshape(samples.shape[:-1])
+    if space.kind != "lp" or math.isinf(p):
+        return _lp_rows(vals, p, measure)
+    # the powers in place, on norm_rows' own temporary; never on a custom
+    # oracle's result, which may be the oracle's own memory
+    vals **= p
+    return _lp_roots(vals.sum(axis=-1), p, measure)
 
 
 def lp_norm(f: GridFunction, p: float, space: Optional[ValueSpace] = None) -> float:

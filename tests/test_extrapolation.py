@@ -11,6 +11,7 @@ from besovlp import (
     GridFunction,
     GridSpec,
     Kernel,
+    OperatorSymbol,
     SearchBudget,
     ValueSpace,
     apply_multiplier,
@@ -27,6 +28,7 @@ from besovlp import (
     riesz_symbol,
     scalar_symbol,
     sharpness_probe,
+    symbol_of_kernel,
     verify_weak_type,
     weak_type_constant,
 )
@@ -125,6 +127,35 @@ def test_convolution_consistency(grid128, rng):
     a = kernel_convolve(k, f)
     b = apply_multiplier(truncated, f)
     assert np.abs(a.samples - b.samples).max() < 1e-10
+
+
+@pytest.mark.parametrize("d, n_per_dim", [(1, 64), (2, 32)])
+def test_kernel_transforms_equal_the_inline_fft_expressions_exactly(d, n_per_dim):
+    # the expressions kernel_of_symbol and symbol_of_kernel inlined before
+    # they went through the stack transforms of spaces
+    grid = GridSpec(d, n_per_dim, 2.0)
+    rng = np.random.default_rng(91)
+    shape = (grid.n_nodes, 2, 2)
+    m = OperatorSymbol(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    sys = eta_zeta_system(grid)
+    n = 3
+    window = np.zeros(grid.n_nodes)
+    for j in sys.js:
+        if -n <= j <= n:
+            window += sys.zeta_row(j)
+    lattice = grid.spatial_shape() + (2, 2)
+    axes = tuple(range(d))
+    vals = np.fft.ifftn((window[:, None, None] * m.values).reshape(lattice), axes=axes)
+    vals *= (grid.n_per_dim / grid.period) ** d
+    k = kernel_of_symbol(m, n, sys)
+    assert np.array_equal(k.values, vals.reshape(shape))
+    for convention in ("finite", "excluded"):
+        kernel = Kernel(grid, k.values, convention)
+        kvals = kernel.values.copy()
+        if convention == "excluded":
+            kvals[0] = 0.0
+        expected = np.fft.fftn(kvals.reshape(lattice), axes=axes) * grid.cell_volume
+        assert np.array_equal(symbol_of_kernel(kernel).values, expected.reshape(shape))
 
 
 def test_truncation_level_beyond_grid_rejected(grid128):

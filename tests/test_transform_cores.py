@@ -1,0 +1,171 @@
+"""The batched transform, block and norm cores: exact against the plain numpy
+expressions, and none of them writes into an array it was given."""
+
+import numpy as np
+import pytest
+
+from besovlp import BesovParams, GridFunction, GridSpec, ValueSpace, build_partition, dft, idft
+from besovlp import dyadic
+from besovlp.dyadic import _besov_norms, _block_batches
+from besovlp.spaces import (
+    _dft_stack,
+    _idft_stack,
+    _lp_combine,
+    _lp_norms,
+    _lp_rows,
+)
+from besovlp.testfunctions import random_band_limited
+
+GRIDS = [GridSpec(1, 64, 1.0), GridSpec(2, 16, 2.0), GridSpec(3, 8, 1.0)]
+
+
+def _stack(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _lattice(grid, stack):
+    return stack.reshape((stack.shape[0],) + grid.spatial_shape() + (stack.shape[-1],))
+
+
+def _axes(grid):
+    return tuple(range(1, grid.d + 1))
+
+
+def _plain_blocks(fhats, rows, grid):
+    """idft(row * fhat) of every (spectrum, row) pair, spectrum-major, with
+    no buffer reuse."""
+    scale = (grid.n_per_dim / grid.period) ** grid.d
+    out = []
+    for fhat in fhats:
+        products = _lattice(grid, rows[:, :, None] * fhat)
+        out.append((np.fft.ifftn(products, axes=_axes(grid)) * scale).reshape(
+            (len(rows),) + fhat.shape))
+    return np.concatenate(out)
+
+
+# -- exact against the plain expressions ----------------------------------------
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("grid", GRIDS, ids=["d1", "d2", "d3"])
+def test_transform_stack_equals_the_plain_fft_exactly(grid, dim):
+    rng = np.random.default_rng(41)
+    stack = _stack(rng, (3, grid.n_nodes, dim))
+    fwd = np.fft.fftn(_lattice(grid, stack), axes=_axes(grid)) * grid.cell_volume
+    inv = np.fft.ifftn(_lattice(grid, stack), axes=_axes(grid)) * (
+        (grid.n_per_dim / grid.period) ** grid.d)
+    assert np.array_equal(_dft_stack(stack, grid), fwd.reshape(stack.shape))
+    assert np.array_equal(_idft_stack(stack, grid), inv.reshape(stack.shape))
+    buf = stack.copy()
+    assert _dft_stack(buf, grid, out=buf) is buf
+    assert np.array_equal(buf, fwd.reshape(stack.shape))
+
+
+@pytest.mark.parametrize("per_batch", [None, 1, 2, 5])
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("grid", GRIDS, ids=["d1", "d2", "d3"])
+def test_block_batches_equal_the_plain_expression_exactly(grid, dim, per_batch, monkeypatch):
+    # per_batch blocks per transform against 3 rows per spectrum: batches
+    # of 2 and 5 span several spectra; None keeps the 1 MB default
+    if per_batch is not None:
+        monkeypatch.setattr(dyadic, "_BLOCK_BATCH_ENTRIES", per_batch * grid.n_nodes * dim)
+    rng = np.random.default_rng(42)
+    fhats = _stack(rng, (4, grid.n_nodes, dim))
+    rows = rng.uniform(0.0, 1.0, (3, grid.n_nodes))
+    expected = _plain_blocks(fhats, rows, grid)
+    got = np.concatenate([b.copy() for b in _block_batches(fhats, rows, grid)])
+    assert np.array_equal(got, expected)
+    out = np.empty_like(expected)
+    for batch in _block_batches(fhats, rows, grid, out):
+        assert np.shares_memory(batch, out)
+    assert np.array_equal(out, expected)
+
+
+def test_a_yielded_block_batch_is_overwritten_by_the_next(monkeypatch):
+    grid = GridSpec(2, 16, 1.0)
+    monkeypatch.setattr(dyadic, "_BLOCK_BATCH_ENTRIES", grid.n_nodes)
+    rng = np.random.default_rng(43)
+    batches = _block_batches(_stack(rng, (1, grid.n_nodes, 1)),
+                             rng.uniform(0.0, 1.0, (2, grid.n_nodes)), grid)
+    first = next(batches)
+    kept = first.copy()
+    second = next(batches)
+    assert np.shares_memory(first, second)
+    assert np.array_equal(first, second) and not np.array_equal(first, kept)
+
+
+# -- no helper writes into its inputs ------------------------------------------
+
+
+def _snapshot(*arrays):
+    return [a.tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, np.inf])
+def test_norm_helpers_leave_their_inputs_alone(p, dim):
+    rng = np.random.default_rng(44)
+    values = np.abs(rng.standard_normal((4, 9)))
+    rows = _stack(rng, (50, dim))
+    stack = _stack(rng, (2, 25, dim))
+    space = ValueSpace.lp(p, dim)
+    before = _snapshot(values, rows, stack)
+    _lp_rows(values, p, 0.5)
+    _lp_combine(values[0], p, 0.5)
+    space.norm_rows(rows)
+    _lp_norms(stack, p, space, 0.25)
+    assert _snapshot(values, rows, stack) == before
+
+
+@pytest.mark.parametrize("oracle", ["held", "input"])
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, np.inf])
+def test_norms_leave_a_custom_oracles_memory_alone(p, oracle):
+    # an oracle may hand back memory it does not own: an array it holds
+    # (as gamma weights are), or a view of the rows it was given
+    rng = np.random.default_rng(45)
+    stack = _stack(rng, (2, 25, 1))
+    stack.real = np.abs(stack.real)
+    held = np.abs(rng.standard_normal(50))
+    norm = (lambda r: held) if oracle == "held" else (lambda r: r[:, 0].real)
+    space = ValueSpace.custom(1, norm)
+    before = _snapshot(held, stack)
+    assert np.shares_memory(space.norm_rows(stack.reshape(-1, 1)),
+                            held if oracle == "held" else stack)
+    _lp_norms(stack, p, space, 0.25)
+    assert _snapshot(held, stack) == before
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("grid", GRIDS, ids=["d1", "d2", "d3"])
+def test_transforms_leave_their_inputs_alone(grid, dim):
+    rng = np.random.default_rng(46)
+    stack = _stack(rng, (3, grid.n_nodes, dim))
+    before = _snapshot(stack)
+    f = GridFunction(grid, stack[0], "physical")
+    dft(f)
+    idft(GridFunction(grid, stack[1], "frequency"))
+    _dft_stack(stack, grid)
+    _idft_stack(stack, grid)
+    assert _snapshot(stack) == before
+
+
+@pytest.mark.parametrize("homogeneous", [False, True])
+@pytest.mark.parametrize("dim", [1, 3])
+def test_block_and_besov_cores_leave_their_inputs_alone(dim, homogeneous, monkeypatch):
+    grid = GridSpec(2, 16, 1.0)
+    part = build_partition(grid)
+    monkeypatch.setattr(dyadic, "_BLOCK_BATCH_ENTRIES", 2 * grid.n_nodes * dim)
+    rng = np.random.default_rng(47)
+    fhats = np.stack([
+        dft(random_band_limited(grid, part.band_limit_mask(), rng, dim=dim,
+                                mean_zero=True)).samples
+        for _ in range(3)])
+    rows = part.psi_hat if homogeneous else part.phi_hat
+    before = _snapshot(fhats, rows, part.phi_hat, part.psi_hat)
+    for _ in _block_batches(fhats, rows, grid):
+        pass
+    out = np.empty((len(fhats) * len(rows),) + fhats.shape[1:], dtype=np.complex128)
+    for _ in _block_batches(fhats, rows, grid, out):
+        pass
+    _besov_norms(fhats, BesovParams(0.5, 2.0, 2.0), part, ValueSpace.lp(3.0, dim), homogeneous)
+    assert _snapshot(fhats, rows, part.phi_hat, part.psi_hat) == before
