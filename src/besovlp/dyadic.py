@@ -37,6 +37,7 @@ from .spaces import (
     _check_exponent,
     _dft_stack,
     _fold_columns,
+    _idft_scale,
     _idft_stack,
     _lp_combine,
     _lp_norms,
@@ -146,6 +147,7 @@ class DyadicPartition:
             phi[k] = _psi_hat_profile(mags * 2.0**-k, smoothness)
         phi.setflags(write=False)
         self.phi_hat = phi
+        self.phi_extents = _slab_extents(phi, grid)
 
         # homogeneous side: keep every k (<= k_max) with a nonzero sample
         psi_rows = []
@@ -161,6 +163,7 @@ class DyadicPartition:
         psi = np.asarray(psi_rows)
         psi.setflags(write=False)
         self.psi_hat = psi
+        self.psi_extents = _slab_extents(psi, grid)
         self.hom_ks = tuple(ks)
 
         self.partition_sum = phi.sum(axis=0)
@@ -274,7 +277,24 @@ def _require_mean_zero(power: np.ndarray) -> None:
         )
 
 
-def _block_batches(fhats: np.ndarray, rows: np.ndarray, grid: GridSpec, out=None):
+def _slab_extents(rows: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Per row, the largest |signed index| along the first lattice axis at
+    which the row is nonzero; read-only.
+
+    An all-zero row gets the Nyquist index n // 2, so its blocks take the
+    full transform: its products are signed zeros, and pruning would turn
+    the signs that ifftn makes of them into +0.
+    """
+    n = grid.n_per_dim
+    nonzero = rows.reshape(len(rows), n, -1).any(axis=2)
+    index = np.minimum(np.arange(n), n - np.arange(n))
+    extents = np.where(nonzero.any(axis=1), np.max(np.where(nonzero, index, 0), axis=1), n // 2)
+    extents.setflags(write=False)
+    return extents
+
+
+def _block_batches(fhats: np.ndarray, rows: np.ndarray, grid: GridSpec, out=None,
+                   extents: Optional[np.ndarray] = None):
     """Physical blocks idft(row * fhat) of a stack of spectra (S, n_nodes, dim).
 
     Yields the blocks of every (spectrum, row) pair, spectrum-major, as
@@ -285,27 +305,53 @@ def _block_batches(fhats: np.ndarray, rows: np.ndarray, grid: GridSpec, out=None
     one buffer, reused: a yielded batch is valid only until the next
     one.  With out, an array of S * n_rows blocks, each batch is its
     slice of out.
+
+    extents are the rows' _slab_extents (computed when not given).  At
+    d >= 2, when every row of a batch is zero on the slabs |i| > a of the
+    first lattice axis, only the slabs |i| <= a are transformed over the
+    other axes, then the whole batch along the first: numpy's ifftn
+    takes its axis passes in that order, last axis first, so every line
+    gets the same 1-D transform and the blocks the same bits.
     """
-    n_rows = rows.shape[0]
+    if extents is None:
+        extents = _slab_extents(rows, grid)
+    n_rows, n = rows.shape[0], grid.n_per_dim
     n_pairs, (n_nodes, dim) = fhats.shape[0] * n_rows, fhats.shape[1:]
     per_batch = max(1, _BLOCK_BATCH_ENTRIES // (n_nodes * dim))
+    slab = n_nodes // n   # nodes per slab of the first lattice axis, contiguous
     if out is None:
         buf = np.empty((min(per_batch, n_pairs), n_nodes, dim), dtype=np.complex128)
     for j in range(0, n_pairs, per_batch):
         stop = min(j + per_batch, n_pairs)
         batch = buf[:stop - j] if out is None else out[j:stop]
-        # one broadcast product per spectrum in the batch, into its rows
+        a = n // 2 if grid.d == 1 else \
+            max(extents[q % n_rows] for q in range(j, min(stop, j + n_rows)))
+        pruned = 2 * a + 1 < n
+        # the nodes of the slabs |i| <= a, or all of them
+        kept = (slice(0, (a + 1) * slab), slice((n - a) * slab, n_nodes)) if pruned \
+            else (slice(None),)
+        # one broadcast product per spectrum in the batch and kept range, into its rows
         for s in range(j // n_rows, (stop - 1) // n_rows + 1):
             lo, hi = max(j - s * n_rows, 0), min(stop - s * n_rows, n_rows)
-            np.multiply(rows[lo:hi, :, None], fhats[s],
-                        out=batch[s * n_rows + lo - j:s * n_rows + hi - j])
-        yield _idft_stack(batch, grid, out=batch)
+            for nodes in kept:
+                np.multiply(rows[lo:hi, nodes, None], fhats[s, nodes],
+                            out=batch[s * n_rows + lo - j:s * n_rows + hi - j, nodes])
+        if not pruned:
+            yield _idft_stack(batch, grid, out=batch)
+            continue
+        batch[:, (a + 1) * slab:(n - a) * slab] = 0.0
+        lat = batch.reshape((-1,) + grid.spatial_shape() + (dim,))
+        for half in (lat[:, :a + 1], lat[:, n - a:]):
+            np.fft.ifftn(half, axes=tuple(range(2, grid.d + 1)), out=half)
+        np.fft.ifft(lat, axis=1, out=lat)
+        yield np.multiply(batch, _idft_scale(grid), out=batch)
 
 
-def _blocks(fhat: np.ndarray, rows: np.ndarray, grid: GridSpec) -> np.ndarray:
+def _blocks(fhat: np.ndarray, rows: np.ndarray, grid: GridSpec,
+            extents: np.ndarray) -> np.ndarray:
     """Physical blocks idft(row * fhat) of one spectrum, (n_rows, n_nodes, dim)."""
     out = np.empty((rows.shape[0],) + fhat.shape, dtype=np.complex128)
-    for _ in _block_batches(fhat[None], rows, grid, out):
+    for _ in _block_batches(fhat[None], rows, grid, out, extents):
         pass
     return out
 
@@ -317,17 +363,19 @@ def _block_norms(
 
 
 def _besov_weights(part: DyadicPartition, params: BesovParams, homogeneous: bool) -> tuple:
-    """(rows, weights) of a Besov norm: phi_hat with 2^(ks) over k = 0..k_max as
-    one array power, or psi_hat with 2^(ks) over hom_ks as scalar powers."""
+    """(rows, extents, weights) of a Besov norm: phi_hat and its slab extents
+    with 2^(ks) over k = 0..k_max as one array power, or psi_hat and its
+    extents with 2^(ks) over hom_ks as scalar powers."""
     if homogeneous:
-        return part.psi_hat, np.asarray([2.0 ** (k * params.s) for k in part.hom_ks])
-    return part.phi_hat, 2.0 ** (np.arange(part.k_max + 1) * params.s)
+        return (part.psi_hat, part.psi_extents,
+                np.asarray([2.0 ** (k * params.s) for k in part.hom_ks]))
+    return part.phi_hat, part.phi_extents, 2.0 ** (np.arange(part.k_max + 1) * params.s)
 
 
 def lp_blocks(f: GridFunction, part: DyadicPartition) -> np.ndarray:
     """All blocks at once: array (k_max+1, n_nodes, value_dim), physical domain."""
     _require_physical(f, part)
-    return _blocks(dft(f).samples, part.phi_hat, part.grid)
+    return _blocks(dft(f).samples, part.phi_hat, part.grid, part.phi_extents)
 
 
 def besov_norm(
@@ -343,7 +391,7 @@ def besov_norm(
     """
     _require_physical(f, part)
     _require_band_limited(part, _node_power(dft(f).samples))
-    _, weights = _besov_weights(part, params, homogeneous=False)
+    _, _, weights = _besov_weights(part, params, homogeneous=False)
     norms = np.array(_block_norms(f, lp_blocks(f, part), params.p, space))
     return _lp_combine(weights * norms, params.v)
 
@@ -365,8 +413,8 @@ def homogeneous_besov_norm(
     power = _node_power(fhat)
     _require_mean_zero(power)
     _require_band_limited(part, power)
-    rows, weights = _besov_weights(part, params, homogeneous=True)
-    norms = np.array(_block_norms(f, _blocks(fhat, rows, part.grid), params.p, space))
+    rows, extents, weights = _besov_weights(part, params, homogeneous=True)
+    norms = np.array(_block_norms(f, _blocks(fhat, rows, part.grid, extents), params.p, space))
     return _lp_combine(weights * norms, params.v)
 
 
@@ -391,8 +439,8 @@ def _besov_norms(
     if homogeneous:
         _require_mean_zero(power)
     _require_band_limited(part, power)
-    rows, weights = _besov_weights(part, params, homogeneous)
+    rows, extents, weights = _besov_weights(part, params, homogeneous)
     norms = []
-    for batch in _block_batches(fhats, rows, grid):
+    for batch in _block_batches(fhats, rows, grid, extents=extents):
         norms += _lp_norms(batch, params.p, space, grid.cell_volume)
     return _lp_rows(weights * np.reshape(norms, (len(fhats), len(rows))), params.v)

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .reports import VerificationReport
-from .sampling import GaussianSampler, MCEstimate, SearchBudget, _hill_climb
+from .sampling import GaussianSampler, MCEstimate, SearchBudget, _fill_complex_gaussians, _hill_climb
 from .spaces import DimensionMismatchError, GridFunction, ValueSpace, dft, lp_norm, _lp_combine
 
 __all__ = [
@@ -99,13 +99,13 @@ def _chunked_moment(
     n = n_samples if n_samples is not None else sampler.n_samples
     rng = sampler.generator(op_code, stream)
     chunk = max(1, min(n, _CHUNK_ENTRIES // max(K, 1)))
+    g = np.empty((chunk, K), dtype=np.complex128)
     s1 = 0.0
     s2 = 0.0
     done = 0
     while done < n:
         c = min(chunk, n - done)
-        g = (rng.standard_normal((c, K)) + 1j * rng.standard_normal((c, K))) / np.sqrt(2.0)
-        sums = g @ vectors
+        sums = _fill_complex_gaussians(rng, g[:c]) @ vectors
         r2 = space.norm_rows(sums) ** 2
         s1 += float(r2.sum())
         s2 += float((r2 * r2).sum())

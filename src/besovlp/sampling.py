@@ -49,9 +49,29 @@ class GaussianSampler:
         self, shape: tuple, op_code: int = 0, stream: int = 0
     ) -> np.ndarray:
         rng = self.generator(op_code, stream)
-        re = rng.standard_normal(shape)
-        im = rng.standard_normal(shape)
-        return (re + 1j * im) / np.sqrt(2.0)
+        return _fill_complex_gaussians(rng, np.empty(shape, dtype=np.complex128))
+
+
+# real draws per scratch fill in _fill_complex_gaussians (1 MB)
+_SCRATCH_ENTRIES = 2**17
+
+
+def _fill_complex_gaussians(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill a C-contiguous complex array with complex standard Gaussians; returns out.
+
+    Bit for bit (re + 1j * im) / sqrt(2) with re = rng.standard_normal(out.shape)
+    drawn first and im second, but written straight into out through one
+    real scratch of at most _SCRATCH_ENTRIES draws (numpy's generator only
+    fills contiguous arrays), so no full-size temporary is made.
+    """
+    flat = out.reshape(-1)
+    scratch = np.empty(max(1, min(flat.size, _SCRATCH_ENTRIES)))
+    for part in (flat.real, flat.imag):
+        for i in range(0, flat.size, scratch.size):
+            piece = scratch[:flat.size - i]
+            rng.standard_normal(out=piece)
+            part[i:i + piece.size] = piece
+    return np.divide(out, np.sqrt(2.0), out=out)
 
 
 @dataclass(frozen=True)

@@ -433,10 +433,14 @@ def _dft_stack(samples: np.ndarray, grid: GridSpec, out: Optional[np.ndarray] = 
     return _transform_stack(np.fft.fftn, samples, grid, grid.cell_volume, out)
 
 
+def _idft_scale(grid: GridSpec) -> float:
+    """The factor idft applies after numpy's normalized ifftn."""
+    return (grid.n_per_dim / grid.period) ** grid.d
+
+
 def _idft_stack(spectra: np.ndarray, grid: GridSpec, out: Optional[np.ndarray] = None) -> np.ndarray:
     """idft of each member of a stack (S, n_nodes, dim) of spectra, into out if given."""
-    return _transform_stack(np.fft.ifftn, spectra, grid,
-                            (grid.n_per_dim / grid.period) ** grid.d, out)
+    return _transform_stack(np.fft.ifftn, spectra, grid, _idft_scale(grid), out)
 
 
 def dft(f: GridFunction) -> GridFunction:

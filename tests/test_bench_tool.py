@@ -82,3 +82,17 @@ def test_bench_rejects_bad_targets(tmp_path):
     assert bench.main(["x", f"y={tmp_path}"]) == 2           # no perfbench/run.py there
     assert bench.main(["x", f"x={other}"]) == 2              # labels must differ
     assert bench.main(["x", f"y={other}", f"z={other}"]) == 2  # one baseline at most
+
+
+def test_bench_refuses_to_overwrite_a_bench_file(tmp_path, monkeypatch, capsys):
+    other = _checkout(tmp_path / "parent")
+    run_once, calls = _fake_run({bench.ROOT: 10.0, other: 8.0})
+    monkeypatch.setattr(bench, "run_once", run_once)
+    monkeypatch.setattr(bench, "OUT_DIR", tmp_path)
+    (tmp_path / "BENCH_base.json").write_text("kept\n")
+    assert bench.main(["new", f"base={other}"]) == 2
+    assert calls == []
+    assert (tmp_path / "BENCH_base.json").read_text() == "kept\n"
+    assert not (tmp_path / "BENCH_new.json").exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "BENCH_base.json exists" in err

@@ -1,12 +1,22 @@
 """The batched transform, block and norm cores: exact against the plain numpy
-expressions, and none of them writes into an array it was given."""
+expressions, bit for bit, and none of them writes into an array it was given."""
 
 import numpy as np
 import pytest
 
-from besovlp import BesovParams, GridFunction, GridSpec, ValueSpace, build_partition, dft, idft
+from besovlp import (
+    BesovParams,
+    GridFunction,
+    GridSpec,
+    ValueSpace,
+    besov_norm,
+    build_partition,
+    dft,
+    homogeneous_besov_norm,
+    idft,
+)
 from besovlp import dyadic
-from besovlp.dyadic import _besov_norms, _block_batches
+from besovlp.dyadic import _besov_norms, _block_batches, _slab_extents
 from besovlp.spaces import (
     _dft_stack,
     _idft_stack,
@@ -29,6 +39,11 @@ def _lattice(grid, stack):
 
 def _axes(grid):
     return tuple(range(1, grid.d + 1))
+
+
+def _same_bits(a, b):
+    """Equal bit patterns: unlike np.array_equal, tells -0.0 from 0.0."""
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def _plain_blocks(fhats, rows, grid):
@@ -54,11 +69,11 @@ def test_transform_stack_equals_the_plain_fft_exactly(grid, dim):
     fwd = np.fft.fftn(_lattice(grid, stack), axes=_axes(grid)) * grid.cell_volume
     inv = np.fft.ifftn(_lattice(grid, stack), axes=_axes(grid)) * (
         (grid.n_per_dim / grid.period) ** grid.d)
-    assert np.array_equal(_dft_stack(stack, grid), fwd.reshape(stack.shape))
-    assert np.array_equal(_idft_stack(stack, grid), inv.reshape(stack.shape))
+    assert _same_bits(_dft_stack(stack, grid), fwd.reshape(stack.shape))
+    assert _same_bits(_idft_stack(stack, grid), inv.reshape(stack.shape))
     buf = stack.copy()
     assert _dft_stack(buf, grid, out=buf) is buf
-    assert np.array_equal(buf, fwd.reshape(stack.shape))
+    assert _same_bits(buf, fwd.reshape(stack.shape))
 
 
 @pytest.mark.parametrize("per_batch", [None, 1, 2, 5])
@@ -74,11 +89,84 @@ def test_block_batches_equal_the_plain_expression_exactly(grid, dim, per_batch, 
     rows = rng.uniform(0.0, 1.0, (3, grid.n_nodes))
     expected = _plain_blocks(fhats, rows, grid)
     got = np.concatenate([b.copy() for b in _block_batches(fhats, rows, grid)])
-    assert np.array_equal(got, expected)
+    assert _same_bits(got, expected)
     out = np.empty_like(expected)
     for batch in _block_batches(fhats, rows, grid, out):
         assert np.shares_memory(batch, out)
-    assert np.array_equal(out, expected)
+    assert _same_bits(out, expected)
+
+
+# rows of a partition are zero beyond slab 2^(k+1) of the first lattice axis,
+# so at d >= 2 their blocks skip the transforms over the other slabs
+PRUNED_GRIDS = [GridSpec(2, 16, 1.0), GridSpec(2, 64, 1.0), GridSpec(3, 16, 1.0)]
+
+
+def _row_set(part, name):
+    n = part.grid.n_per_dim
+    if name == "phi":
+        return part.phi_hat
+    if name == "psi":
+        return part.psi_hat
+    extra = np.zeros((1, part.grid.n_nodes))
+    if name == "nyquist":   # nonzero on the slab i = n/2 only
+        extra.reshape(n, -1)[n // 2] = 0.5
+    return np.concatenate([part.phi_hat[:2], extra, part.phi_hat[2:]])
+
+
+@pytest.mark.parametrize("per_batch", [None, 1, 2, 5])
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("row_set", ["phi", "psi", "zero_row", "nyquist"])
+@pytest.mark.parametrize("grid", PRUNED_GRIDS, ids=["d2-16", "d2-64", "d3-16"])
+def test_pruned_block_batches_equal_the_plain_expression_exactly(grid, row_set, dim,
+                                                                 per_batch, monkeypatch):
+    if per_batch is not None:
+        monkeypatch.setattr(dyadic, "_BLOCK_BATCH_ENTRIES", per_batch * grid.n_nodes * dim)
+    part = build_partition(grid)
+    rows = _row_set(part, row_set)
+    n = grid.n_per_dim
+    extents = _slab_extents(rows, grid)
+    assert not extents.flags.writeable
+    # the partition's own rows can be pruned; an all-zero row and a row on
+    # the Nyquist slab take the full transform
+    assert 2 * extents[:2].max() + 1 < n
+    if row_set in ("zero_row", "nyquist"):
+        assert extents[2] == n // 2
+    rng = np.random.default_rng(48)
+    fhats = _stack(rng, (3, grid.n_nodes, dim))
+    expected = _plain_blocks(fhats, rows, grid)
+    got = np.concatenate([b.copy() for b in _block_batches(fhats, rows, grid)])
+    assert _same_bits(got, expected)
+    out = np.empty_like(expected)
+    for _ in _block_batches(fhats, rows, grid, out, extents):
+        pass
+    assert _same_bits(out, expected)
+
+
+def test_partitions_hold_read_only_slab_extents_of_their_rows():
+    grid = GridSpec(2, 256, 1.0)
+    part = build_partition(grid)
+    # phi_hat_k is zero beyond |xi| = 2^(k+1)
+    assert part.phi_extents.tolist() == [2 ** (k + 1) - 1 for k in range(part.k_max + 1)]
+    for rows, extents in ((part.phi_hat, part.phi_extents), (part.psi_hat, part.psi_extents)):
+        assert np.array_equal(extents, _slab_extents(rows, grid))
+        assert not extents.flags.writeable
+
+
+@pytest.mark.parametrize("homogeneous", [False, True])
+def test_besov_norms_of_a_stack_equal_the_norms_one_by_one_at_d2(homogeneous):
+    grid = GridSpec(2, 64, 1.0)
+    part = build_partition(grid)
+    rng = np.random.default_rng(49)
+    spectra = np.stack([
+        dft(random_band_limited(grid, part.band_limit_mask(), rng, dim=3,
+                                mean_zero=True)).samples
+        for _ in range(3)])
+    space = ValueSpace.lp(3.0, 3)
+    norm = homogeneous_besov_norm if homogeneous else besov_norm
+    for params in (BesovParams(0.5, 2.0, 2.0), BesovParams(-0.25, np.inf, 1.0)):
+        got = _besov_norms(spectra, params, part, space, homogeneous)
+        assert list(got) == [norm(idft(GridFunction(grid, fhat, "frequency")), params, part,
+                                  space) for fhat in spectra]
 
 
 def test_a_yielded_block_batch_is_overwritten_by_the_next(monkeypatch):

@@ -20,8 +20,10 @@ measured code: a hash over the paths and bytes of the .py and .json files
 under src/ and perfbench/, so a measurement of an uncommitted tree can still
 be matched to the commit that holds it.  With two checkouts the script also
 prints, per workload and metric, both medians and in how many seeds LABEL
-did better.  Exit status: 0 when every run finished with every op correct,
-1 otherwise, 2 on a bad argument.
+did better.  A label whose BENCH_<label>.json already exists is refused
+before any run, so a committed measurement is never overwritten.  Exit
+status: 0 when every run finished with every op correct, 1 otherwise, 2 on
+a bad argument.
 """
 
 import hashlib
@@ -142,6 +144,11 @@ def main(argv: list) -> int:
     if not 1 <= len(targets) <= 2 or None in targets or len({t[0] for t in targets}) != len(targets):
         print(f"{USAGE}\n(two different labels at most; CHECKOUT must hold perfbench/run.py)",
               file=sys.stderr)
+        return 2
+    taken = [OUT_DIR / f"BENCH_{label}.json" for label, _ in targets]
+    taken = [path for path in taken if path.exists()]
+    if taken:
+        print(f"{taken[0]} exists; remove it or pick another label", file=sys.stderr)
         return 2
 
     results = {label: {} for label, _ in targets}
