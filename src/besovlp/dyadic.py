@@ -301,10 +301,12 @@ def _block_batches(fhats: np.ndarray, rows: np.ndarray, grid: GridSpec, out=None
     batches (B, n_nodes, dim), one batched transform of at most
     _BLOCK_BATCH_ENTRIES samples each, so a caller can reduce a batch
     while it is still in cache.  The products, the transform and the
-    scaling all write into the batch itself.  Without out every batch is
-    one buffer, reused: a yielded batch is valid only until the next
-    one.  With out, an array of S * n_rows blocks, each batch is its
-    slice of out.
+    scaling all write into the batch itself; the spectra a batch holds
+    whole take one broadcast product per kept node range, a spectrum
+    split by a batch boundary one product per range into its rows.
+    Without out every batch is one buffer, reused: a yielded batch is
+    valid only until the next one.  With out, an array of S * n_rows
+    blocks (C-contiguous), each batch is its slice of out.
 
     extents are the rows' _slab_extents (computed when not given).  At
     d >= 2, when every row of a batch is zero on the slabs |i| > a of the
@@ -330,8 +332,18 @@ def _block_batches(fhats: np.ndarray, rows: np.ndarray, grid: GridSpec, out=None
         # the nodes of the slabs |i| <= a, or all of them
         kept = (slice(0, (a + 1) * slab), slice((n - a) * slab, n_nodes)) if pruned \
             else (slice(None),)
-        # one broadcast product per spectrum in the batch and kept range, into its rows
-        for s in range(j // n_rows, (stop - 1) // n_rows + 1):
+        # the spectra s0..s1-1 the batch holds whole: one broadcast product
+        # per kept range, into all their rows at once
+        s0, s1 = -(-j // n_rows), stop // n_rows
+        if s1 > s0:
+            whole = batch[s0 * n_rows - j:s1 * n_rows - j].reshape(s1 - s0, n_rows, n_nodes, dim)
+            for nodes in kept:
+                np.multiply(rows[:, nodes, None], fhats[s0:s1, None, nodes],
+                            out=whole[:, :, nodes])
+        # a spectrum split by a batch boundary: one product per kept range, into its rows
+        for s in {j // n_rows, (stop - 1) // n_rows}:
+            if s0 <= s < s1:
+                continue
             lo, hi = max(j - s * n_rows, 0), min(stop - s * n_rows, n_rows)
             for nodes in kept:
                 np.multiply(rows[lo:hi, nodes, None], fhats[s, nodes],

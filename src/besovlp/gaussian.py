@@ -21,7 +21,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .reports import VerificationReport
-from .sampling import GaussianSampler, MCEstimate, SearchBudget, _fill_complex_gaussians, _hill_climb
+from .sampling import (
+    GaussianSampler,
+    MCEstimate,
+    SearchBudget,
+    _complex_normals,
+    _fill_complex_gaussians,
+    _hill_climb,
+)
 from .spaces import DimensionMismatchError, GridFunction, ValueSpace, dft, lp_norm, _lp_combine
 
 __all__ = [
@@ -163,28 +170,31 @@ def _search_vector_families(
     Kmax = budget.max_vectors
     g_all = sampler.complex_gaussians((n_search, Kmax), op_code, 0)
 
-    def start(i, rng):
+    def start_one(i, rng):
         if i < 3:  # a single vector, aligned copies, the coordinate family
-            v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            v = _complex_normals(rng, dim)
             v = v / np.linalg.norm(v)
             return (v[None, :], np.tile(v, (min(Kmax, 4), 1)),
                     np.eye(dim, dtype=np.complex128)[: min(Kmax, dim)])[i]
         K = int(rng.integers(1, Kmax + 1))
-        return rng.standard_normal((K, dim)) + 1j * rng.standard_normal((K, dim))
+        return _complex_normals(rng, (K, dim))
 
-    def propose(vecs, step, rng):
+    def move(vecs, step, rng):
         trial = vecs.copy()
         idx = int(rng.integers(0, trial.shape[0]))
-        noise = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        trial[idx] = trial[idx] + step * noise
+        trial[idx] = trial[idx] + step * _complex_normals(rng, dim)
         scale = np.max(space.norm_rows(trial))
         return trial / scale if scale > 0 else trial
 
     def score(vecs):
         return ratio_of(vecs, g_all[:, : vecs.shape[0]])
 
-    _, best = _hill_climb(sampler, op_code, budget.restarts, start, propose,
-                          lambda states: [score(s) for s in states], budget)
+    _, best = _hill_climb(
+        sampler, op_code, budget.restarts,
+        lambda rngs: [start_one(i, rng) for i, rng in enumerate(rngs)],
+        lambda states, step, rngs: [move(v, step, rng) for v, rng in zip(states, rngs)],
+        lambda states: [score(v) for v in states], budget,
+    )
     return best
 
 
@@ -335,28 +345,29 @@ def gamma_bound_search(
             (warm_start.assignment.copy(), np.array(warm_start.vectors, dtype=np.complex128))
         )
 
-    def start(i, rng):
+    def start_one(i, rng):
         if i < len(configs):
             return configs[i]
         K = int(rng.integers(1, Kmax + 1))
         assignment = rng.integers(0, n_members, size=K)
-        return assignment, rng.standard_normal((K, n_in)) + 1j * rng.standard_normal((K, n_in))
+        return assignment, _complex_normals(rng, (K, n_in))
 
-    def propose(state, step, rng):
+    def move(state, step, rng):
         trial_a, trial_v = state[0].copy(), state[1].copy()
         idx = int(rng.integers(0, trial_v.shape[0]))
         if n_members > 1 and rng.random() < 0.2:
             trial_a[idx] = rng.integers(0, n_members)
         else:
-            noise = rng.standard_normal(n_in) + 1j * rng.standard_normal(n_in)
-            trial_v[idx] = trial_v[idx] + step * noise
+            trial_v[idx] = trial_v[idx] + step * _complex_normals(rng, n_in)
             scale = np.max(X.norm_rows(trial_v))
             if scale > 0:
                 trial_v = trial_v / scale
         return trial_a, trial_v
 
     _, best = _hill_climb(
-        sampler, _OP_GAMMA, len(configs) + budget.restarts, start, propose,
+        sampler, _OP_GAMMA, len(configs) + budget.restarts,
+        lambda rngs: [start_one(i, rng) for i, rng in enumerate(rngs)],
+        lambda states, step, rngs: [move(s, step, rng) for s, rng in zip(states, rngs)],
         lambda states: [ratio_of(s) for s in states], budget,
     )
 

@@ -11,8 +11,10 @@ infinite-dimensional ball; the estimators here certify lower bounds by
 randomized witness search (structured starts: single modes at the
 largest symbol values, flat and per-annulus spectra, then random
 restarts, each refined greedily on the prefix-stable schedule of
-``sampling._hill_climb``).  All starts climb in lockstep, and each
-step's candidates are scored together from their spectra: a stack of
+``sampling._hill_climb``).  All starts climb in lockstep on one state
+stack (S, n_allowed, n_in): each step draws every start's noise from its
+own stream, adds it with one scatter, rescales the stack with one divide
+and scores the candidates together from their spectra.  A stack of
 witness spectra takes one batched transform per side, and the Besov
 scorer one batched block core, with the same values, bit for bit, as
 norm calls on one function at a time.  Verification reports then check the
@@ -43,7 +45,7 @@ from .dyadic import (
 )
 from .gaussian import MatrixFamily, gamma_bound_lower, _top_right_singular_vector
 from .reports import VerificationReport
-from .sampling import GaussianSampler, SearchBudget, _hill_climb
+from .sampling import GaussianSampler, SearchBudget, _complex_normals, _hill_climb
 from .spaces import (
     DimensionMismatchError,
     GridFunction,
@@ -84,6 +86,8 @@ __all__ = [
 ]
 
 _OP_WITNESS = 20
+# bytes the lockstep witness state and trial stacks may take together (1 GiB)
+_WITNESS_STACK_BYTES = 2**30
 
 
 @dataclass
@@ -326,11 +330,36 @@ def multiplier_norm_l2_exact(m: OperatorSymbol) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _dyadic_annulus_masks(grid: GridSpec) -> list:
+def _n_dyadic_annuli(grid: GridSpec) -> int:
     # one annulus past the partition's k_max, up to the Nyquist scale
+    return int(math.floor(math.log2(grid.max_axis_frequency))) + 1
+
+
+def _dyadic_annulus_masks(grid: GridSpec) -> list:
     mags = grid.frequency_magnitudes()
-    top = int(math.floor(math.log2(grid.max_axis_frequency)))
-    return [_annulus_mask(mags, k) for k in range(top + 1)]
+    return [_annulus_mask(mags, k) for k in range(_n_dyadic_annuli(grid))]
+
+
+def _propose_witnesses(states: np.ndarray, step: float, rngs: list) -> np.ndarray:
+    """Trials of a witness state stack (S, n_allowed, n_in), one per start.
+
+    Start i's rng picks 1-8 distinct nodes and draws their complex noise,
+    rngs in start order; all the noise is added with one scatter, and
+    every nonzero trial is divided by its largest modulus.
+    """
+    n_allowed, n_in = states.shape[1:]
+    trials = states.copy()
+    cols, draws = [], []
+    for rng in rngs:
+        n_touch = int(min(n_allowed, 1 + rng.integers(0, 8)))
+        cols.append(rng.choice(n_allowed, size=n_touch, replace=False))
+        draws.append(rng.standard_normal((2, n_touch, n_in)))
+    rows = np.repeat(np.arange(len(rngs)), [c.size for c in cols])
+    re, im = np.concatenate(draws, axis=1)
+    # one start's nodes are distinct, so each noise term is added once
+    trials[rows, np.concatenate(cols)] += step * (re + 1j * im)
+    scale = np.abs(trials).max(axis=(1, 2))[:, None, None]
+    return np.divide(trials, scale, out=trials, where=scale > 0)
 
 
 def _witness_search(
@@ -343,19 +372,34 @@ def _witness_search(
     """Largest score found over witness spectra supported in a node mask.
 
     score_spectra maps a stack (S, n_nodes, n_in) of spectra to their S
-    scores.  Every start climbs in lockstep, so each step scores all
-    candidates together, a chunk of at most _BLOCK_BATCH_ENTRIES samples
-    per stack, which bounds the scoring memory however many starts run.
-    The score is deterministic, so the search is exact greedy
-    hill-climbing; the schedule is prefix-stable in (restarts, steps),
-    which makes the returned value monotone in the budget.
+    scores.  Every start climbs in lockstep, and the S states are one
+    array (S, n_allowed, n_in): each start's spectrum at the allowed
+    nodes.  A step copies that stack once into the trials, draws every
+    start's nodes and noise from its own stream in start order, adds all
+    the noise with one scatter, rescales every trial by its largest
+    entry with one divide, and scores the trials in chunks of at most
+    _BLOCK_BATCH_ENTRIES samples, each scattered into one zeroed buffer,
+    which bounds the scoring memory however many starts run.  The state
+    and trial stacks are capped: a search whose starts could need more
+    than _WITNESS_STACK_BYTES for them is refused before anything is
+    allocated.  The score is deterministic, so the search is exact
+    greedy hill-climbing; the schedule is prefix-stable in (restarts,
+    steps), which makes the returned value monotone in the budget.
     """
-    grid = m.grid
-    allowed_idx = np.nonzero(allowed)[0]
-    if allowed_idx.size == 0:
+    grid, n_in = m.grid, m.n_in
+    n_allowed = int(np.count_nonzero(allowed))
+    if n_allowed == 0:
         raise ValueError("empty witness support")
-    n_in = m.n_in
-    n_allowed = allowed_idx.size
+    # at most 5 single modes, the flat spectrum and one per annulus, then the restarts
+    max_starts = min(5, n_allowed) + 1 + _n_dyadic_annuli(grid) + budget.restarts
+    stack_bytes = 2 * max_starts * n_allowed * n_in * 16
+    if stack_bytes > _WITNESS_STACK_BYTES:
+        raise ValueError(
+            f"witness search too large: {max_starts} starts x {n_allowed} nodes x {n_in} "
+            f"components need {stack_bytes / 2**20:.0f} MB of search state, over the "
+            f"{_WITNESS_STACK_BYTES // 2**20} MB cap; lower budget.restarts or the grid size"
+        )
+    allowed_idx = np.flatnonzero(allowed)
 
     per_chunk = max(1, _BLOCK_BATCH_ENTRIES // (grid.n_nodes * max(n_in, m.n_out)))
 
@@ -369,50 +413,31 @@ def _witness_search(
 
     # structured starts: single modes at the largest symbol values,
     # a flat spectrum, and flat per-annulus spectra
-    starts = []
-    opn = m.opnorms()[allowed_idx]
-    order = np.argsort(opn)[::-1]
-    for pos in order[: min(5, n_allowed)]:
-        spec = np.zeros((n_allowed, n_in), dtype=np.complex128)
-        spec[pos] = _top_right_singular_vector(m.values[allowed_idx[pos]])
-        starts.append(spec)
-    flat = np.zeros((n_allowed, n_in), dtype=np.complex128)
-    flat[:, 0] = 1.0
-    starts.append(flat)
-    for mask in _dyadic_annulus_masks(grid):
-        sub = mask[allowed_idx]
-        if np.any(sub):
-            spec = np.zeros((n_allowed, n_in), dtype=np.complex128)
-            spec[sub, 0] = 1.0
-            starts.append(spec)
+    modes = np.argsort(m.opnorms()[allowed_idx])[::-1][: min(5, n_allowed)]
+    subs = [sub for sub in (mask[allowed_idx] for mask in _dyadic_annulus_masks(grid))
+            if np.any(sub)]
+    n_structured = len(modes) + 1 + len(subs)
 
-    def start(i, rng):
-        if i < len(starts):
-            return starts[i]
-        n_active = int(min(n_allowed, max(1, rng.integers(1, 33))))
-        idx = rng.choice(n_allowed, size=n_active, replace=False)
-        spec = np.zeros((n_allowed, n_in), dtype=np.complex128)
-        shape = (n_active, n_in)
-        spec[idx] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        return spec
-
-    def propose(spec, step, rng):
-        trial = spec.copy()
-        n_touch = int(min(n_allowed, 1 + rng.integers(0, 8)))
-        idx = rng.choice(n_allowed, size=n_touch, replace=False)
-        shape = (n_touch, n_in)
-        noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        trial[idx] = trial[idx] + step * noise
-        scale = np.abs(trial).max()
-        return trial / scale if scale > 0 else trial
+    def start(rngs):
+        states = np.zeros((len(rngs), n_allowed, n_in), dtype=np.complex128)
+        for i, pos in enumerate(modes):
+            states[i, pos] = _top_right_singular_vector(m.values[allowed_idx[pos]])
+        states[len(modes), :, 0] = 1.0
+        for i, sub in enumerate(subs, len(modes) + 1):
+            states[i, sub, 0] = 1.0
+        for i, rng in enumerate(rngs[n_structured:], n_structured):
+            n_active = int(min(n_allowed, max(1, rng.integers(1, 33))))
+            idx = rng.choice(n_allowed, size=n_active, replace=False)
+            states[i, idx] = _complex_normals(rng, (n_active, n_in))
+        return states
 
     # one zeroed chunk for the whole search, no larger than the lockstep
     # states: only the allowed nodes are ever written, and score_spectra
     # does not write into its input
-    n_starts = len(starts) + budget.restarts
+    n_starts = n_structured + budget.restarts
     fhats = np.zeros((min(per_chunk, n_starts), grid.n_nodes, n_in), dtype=np.complex128)
     best_val, _ = _hill_climb(
-        sampler, _OP_WITNESS, n_starts, start, propose, score_batch, budget
+        sampler, _OP_WITNESS, n_starts, start, _propose_witnesses, score_batch, budget
     )
     return best_val
 

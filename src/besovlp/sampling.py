@@ -10,10 +10,16 @@ the selection bias a maximizer would otherwise harvest from Monte-Carlo
 noise.  Every search runs the same restart/anneal/accept schedule,
 ``_hill_climb``; the searches differ only in their starts, their
 proposal move and their score.  The engine runs all starts in lockstep
-and scores each step's candidates with one batched call, so a search
-whose score vectorizes over candidates (the multiplier witness
-searches score a whole stack of spectra at once) pays the Python
-overhead once per step instead of once per candidate.
+through three batched hooks: start(rngs) gives every start's state,
+propose(states, step, rngs) every start's trial, and
+score_batch(states) every score, each in start order.  The states are
+whatever the search keeps them in: the gamma and type/cotype searches
+hold a list of per-state tuples or arrays and propose over it with a
+list comprehension, while the multiplier witness search holds one
+(S, n_allowed, n_in) array, so its noise, rescaling and scoring run
+once per step over the whole stack.  Acceptance is one mask over the
+scores, and the Python overhead is paid once per step instead of once
+per candidate.
 """
 
 from __future__ import annotations
@@ -50,6 +56,16 @@ class GaussianSampler:
     ) -> np.ndarray:
         rng = self.generator(op_code, stream)
         return _fill_complex_gaussians(rng, np.empty(shape, dtype=np.complex128))
+
+
+def _complex_normals(rng: np.random.Generator, shape) -> np.ndarray:
+    """re + 1j * im of real standard normals of the given shape (int or tuple).
+
+    One rng.standard_normal((2,) + shape) call: re is its first half and
+    im its second, the same bits as rng.standard_normal(shape) drawn twice.
+    """
+    z = rng.standard_normal((2,) + ((shape,) if np.ndim(shape) == 0 else tuple(shape)))
+    return z[0] + 1j * z[1]
 
 
 # real draws per scratch fill in _fill_complex_gaussians (1 MB)
@@ -130,35 +146,39 @@ class SearchBudget:
 
 def _hill_climb(sampler: GaussianSampler, op_code: int, n_starts: int, start: Callable,
                 propose: Callable, score_batch: Callable, budget: SearchBudget) -> tuple:
-    """Greedy annealed hill-climbing from n_starts starts in lockstep; (best_value, best_state).
+    """Greedy annealed hill-climbing from n_starts starts in lockstep; (best value, best state).
 
-    Start i draws from its own stream (op_code, 100 + i): its state is
-    start(i, rng), then budget.steps times trial = propose(state, step,
-    rng) replaces the state only if the trial scores strictly higher;
+    Start i draws from its own stream (op_code, 100 + i), rngs[i].  The
+    hooks are batched over the starts, in start order: states =
+    start(rngs), then budget.steps times trials = propose(states, step,
+    rngs), and score_batch(states) gives one float per state.  A start's
+    trial replaces its state only if it scores strictly higher (a NaN
+    never does): the rows of that mask are copied, states[i] = trials[i],
+    so states may be a list or an array whose first axis is the start.
     step begins at budget.initial_step and is multiplied by budget.anneal
-    after every trial.  The starts advance together, so one
-    score_batch(states) call scores every start's state (or trial) of a
-    step and returns one float per state, in order.  Each start's
-    trajectory is the one it would follow alone.  propose must copy
-    before it mutates, as starts may be shared.  The best state over the
-    starts wins (an earlier start wins ties); no starts give (-inf,
-    None).  No start depends on n_starts or on the other starts, so the
-    best value is monotone in (n_starts, steps).
+    after every step.  Each start's trajectory is the one it would follow
+    alone, as long as the hooks draw from rngs[i] only for start i.
+    propose must not mutate states, as starts may be shared.  The best
+    state over the starts wins, with its score as a float (an earlier
+    start wins ties, a NaN never wins); no starts, or none scoring above
+    -inf, give (-inf, None).  No start depends on n_starts or on the
+    other starts, so the best value is monotone in (n_starts, steps).
     """
     rngs = [sampler.generator(op_code, 100 + i) for i in range(n_starts)]
-    states = [start(i, rng) for i, rng in enumerate(rngs)]
-    if not states:
+    if not rngs:
         return -np.inf, None
-    values = list(score_batch(states))
+    states = start(rngs)
+    values = np.asarray(score_batch(states), dtype=float)
     step = budget.initial_step
     for _ in range(budget.steps):
-        trials = [propose(state, step, rng) for state, rng in zip(states, rngs)]
-        for i, tval in enumerate(score_batch(trials)):
-            if tval > values[i]:
-                values[i], states[i] = tval, trials[i]
+        trials = propose(states, step, rngs)
+        tvals = np.asarray(score_batch(trials), dtype=float)
+        better = tvals > values
+        for i in np.flatnonzero(better):
+            states[i] = trials[i]
+        values[better] = tvals[better]
         step *= budget.anneal
-    best_val, best = -np.inf, None
-    for val, state in zip(values, states):
-        if val > best_val:
-            best_val, best = val, state
-    return best_val, best
+    # argmax takes the first of equal maxima; a NaN counts as -inf
+    ranked = np.where(np.isnan(values), -np.inf, values)
+    best = int(np.argmax(ranked))
+    return (float(values[best]), states[best]) if ranked[best] > -np.inf else (-np.inf, None)

@@ -6,6 +6,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .sampling import _complex_normals
 from .spaces import GridFunction, GridSpec, ValueSpace, idft, lp_norm
 
 __all__ = [
@@ -48,7 +49,7 @@ def random_band_limited(
         mask[0] = False
     fhat = np.zeros((grid.n_nodes, dim), dtype=np.complex128)
     n = int(mask.sum())
-    fhat[mask] = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
+    fhat[mask] = _complex_normals(rng, (n, dim))
     return idft(GridFunction(grid, fhat, "frequency"))
 
 
@@ -104,10 +105,7 @@ def adversarial_l1_family(
     )
 
     def random_signs():
-        samples = rng.standard_normal((grid.n_nodes, dim)) + 1j * rng.standard_normal(
-            (grid.n_nodes, dim)
-        )
-        return GridFunction(grid, samples, "physical")
+        return GridFunction(grid, _complex_normals(rng, (grid.n_nodes, dim)), "physical")
 
     builders.append(random_signs)
 

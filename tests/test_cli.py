@@ -175,6 +175,8 @@ BAD_CONFIGS = [
     ("multiplier", dict(BASE, spaces={"domain": 3}),
      "config schema: spaces.domain must be an object, got 3"),
     ("multiplier", dict(BASE, grid=[64]), "config schema: grid must be an object, got [64]"),
+    ("multiplier", dict(BASE, budget={"restarts": 10**6, "steps": 5}),
+     "witness search too large"),
 ]
 
 

@@ -1,7 +1,9 @@
 import importlib.util
 import json
 import re
+import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,8 +36,19 @@ from besovlp import (
     verify_thm46,
 )
 from besovlp import GaussianSampler, besov_norm, dft, homogeneous_besov_norm, idft, lp_norm
-from besovlp.multiplier import OperatorSymbol, _besov_scorer, _lp_scorer
+from besovlp.gaussian import _top_right_singular_vector
+from besovlp.multiplier import (
+    _OP_WITNESS,
+    OperatorSymbol,
+    _besov_scorer,
+    _dyadic_annulus_masks,
+    _lp_scorer,
+    _propose_witnesses,
+    _witness_search,
+)
+from besovlp.sampling import _complex_normals
 from besovlp.testfunctions import random_band_limited, single_mode
+from test_search import _serial_hill_climb
 
 BUDGET = SearchBudget(restarts=8, steps=40, search_samples=2000)
 SAMPLER = GaussianSampler(321, 20000)
@@ -302,6 +315,119 @@ def test_batched_lp_scorer_equals_the_norm_quotient_exactly(shape, lp, p):
     assert got == _serial_ratios(m, fhats, lambda f: lp_norm(f, p, x),
                                  lambda g: lp_norm(g, 3.0, y))
     assert all(type(r) is float for r in got) and got[-1] == -np.inf
+
+
+# -- the lockstep witness search -------------------------------------------
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _per_state_propose(spec, step, rng):
+    """The witness proposal for one start, which the batched one replaced: the reference."""
+    n_allowed, n_in = spec.shape
+    trial = spec.copy()
+    n_touch = int(min(n_allowed, 1 + rng.integers(0, 8)))
+    idx = rng.choice(n_allowed, size=n_touch, replace=False)
+    shape = (n_touch, n_in)
+    noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    trial[idx] = trial[idx] + step * noise
+    scale = np.abs(trial).max()
+    return trial / scale if scale > 0 else trial
+
+
+def _per_state_witness_search(m, allowed, budget, sampler, score_spectra):
+    """The witness search on per-state hooks and the serial engine: the reference."""
+    grid, n_in = m.grid, m.n_in
+    allowed_idx = np.flatnonzero(allowed)
+    n_allowed = allowed_idx.size
+    starts = []
+    for pos in np.argsort(m.opnorms()[allowed_idx])[::-1][: min(5, n_allowed)]:
+        spec = np.zeros((n_allowed, n_in), dtype=np.complex128)
+        spec[pos] = _top_right_singular_vector(m.values[allowed_idx[pos]])
+        starts.append(spec)
+    for sub in [np.ones(n_allowed, dtype=bool)] + [
+            mask[allowed_idx] for mask in _dyadic_annulus_masks(grid)]:
+        if np.any(sub):
+            spec = np.zeros((n_allowed, n_in), dtype=np.complex128)
+            spec[sub, 0] = 1.0
+            starts.append(spec)
+
+    def start(i, rng):
+        if i < len(starts):
+            return starts[i]
+        n_active = int(min(n_allowed, max(1, rng.integers(1, 33))))
+        idx = rng.choice(n_allowed, size=n_active, replace=False)
+        spec = np.zeros((n_allowed, n_in), dtype=np.complex128)
+        shape = (n_active, n_in)
+        spec[idx] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return spec
+
+    def score(spec):
+        fhat = np.zeros((1, grid.n_nodes, n_in), dtype=np.complex128)
+        fhat[0, allowed_idx] = spec
+        return score_spectra(fhat)[0]
+
+    value, _ = _serial_hill_climb(sampler, _OP_WITNESS, len(starts) + budget.restarts,
+                                  start, _per_state_propose, score, budget)
+    return value
+
+
+@pytest.mark.parametrize("n_in", [1, 3])
+@pytest.mark.parametrize("n_allowed", [3, 64])
+def test_batched_witness_proposal_matches_the_per_state_reference(n_allowed, n_in):
+    # 3 nodes clamp the 1-8 touched nodes to the support
+    states = _complex_normals(np.random.default_rng(n_allowed + n_in), (6, n_allowed, n_in))
+    states[1] = 0.0
+    sampler = GaussianSampler(76)
+    rngs, ref_rngs = ([sampler.generator(_OP_WITNESS, 100 + i) for i in range(6)]
+                      for _ in range(2))
+    ref, step = list(states), 0.5
+    for _ in range(6):
+        before = states.copy()
+        trials = _propose_witnesses(states, step, rngs)
+        ref = [_per_state_propose(spec, step, rng) for spec, rng in zip(ref, ref_rngs)]
+        assert _same_bits(trials, np.stack(ref))
+        assert _same_bits(states, before)   # the states are left as they were
+        states, step = trials, step * 0.9
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 2)])
+def test_witness_searches_match_the_per_state_serial_reference(shape):
+    grid = GridSpec(1, 32, 1.0)
+    part = build_partition(grid)
+    m = _scorer_symbol(grid, shape, np.random.default_rng(74))
+    x, y = ValueSpace.lp(1.0, shape[1]), ValueSpace.lp(3.0, shape[0])
+    budget, sampler = SearchBudget(restarts=4, steps=12), GaussianSampler(75)
+    mean_zero = np.ones(grid.n_nodes, dtype=bool)
+    mean_zero[0] = False
+    got = estimate_multiplier_norm(m, 1.5, 3.0, x, y, budget, sampler, mean_zero=True)
+    assert type(got) is float
+    assert got == _per_state_witness_search(m, mean_zero, budget, sampler,
+                                            _lp_scorer(m, 1.5, 3.0, x, y))
+    src, dst = BesovParams(0.5, 1.5, 2.0), BesovParams(0.0, 3.0, 1.0)
+    got = besov_multiplier_norm_estimate(m, src, dst, part, x, y, budget, sampler)
+    assert got == _per_state_witness_search(
+        m, part.band_limit_mask(), budget, sampler,
+        _besov_scorer(m, src, dst, part, x, y, False))
+
+
+def test_witness_search_over_the_state_cap_is_refused_before_allocating():
+    # d = 2, N = 4096, 1000 restarts: 1018 starts x 2^24 nodes, about 509 GiB of
+    # states and trials; only the grid and the dimensions are read before the check
+    grid = GridSpec(2, 4096, 1.0)
+    allowed = np.ones(grid.n_nodes, dtype=bool)
+    stub = SimpleNamespace(grid=grid, n_in=1, n_out=1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="1018 starts x 16777216 nodes") as exc:
+            _witness_search(stub, allowed, SearchBudget(restarts=1000), GaussianSampler(0), None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "\n" not in str(exc.value)
+    assert peak < 2**20
 
 
 # -- compact support bound ---------------------------------------------------

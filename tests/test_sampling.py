@@ -7,7 +7,7 @@ import pytest
 from besovlp import GaussianSampler, MCEstimate, SearchBudget, ValueSpace
 from besovlp import gaussian
 from besovlp.gaussian import _chunked_moment
-from besovlp.sampling import _SCRATCH_ENTRIES
+from besovlp.sampling import _SCRATCH_ENTRIES, _complex_normals
 
 
 def _old_draw(rng, shape):
@@ -17,6 +17,15 @@ def _old_draw(rng, shape):
 
 def _same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("shape", [1, 7, (1,), (4, 3), (2, 5, 3)])
+def test_complex_normals_are_the_two_call_draw(shape):
+    rng, ref = np.random.default_rng(9), np.random.default_rng(9)
+    got = _complex_normals(rng, shape)
+    assert _same_bits(got, ref.standard_normal(shape) + 1j * ref.standard_normal(shape))
+    # the two calls consume the stream exactly as far as the one call
+    assert rng.random() == ref.random()
 
 
 def test_sampler_is_deterministic():

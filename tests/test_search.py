@@ -39,6 +39,12 @@ def test_search_results_match_golden_exactly():
         assert got[key] == value, key
 
 
+def _batched(start, propose):
+    """The engine's batched start and propose hooks over per-state functions."""
+    return (lambda rngs: [start(i, rng) for i, rng in enumerate(rngs)],
+            lambda states, step, rngs: [propose(s, step, rng) for s, rng in zip(states, rngs)])
+
+
 def _count_climb(n_starts, budget, scores):
     """Climb on integer states; score(state) = scores[state]; log every call."""
     log = []
@@ -52,7 +58,7 @@ def _count_climb(n_starts, budget, scores):
         return state + 1
 
     value, state = _hill_climb(
-        GaussianSampler(3), 7, n_starts, start, propose,
+        GaussianSampler(3), 7, n_starts, *_batched(start, propose),
         lambda states: [scores.get(s, 0.0) for s in states], budget,
     )
     return value, state, log
@@ -129,7 +135,7 @@ def test_lockstep_engine_matches_the_serial_reference(seed, steps, n_starts):
         return [score(s) for s in states]
 
     sampler, budget = GaussianSampler(seed), SearchBudget(steps=steps, anneal=0.8)
-    got = _hill_climb(sampler, 9, n_starts, start, propose, score_batch, budget)
+    got = _hill_climb(sampler, 9, n_starts, *_batched(start, propose), score_batch, budget)
     assert got == _serial_hill_climb(sampler, 9, n_starts, start, propose, score, budget)
     # one batched call per step, each over every start
     assert calls == ([n_starts] * (steps + 1) if n_starts else [])

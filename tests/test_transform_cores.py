@@ -76,12 +76,13 @@ def test_transform_stack_equals_the_plain_fft_exactly(grid, dim):
     assert _same_bits(buf, fwd.reshape(stack.shape))
 
 
-@pytest.mark.parametrize("per_batch", [None, 1, 2, 5])
+@pytest.mark.parametrize("per_batch", [None, 1, 2, 3, 5, 6])
 @pytest.mark.parametrize("dim", [1, 3])
 @pytest.mark.parametrize("grid", GRIDS, ids=["d1", "d2", "d3"])
 def test_block_batches_equal_the_plain_expression_exactly(grid, dim, per_batch, monkeypatch):
     # per_batch blocks per transform against 3 rows per spectrum: batches
-    # of 2 and 5 span several spectra; None keeps the 1 MB default
+    # of 2 and 5 split spectra, batches of 3 and 6 hold exactly one and two
+    # whole spectra, and None keeps the 1 MB default (all four whole)
     if per_batch is not None:
         monkeypatch.setattr(dyadic, "_BLOCK_BATCH_ENTRIES", per_batch * grid.n_nodes * dim)
     rng = np.random.default_rng(42)
@@ -113,7 +114,7 @@ def _row_set(part, name):
     return np.concatenate([part.phi_hat[:2], extra, part.phi_hat[2:]])
 
 
-@pytest.mark.parametrize("per_batch", [None, 1, 2, 5])
+@pytest.mark.parametrize("per_batch", [None, 1, 2, 3, 5, 6])
 @pytest.mark.parametrize("dim", [1, 3])
 @pytest.mark.parametrize("row_set", ["phi", "psi", "zero_row", "nyquist"])
 @pytest.mark.parametrize("grid", PRUNED_GRIDS, ids=["d2-16", "d2-64", "d3-16"])
