@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import tempfile
+import time
 from functools import partial
 from pathlib import Path
 from typing import Optional
@@ -644,7 +645,9 @@ def run_suite(directory, out=None, report_dir=None, **kwargs):
     """Run every scenario in a directory; aggregate pass/fail matrix.
 
     A scenario that ends in a usage or config error is recorded as
-    'error' and the rest still run; the suite then exits 1.  With
+    'error' and the rest still run; the suite then exits 1.  Each
+    scenario's elapsed wall-clock time goes to stderr, so the reports
+    and the stdout matrix stay deterministic.  With
     report_dir set, each scenario's report JSON is written there under
     the scenario's file name.
     """
@@ -657,7 +660,9 @@ def run_suite(directory, out=None, report_dir=None, **kwargs):
     results = {}
     for f in files:
         per_out = str(Path(report_dir) / f.name) if report_dir else None
+        began = time.perf_counter()
         results[f.name] = run_scenario(f, out_override=per_out, **kwargs)
+        print(f"[suite] {f.name}: {time.perf_counter() - began:.3f} s", file=sys.stderr)
 
     matrix = {}
     for fname in sorted(results):

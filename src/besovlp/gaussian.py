@@ -22,6 +22,7 @@ import numpy as np
 
 from .reports import VerificationReport
 from .sampling import (
+    _SEARCH_BYTES_CAP,
     GaussianSampler,
     MCEstimate,
     SearchBudget,
@@ -145,6 +146,22 @@ def gaussian_moment(
     return _chunked_moment(arr, space, sampler, _OP_MOMENT, 0)
 
 
+def _frozen_draw(sampler: GaussianSampler, budget: SearchBudget, op_code: int) -> np.ndarray:
+    """The (min(search_samples, n_samples), max_vectors) draw a search climbs against.
+
+    A draw over _SEARCH_BYTES_CAP is refused before it is allocated.
+    """
+    shape = (min(budget.search_samples, sampler.n_samples), budget.max_vectors)
+    draw_bytes = shape[0] * shape[1] * 16
+    if draw_bytes > _SEARCH_BYTES_CAP:
+        raise ValueError(
+            f"Gaussian search too large: its frozen draw of {shape[0]} samples x {shape[1]} "
+            f"vectors needs {draw_bytes / 2**20:.0f} MB, over the {_SEARCH_BYTES_CAP // 2**20} "
+            f"MB cap; lower budget.search_samples or budget.max_vectors"
+        )
+    return sampler.complex_gaussians(shape, op_code, 0)
+
+
 # ---------------------------------------------------------------------------
 # type / cotype searches
 # ---------------------------------------------------------------------------
@@ -166,9 +183,8 @@ def _search_vector_families(
     if budget.restarts < 1:
         raise ValueError(f"type/cotype searches need restarts >= 1, got {budget.restarts}")
     dim = space.dim
-    n_search = min(budget.search_samples, sampler.n_samples)
     Kmax = budget.max_vectors
-    g_all = sampler.complex_gaussians((n_search, Kmax), op_code, 0)
+    g_all = _frozen_draw(sampler, budget, op_code)
 
     def start_one(i, rng):
         if i < 3:  # a single vector, aligned copies, the coordinate family
@@ -292,77 +308,85 @@ def gamma_bound_search(
 
     The climb scores configurations (member assignment + vectors) against
     one frozen Gaussian draw; numerator and denominator share the draw,
-    so the ratio is exactly 1-homogeneous in the family.  The final value
-    is the fresh-draw score of the best configuration (warm starts from a
-    sub-family are rescored here too, which makes the estimate monotone
-    under family growth).  A warm start holds at most budget.max_vectors
-    vectors.
+    so the ratio is exactly 1-homogeneous in the family.  The denominator
+    depends on the vectors only, so each state carries it: it is computed
+    once per distinct structured vector stack, once per restart and warm
+    start, and once per vector move, while an assignment-only move keeps
+    its state's vectors and denominator and is scored by its numerator
+    alone.  The final value is the fresh-draw score of the best
+    configuration (warm starts from a sub-family are rescored here too,
+    which makes the estimate monotone under family growth).  A warm start
+    holds at most budget.max_vectors vectors.  A frozen draw of more than
+    _SEARCH_BYTES_CAP (1 GiB) is refused before it is allocated.
     """
     X, Y = family.domain_space, family.codomain_space
     n_in = family.n_in
     n_members = len(family)
-    n_search = min(budget.search_samples, sampler.n_samples)
     Kmax = budget.max_vectors
     if warm_start is not None and len(warm_start.vectors) > Kmax:
         raise ValueError(
             f"warm start holds {len(warm_start.vectors)} vectors, more than "
             f"budget.max_vectors = {Kmax}"
         )
-    g_all = sampler.complex_gaussians((n_search, Kmax), _OP_GAMMA, 0)
+    g_all = _frozen_draw(sampler, budget, _OP_GAMMA)
 
     members = np.stack(family.members)  # (M, n_out, n_in)
 
+    def den_of(vectors):
+        return _moment_from_draw(vectors, g_all[:, : vectors.shape[0]], X)
+
     def ratio_of(state):
-        assignment, vectors = state
-        g = g_all[:, : vectors.shape[0]]
-        den = _moment_from_draw(vectors, g, X)
+        assignment, vectors, den = state
         if den == 0.0:
             return -np.inf
         mapped = np.einsum("koi,ki->ko", members[assignment], vectors)
-        num = _moment_from_draw(mapped, g, Y)
-        return num / den
+        return _moment_from_draw(mapped, g_all[:, : vectors.shape[0]], Y) / den
 
+    # a state is (assignment, vectors, den of the vectors)
     configs = []
     # structured starts: each member on its own top singular direction,
     # then, when the budget allows two vectors, member pairs on canonical
-    # and sign-pattern vector pairs
+    # and sign-pattern vector pairs; the pair configs share 4 vector stacks
     for j in range(min(n_members, 8)):
-        configs.append(
-            (np.array([j]), _top_right_singular_vector(family.members[j])[None, :])
-        )
+        vectors = _top_right_singular_vector(family.members[j])[None, :]
+        configs.append((np.array([j]), vectors, den_of(vectors)))
     if n_in >= 2 and Kmax >= 2:
         e1 = np.zeros(n_in, dtype=np.complex128)
         e2 = np.zeros(n_in, dtype=np.complex128)
         e1[0] = 1.0
         e2[1] = 1.0
         pairs = [(e1, e2), ((e1 + e2) / 2.0, (e1 - e2) / 2.0), (e1, e1), (e2, e2)]
+        stacks = [(v, den_of(v)) for v in map(np.stack, pairs)]
         for i in range(min(n_members, 4)):
             for j in range(min(n_members, 4)):
-                for va, vb in pairs:
-                    configs.append((np.array([i, j]), np.stack([va, vb])))
+                for vectors, den in stacks:
+                    configs.append((np.array([i, j]), vectors, den))
     if warm_start is not None:
-        configs.append(
-            (warm_start.assignment.copy(), np.array(warm_start.vectors, dtype=np.complex128))
-        )
+        vectors = np.array(warm_start.vectors, dtype=np.complex128)
+        configs.append((warm_start.assignment.copy(), vectors, den_of(vectors)))
 
     def start_one(i, rng):
         if i < len(configs):
             return configs[i]
         K = int(rng.integers(1, Kmax + 1))
         assignment = rng.integers(0, n_members, size=K)
-        return assignment, _complex_normals(rng, (K, n_in))
+        vectors = _complex_normals(rng, (K, n_in))
+        return assignment, vectors, den_of(vectors)
 
     def move(state, step, rng):
-        trial_a, trial_v = state[0].copy(), state[1].copy()
-        idx = int(rng.integers(0, trial_v.shape[0]))
+        # an assignment-only move keeps the vectors, and with them den
+        assignment, vectors, den = state
+        idx = int(rng.integers(0, vectors.shape[0]))
         if n_members > 1 and rng.random() < 0.2:
+            trial_a = assignment.copy()
             trial_a[idx] = rng.integers(0, n_members)
-        else:
-            trial_v[idx] = trial_v[idx] + step * _complex_normals(rng, n_in)
-            scale = np.max(X.norm_rows(trial_v))
-            if scale > 0:
-                trial_v = trial_v / scale
-        return trial_a, trial_v
+            return trial_a, vectors, den
+        trial_v = vectors.copy()
+        trial_v[idx] = trial_v[idx] + step * _complex_normals(rng, n_in)
+        scale = np.max(X.norm_rows(trial_v))
+        if scale > 0:
+            trial_v = trial_v / scale
+        return assignment, trial_v, den_of(trial_v)
 
     _, best = _hill_climb(
         sampler, _OP_GAMMA, len(configs) + budget.restarts,
@@ -373,7 +397,7 @@ def gamma_bound_search(
 
     # fresh-draw scoring; the warm start is rescored alongside the search
     # winner so the estimate never drops when the family grows
-    finalists = [best]
+    finalists = [best[:2]]
     if warm_start is not None:
         finalists.append((warm_start.assignment, warm_start.vectors))
     scored = []

@@ -45,7 +45,13 @@ from .dyadic import (
 )
 from .gaussian import MatrixFamily, gamma_bound_lower, _top_right_singular_vector
 from .reports import VerificationReport
-from .sampling import GaussianSampler, SearchBudget, _complex_normals, _hill_climb
+from .sampling import (
+    _SEARCH_BYTES_CAP,
+    GaussianSampler,
+    SearchBudget,
+    _complex_normals,
+    _hill_climb,
+)
 from .spaces import (
     DimensionMismatchError,
     GridFunction,
@@ -86,8 +92,6 @@ __all__ = [
 ]
 
 _OP_WITNESS = 20
-# bytes the lockstep witness state and trial stacks may take together (1 GiB)
-_WITNESS_STACK_BYTES = 2**30
 
 
 @dataclass
@@ -381,7 +385,7 @@ def _witness_search(
     _BLOCK_BATCH_ENTRIES samples, each scattered into one zeroed buffer,
     which bounds the scoring memory however many starts run.  The state
     and trial stacks are capped: a search whose starts could need more
-    than _WITNESS_STACK_BYTES for them is refused before anything is
+    than _SEARCH_BYTES_CAP for them is refused before anything is
     allocated.  The score is deterministic, so the search is exact
     greedy hill-climbing; the schedule is prefix-stable in (restarts,
     steps), which makes the returned value monotone in the budget.
@@ -393,11 +397,11 @@ def _witness_search(
     # at most 5 single modes, the flat spectrum and one per annulus, then the restarts
     max_starts = min(5, n_allowed) + 1 + _n_dyadic_annuli(grid) + budget.restarts
     stack_bytes = 2 * max_starts * n_allowed * n_in * 16
-    if stack_bytes > _WITNESS_STACK_BYTES:
+    if stack_bytes > _SEARCH_BYTES_CAP:
         raise ValueError(
             f"witness search too large: {max_starts} starts x {n_allowed} nodes x {n_in} "
             f"components need {stack_bytes / 2**20:.0f} MB of search state, over the "
-            f"{_WITNESS_STACK_BYTES // 2**20} MB cap; lower budget.restarts or the grid size"
+            f"{_SEARCH_BYTES_CAP // 2**20} MB cap; lower budget.restarts or the grid size"
         )
     allowed_idx = np.flatnonzero(allowed)
 

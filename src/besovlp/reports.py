@@ -29,8 +29,9 @@ class VerificationReport:
     """Measured quantity vs. theoretical bound with a pass/fail verdict.
 
     verdict is 'pass' iff the measured value is finite and nonnegative
-    and ratio <= 1 + tolerance; metadata echoes the resolved parameters
-    and seeds for auditability.
+    and ratio <= 1 + tolerance.  A zero measured against a zero bound has
+    ratio 0; any value against a negative or NaN bound has ratio inf.
+    metadata echoes the resolved parameters and seeds for auditability.
     """
 
     measured: float
@@ -46,9 +47,10 @@ class VerificationReport:
     ) -> "VerificationReport":
         if bound > 0:
             ratio = measured / bound
-        elif measured == 0.0:
+        elif bound == 0.0 and measured == 0.0:
             ratio = 0.0
         else:
+            # a negative or NaN bound admits nothing, not even a zero
             ratio = np.inf
         valid = math.isfinite(measured) and measured >= 0.0
         verdict = "pass" if valid and ratio <= 1.0 + tolerance else "fail"

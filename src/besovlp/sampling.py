@@ -68,6 +68,9 @@ def _complex_normals(rng: np.random.Generator, shape) -> np.ndarray:
     return z[0] + 1j * z[1]
 
 
+# bytes one search may hold in its state stack or its frozen Gaussian draw (1 GiB)
+_SEARCH_BYTES_CAP = 2**30
+
 # real draws per scratch fill in _fill_complex_gaussians (1 MB)
 _SCRATCH_ENTRIES = 2**17
 

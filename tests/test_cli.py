@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -177,6 +178,14 @@ BAD_CONFIGS = [
     ("multiplier", dict(BASE, grid=[64]), "config schema: grid must be an object, got [64]"),
     ("multiplier", dict(BASE, budget={"restarts": 10**6, "steps": 5}),
      "witness search too large"),
+    # l^1 -> l^inf makes prop43 search the gamma-bound; its frozen draw of
+    # 10^6 samples x 10^5 vectors would take 1.5 TiB
+    ("verify prop43",
+     dict(BASE, operation={"name": "verify", "target": "prop43",
+                           "params": {"cube": [1.0, 9.0], "p": 1.0, "q": "inf"}},
+          spaces={"domain": {"p": 1.0}, "codomain": {"p": "inf"}}, n_samples=10**6,
+          budget={"search_samples": 10**6, "max_vectors": 10**5}),
+     "Gaussian search too large"),
 ]
 
 
@@ -271,6 +280,18 @@ def test_suite_records_errors_and_keeps_going(tmp_path, capsys):
     assert main(["suite", str(tmp_path), "--out", str(out)]) == EXIT_USAGE
     matrix = json.loads(out.read_text())["suite"]
     assert matrix == {"a-bad.json": "error", "b-bad.json": "error", "c-ok.json": "pass"}
+
+
+def test_suite_times_each_scenario_on_stderr_only(tmp_path, capsys):
+    write(tmp_path, "a-ok.json", BASE)
+    write(tmp_path, "b-bad.json", NULL_ALPHA)
+    assert run_suite(tmp_path, report_dir=tmp_path / "reports") == EXIT_USAGE
+    captured = capsys.readouterr()
+    timings = [line for line in captured.err.splitlines() if line.startswith("[suite] ")]
+    assert [line.split(": ")[0] for line in timings] == ["[suite] a-ok.json", "[suite] b-bad.json"]
+    for line in timings:
+        assert re.fullmatch(r"\[suite\] [a-z-]+\.json: \d+\.\d{3} s", line)
+    assert " s\n" not in captured.out
 
 
 def test_suite_reports_match_golden_checksums(tmp_path, capsys):

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from besovlp import (
+    GaussianSampler,
     GridFunction,
     GridSpec,
     MatrixFamily,
@@ -21,7 +23,15 @@ from besovlp import (
     lp_norm,
     type_constant_lower,
 )
-from besovlp.gaussian import _moment_from_draw
+from besovlp import gaussian
+from besovlp.gaussian import (
+    _OP_GAMMA,
+    GammaSearchResult,
+    _chunked_moment,
+    _moment_from_draw,
+    _top_right_singular_vector,
+)
+from besovlp.sampling import _complex_normals, _hill_climb
 from besovlp.testfunctions import random_band_limited, single_mode
 
 BUDGET = SearchBudget(restarts=16, steps=60, max_vectors=8, search_samples=3000)
@@ -216,6 +226,214 @@ def test_gamma_monotone_under_family_growth(sampler, rng):
     r_small = gamma_bound_search(fam_small, budget, sampler)
     r_big = gamma_bound_search(fam_big, budget, sampler, warm_start=r_small)
     assert r_big.value >= r_small.value - 1e-12
+
+
+# -- the search state carries its denominator --------------------------------
+
+
+def _reference_gamma_search(family, budget, sampler, warm_start=None):
+    """gamma_bound_search as it was before states carried their denominator:
+    ratio_of recomputes the X-space moment of every state it scores."""
+    X, Y = family.domain_space, family.codomain_space
+    n_in, n_members, Kmax = family.n_in, len(family), budget.max_vectors
+    n_search = min(budget.search_samples, sampler.n_samples)
+    g_all = sampler.complex_gaussians((n_search, Kmax), _OP_GAMMA, 0)
+    members = np.stack(family.members)
+
+    def ratio_of(state):
+        assignment, vectors = state
+        g = g_all[:, : vectors.shape[0]]
+        den = _moment_from_draw(vectors, g, X)
+        if den == 0.0:
+            return -np.inf
+        mapped = np.einsum("koi,ki->ko", members[assignment], vectors)
+        return _moment_from_draw(mapped, g, Y) / den
+
+    configs = [(np.array([j]), _top_right_singular_vector(family.members[j])[None, :])
+               for j in range(min(n_members, 8))]
+    if n_in >= 2 and Kmax >= 2:
+        e1 = np.zeros(n_in, dtype=np.complex128)
+        e2 = np.zeros(n_in, dtype=np.complex128)
+        e1[0] = 1.0
+        e2[1] = 1.0
+        pairs = [(e1, e2), ((e1 + e2) / 2.0, (e1 - e2) / 2.0), (e1, e1), (e2, e2)]
+        for i in range(min(n_members, 4)):
+            for j in range(min(n_members, 4)):
+                for va, vb in pairs:
+                    configs.append((np.array([i, j]), np.stack([va, vb])))
+    if warm_start is not None:
+        configs.append((warm_start.assignment.copy(),
+                        np.array(warm_start.vectors, dtype=np.complex128)))
+
+    def start_one(i, rng):
+        if i < len(configs):
+            return configs[i]
+        K = int(rng.integers(1, Kmax + 1))
+        assignment = rng.integers(0, n_members, size=K)
+        return assignment, _complex_normals(rng, (K, n_in))
+
+    def move(state, step, rng):
+        trial_a, trial_v = state[0].copy(), state[1].copy()
+        idx = int(rng.integers(0, trial_v.shape[0]))
+        if n_members > 1 and rng.random() < 0.2:
+            trial_a[idx] = rng.integers(0, n_members)
+        else:
+            trial_v[idx] = trial_v[idx] + step * _complex_normals(rng, n_in)
+            scale = np.max(X.norm_rows(trial_v))
+            if scale > 0:
+                trial_v = trial_v / scale
+        return trial_a, trial_v
+
+    _, best = _hill_climb(
+        sampler, _OP_GAMMA, len(configs) + budget.restarts,
+        lambda rngs: [start_one(i, rng) for i, rng in enumerate(rngs)],
+        lambda states, step, rngs: [move(st, step, rng) for st, rng in zip(states, rngs)],
+        lambda states: [ratio_of(st) for st in states], budget,
+    )
+    finalists = [best]
+    if warm_start is not None:
+        finalists.append((warm_start.assignment, warm_start.vectors))
+    scored = []
+    for assignment, vecs in finalists:
+        den = _chunked_moment(vecs, X, sampler, _OP_GAMMA, 1)
+        mapped = np.einsum("koi,ki->ko", members[assignment], vecs)
+        num = _chunked_moment(mapped, Y, sampler, _OP_GAMMA, 2)
+        value = num.value / den.value if den.value > 0 else 0.0
+        scored.append(GammaSearchResult(value=value, assignment=assignment, vectors=vecs))
+    return max(scored, key=lambda r: r.value)
+
+
+def _assert_same_bits(got, want):
+    assert np.float64(got.value).view(np.int64) == np.float64(want.value).view(np.int64)
+    assert np.array_equal(got.assignment, want.assignment)
+    assert got.assignment.dtype == want.assignment.dtype
+    assert np.array_equal(np.ascontiguousarray(got.vectors).view(np.int64),
+                          np.ascontiguousarray(want.vectors).view(np.int64))
+
+
+def _benchmark_family(seed=0):
+    # the first 16-member random 3x3 l^1 -> l^inf family of the gamma-search benchmark
+    rng = np.random.default_rng(seed)
+    return MatrixFamily(tuple(rng.standard_normal((3, 3)) for _ in range(16)),
+                        ValueSpace.lp(1.0, 3), ValueSpace.lp(np.inf, 3))
+
+
+BENCH_BUDGET = SearchBudget(restarts=2, steps=5)
+BENCH_SAMPLER = GaussianSampler(4242)
+SMALL_SAMPLER = GaussianSampler(7, 2000)
+L1_2, L4_2 = ValueSpace.lp(1.0, 2), ValueSpace.lp(4.0, 2)
+
+
+def test_carried_denominator_matches_the_reference_on_the_benchmark_family():
+    fam = _benchmark_family()
+    _assert_same_bits(gamma_bound_search(fam, BENCH_BUDGET, BENCH_SAMPLER),
+                      _reference_gamma_search(fam, BENCH_BUDGET, BENCH_SAMPLER))
+
+
+@pytest.mark.parametrize("restarts", [0, 2, 8])
+@pytest.mark.parametrize("steps", [0, 5, 20])
+def test_carried_denominator_matches_the_reference_over_budgets(restarts, steps):
+    fam = _benchmark_family(1)
+    budget = SearchBudget(restarts=restarts, steps=steps, search_samples=500)
+    _assert_same_bits(gamma_bound_search(fam, budget, SMALL_SAMPLER),
+                      _reference_gamma_search(fam, budget, SMALL_SAMPLER))
+
+
+@pytest.mark.parametrize("case", ["one member", "n_in = 1", "max_vectors = 1", "warm start"])
+def test_carried_denominator_matches_the_reference(case):
+    rng = np.random.default_rng(5)
+    budget = SearchBudget(restarts=4, steps=12, search_samples=500)
+    warm = None
+    if case == "one member":
+        fam = MatrixFamily((rng.standard_normal((2, 2)),), L1_2, L4_2)
+    elif case == "n_in = 1":
+        fam = MatrixFamily(tuple(rng.standard_normal((2, 1)) for _ in range(5)),
+                           ValueSpace.lp(1.0, 1), L4_2)
+    elif case == "max_vectors = 1":
+        fam = MatrixFamily(tuple(rng.standard_normal((2, 2)) for _ in range(5)), L1_2, L4_2)
+        budget = SearchBudget(restarts=4, steps=12, max_vectors=1, search_samples=500)
+    else:
+        mats = tuple(rng.standard_normal((2, 2)) for _ in range(6))
+        warm = gamma_bound_search(MatrixFamily(mats[:3], L1_2, L4_2), budget, SMALL_SAMPLER)
+        fam = MatrixFamily(mats, L1_2, L4_2)
+    _assert_same_bits(gamma_bound_search(fam, budget, SMALL_SAMPLER, warm),
+                      _reference_gamma_search(fam, budget, SMALL_SAMPLER, warm))
+
+
+def _count_moments(monkeypatch, family, budget, sampler, warm_start=None):
+    """(X-space moments, Y-space moments, random vector draws) of one search."""
+    counts = {"X": 0, "Y": 0, "draws": 0}
+
+    def moment(vectors, g, space):
+        counts["X" if space is family.domain_space else "Y"] += 1
+        return _moment_from_draw(vectors, g, space)
+
+    def normals(rng, shape):
+        counts["draws"] += 1
+        return _complex_normals(rng, shape)
+
+    monkeypatch.setattr(gaussian, "_moment_from_draw", moment)
+    monkeypatch.setattr(gaussian, "_complex_normals", normals)
+    gamma_bound_search(family, budget, sampler, warm_start)
+    monkeypatch.undo()
+    return counts["X"], counts["Y"], counts["draws"]
+
+
+def test_benchmark_search_computes_756_moments_instead_of_888(monkeypatch):
+    # 74 starts scored 6 times is 444 numerators; the denominators: 8
+    # singular vectors, 4 pair stacks, 2 restarts and one per vector move
+    for seed in range(3):
+        n_x, n_y, draws = _count_moments(monkeypatch, _benchmark_family(seed),
+                                         BENCH_BUDGET, BENCH_SAMPLER)
+        assert n_y == 444
+        assert n_x + n_y == 756
+        # every restart start and every vector move draws once
+        assert n_x == 8 + 4 + draws
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_only_distinct_stacks_restarts_and_vector_moves_compute_a_denominator(
+        monkeypatch, warm):
+    rng = np.random.default_rng(11)
+    mats = tuple(rng.standard_normal((2, 2)) for _ in range(6))
+    budget = SearchBudget(restarts=3, steps=15, search_samples=500)
+    warm_start = (gamma_bound_search(MatrixFamily(mats[:2], L1_2, L4_2), budget, SMALL_SAMPLER)
+                  if warm else None)
+    fam = MatrixFamily(mats, L1_2, L4_2)
+    n_x, n_y, draws = _count_moments(monkeypatch, fam, budget, SMALL_SAMPLER, warm_start)
+    n_starts = 6 + 4 * 4 * 4 + warm + 3
+    assert n_y == n_starts * (budget.steps + 1)
+    # draws counts the restart starts and the vector moves; the
+    # assignment-only moves, about a fifth of all, add no X-space moment
+    assert n_x == 6 + 4 + warm + draws
+    assert n_x < n_y - n_starts * budget.steps // 10
+
+
+def test_one_member_search_moves_only_vectors(monkeypatch):
+    # a one-member family has no assignment moves and 1 + 4 distinct stacks,
+    # so every scored state computes its own denominator
+    fam = MatrixFamily((np.array([[1.0, 2.0], [0.5, -1.0]]),), L1_2, L4_2)
+    budget = SearchBudget(restarts=3, steps=10, search_samples=500)
+    n_x, n_y, _ = _count_moments(monkeypatch, fam, budget, SMALL_SAMPLER)
+    assert n_x == n_y == (5 + 3) * 11
+
+
+def test_gaussian_search_over_the_draw_cap_is_refused_before_allocating():
+    # 2^20 samples x 2^20 vectors would take 16 TiB
+    fam = MatrixFamily((np.eye(2),), L1_2, L4_2)
+    budget = SearchBudget(max_vectors=2**20, search_samples=2**20)
+    sampler = GaussianSampler(0, 2**20)
+    tracemalloc.start()
+    try:
+        for search in (lambda: gamma_bound_search(fam, budget, sampler),
+                       lambda: type_constant_lower(L4_2, 1.5, budget, sampler)):
+            with pytest.raises(ValueError, match="1048576 samples x 1048576 vectors") as exc:
+                search()
+            assert "\n" not in str(exc.value)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # -- gamma function norms ----------------------------------------------------

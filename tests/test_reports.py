@@ -14,6 +14,18 @@ def test_non_finite_or_negative_measured_never_passes(measured):
     assert not rep.passed
 
 
+@pytest.mark.parametrize("bound", [-1.0, -math.inf, math.nan])
+def test_zero_measured_against_a_bad_bound_fails(bound):
+    rep = VerificationReport.build(0.0, bound, 0.0)
+    assert rep.ratio == math.inf
+    assert rep.verdict == "fail"
+
+
+def test_zero_measured_against_a_zero_bound_has_ratio_zero():
+    rep = VerificationReport.build(0.0, 0.0, 0.0)
+    assert rep.ratio == 0.0
+    assert rep.verdict == "pass"
+
 
 def test_numpy_infinity_in_metadata_renders_as_valid_json():
     rep = VerificationReport.build(
