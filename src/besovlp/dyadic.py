@@ -40,8 +40,9 @@ from .spaces import (
     _idft_scale,
     _idft_stack,
     _lp_combine,
-    _lp_norms,
+    _lp_norms_by_run,
     _lp_rows,
+    _lp_runs,
 )
 
 __all__ = [
@@ -374,14 +375,12 @@ def _block_norms(
     return [lp_norm(GridFunction(f.grid, b, "physical"), p, space) for b in blocks]
 
 
-def _besov_weights(part: DyadicPartition, params: BesovParams, homogeneous: bool) -> tuple:
-    """(rows, extents, weights) of a Besov norm: phi_hat and its slab extents
-    with 2^(ks) over k = 0..k_max as one array power, or psi_hat and its
-    extents with 2^(ks) over hom_ks as scalar powers."""
+def _besov_weights(part: DyadicPartition, params: BesovParams, homogeneous: bool) -> np.ndarray:
+    """The block weights of a Besov norm: 2^(ks) over k = 0..k_max as one
+    array power, or over hom_ks as scalar powers."""
     if homogeneous:
-        return (part.psi_hat, part.psi_extents,
-                np.asarray([2.0 ** (k * params.s) for k in part.hom_ks]))
-    return part.phi_hat, part.phi_extents, 2.0 ** (np.arange(part.k_max + 1) * params.s)
+        return np.asarray([2.0 ** (k * params.s) for k in part.hom_ks])
+    return 2.0 ** (np.arange(part.k_max + 1) * params.s)
 
 
 def lp_blocks(f: GridFunction, part: DyadicPartition) -> np.ndarray:
@@ -403,7 +402,7 @@ def besov_norm(
     """
     _require_physical(f, part)
     _require_band_limited(part, _node_power(dft(f).samples))
-    _, _, weights = _besov_weights(part, params, homogeneous=False)
+    weights = _besov_weights(part, params, homogeneous=False)
     norms = np.array(_block_norms(f, lp_blocks(f, part), params.p, space))
     return _lp_combine(weights * norms, params.v)
 
@@ -425,34 +424,77 @@ def homogeneous_besov_norm(
     power = _node_power(fhat)
     _require_mean_zero(power)
     _require_band_limited(part, power)
-    rows, extents, weights = _besov_weights(part, params, homogeneous=True)
-    norms = np.array(_block_norms(f, _blocks(fhat, rows, part.grid, extents), params.p, space))
+    weights = _besov_weights(part, params, homogeneous=True)
+    blocks = _blocks(fhat, part.psi_hat, part.grid, part.psi_extents)
+    norms = np.array(_block_norms(f, blocks, params.p, space))
     return _lp_combine(weights * norms, params.v)
 
 
-def _besov_norms(
-    spectra: np.ndarray,
-    params: BesovParams,
-    part: DyadicPartition,
-    space: ValueSpace,
-    homogeneous: bool,
-) -> list:
-    """besov_norm (or homogeneous_besov_norm) of idft(fhat) for each spectrum
-    fhat of a stack (S, n_nodes, dim), bit for bit.
+def _stack_batches(stacks: list):
+    """The members of stacks of spectra (S_i, n_nodes, dim), end to end, in
+    batches of at most _BLOCK_BATCH_ENTRIES samples; yields (index of the
+    batch's first member, batch).
 
-    The stack takes the same idft/dft round trip as those norms' inputs
-    (skipping it would move the last bits), the same guards, and the
-    block core with each transform batch reduced as soon as it is done.
+    Each batch is copied into one buffer that is reused, so a caller may
+    transform it in place, and a yielded batch is valid only until the
+    next one.  Stacks need not share an array: a batch may take members
+    of two of them, so holding them together costs no joint copy.
+    """
+    sizes = [len(stack) for stack in stacks]
+    total = sum(sizes)
+    per_batch = max(1, _BLOCK_BATCH_ENTRIES // math.prod(stacks[0].shape[1:]))
+    buf = np.empty((min(per_batch, total),) + stacks[0].shape[1:], dtype=np.complex128)
+    for j in range(0, total, per_batch):
+        batch = buf[:min(per_batch, total - j)]
+        first = 0
+        for stack, size in zip(stacks, sizes):
+            lo, hi = max(j, first), min(j + len(batch), first + size)
+            if hi > lo:
+                batch[lo - j:hi - j] = stack[lo - first:hi - first]
+            first += size
+        yield j, batch
+
+
+def _besov_norms(sides: list, part: DyadicPartition, homogeneous: bool) -> list:
+    """besov_norm (or homogeneous_besov_norm) of idft(fhat) for each spectrum
+    fhat of the stacks (S_i, n_nodes, dim) that sides lists, bit for bit.
+
+    sides lists (spectra, params, space), one stack per side; the norms
+    come back side after side, each with its side's params and value
+    space.  The sides go through one pass, end to end, in the batches of
+    _stack_batches (at most _BLOCK_BATCH_ENTRIES samples, one spectrum
+    per FFT call at d = 2, N = 256): per batch the same idft/dft round
+    trip as those norms' inputs (skipping it would move the last bits),
+    the guards, and the block core, each transform batch reduced as soon
+    as it is done, with one _lp_norms call per run of sides sharing p and
+    the value space that it meets.  Each side then combines its block
+    norms with its own weights and v.  Every transform and reduction acts
+    per line or per row, so a spectrum's norm has the same bits whatever
+    shares its batch.
     """
     grid = part.grid
-    fhats = _idft_stack(spectra, grid)
-    _dft_stack(fhats, grid, out=fhats)
-    power = _node_power(fhats)
-    if homogeneous:
-        _require_mean_zero(power)
-    _require_band_limited(part, power)
-    rows, extents, weights = _besov_weights(part, params, homogeneous)
-    norms = []
-    for batch in _block_batches(fhats, rows, grid, extents=extents):
-        norms += _lp_norms(batch, params.p, space, grid.cell_volume)
-    return _lp_rows(weights * np.reshape(norms, (len(fhats), len(rows))), params.v)
+    rows, extents = (part.psi_hat, part.psi_extents) if homogeneous else \
+        (part.phi_hat, part.phi_extents)
+    n_rows = len(rows)
+    runs = _lp_runs([(len(spectra) * n_rows, params.p, space)
+                     for spectra, params, space in sides])
+    block_norms = []
+    for _, fhats in _stack_batches([spectra for spectra, _, _ in sides]):
+        _idft_stack(fhats, grid, out=fhats)
+        _dft_stack(fhats, grid, out=fhats)
+        power = _node_power(fhats)
+        if homogeneous:
+            _require_mean_zero(power)
+        _require_band_limited(part, power)
+        for batch in _block_batches(fhats, rows, grid, extents=extents):
+            block_norms += _lp_norms_by_run(batch, runs, grid.cell_volume, len(block_norms))
+        # free the block buffer before the next batch's core allocates its own
+        del batch
+    norms, lo = [], 0
+    for spectra, params, _ in sides:
+        hi = lo + len(spectra) * n_rows
+        weights = _besov_weights(part, params, homogeneous)
+        norms += _lp_rows(weights * np.reshape(block_norms[lo:hi], (len(spectra), n_rows)),
+                          params.v)
+        lo = hi
+    return norms

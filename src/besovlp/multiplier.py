@@ -14,14 +14,15 @@ restarts, each refined greedily on the prefix-stable schedule of
 ``sampling._hill_climb``).  All starts climb in lockstep on one state
 stack (S, n_allowed, n_in): each step draws every start's noise from its
 own stream, adds it with one scatter, rescales the stack with one divide
-and scores the candidates together from their spectra.  A stack of
-witness spectra takes one batched transform per side, and the Besov
-scorer one batched block core, with the same values, bit for bit, as
-norm calls on one function at a time.  Verification reports then check the
-measured lower bound against the displayed theoretical bound, which is
-the falsifiable direction.  The per-annulus gamma-bounds entering the
-bounds are exact between Hilbert spaces and search lower bounds
-otherwise (flagged in the report).
+and scores the candidates together from their spectra.  A chunk of
+witness spectra and their images under the symbol are scored in one
+pass, end to end: one batched transform for the L^p scorer, one round
+trip and one run of the block core for the Besov scorer, with the same
+values, bit for bit, as norm calls on one function at a time.
+Verification reports then check the measured lower bound against the
+displayed theoretical bound, which is the falsifiable direction.  The
+per-annulus gamma-bounds entering the bounds are exact between Hilbert
+spaces and search lower bounds otherwise (flagged in the report).
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .dyadic import (
     _node_power,
     _require_band_limited,
     _require_physical,
+    _stack_batches,
 )
 from .gaussian import MatrixFamily, gamma_bound_lower, _top_right_singular_vector
 from .reports import VerificationReport
@@ -63,7 +65,8 @@ from .spaces import (
     _idft_stack,
     _inv,
     _lp_combine,
-    _lp_norms,
+    _lp_norms_by_run,
+    _lp_runs,
     _pack_complex,
     _space_for,
     _unpack_complex,
@@ -382,13 +385,15 @@ def _witness_search(
     start's nodes and noise from its own stream in start order, adds all
     the noise with one scatter, rescales every trial by its largest
     entry with one divide, and scores the trials in chunks of at most
-    _BLOCK_BATCH_ENTRIES samples, each scattered into one zeroed buffer,
-    which bounds the scoring memory however many starts run.  The state
-    and trial stacks are capped: a search whose starts could need more
-    than _SEARCH_BYTES_CAP for them is refused before anything is
-    allocated.  The score is deterministic, so the search is exact
-    greedy hill-climbing; the schedule is prefix-stable in (restarts,
-    steps), which makes the returned value monotone in the budget.
+    _BLOCK_BATCH_ENTRIES / 2 samples (one spectrum when a spectrum is
+    larger), each scattered into one zeroed buffer, so a chunk and its
+    image under m fit one scoring batch and the scoring memory stays
+    bounded however many starts run.  The state and trial stacks are
+    capped: a search whose starts could need more than _SEARCH_BYTES_CAP
+    for them is refused before anything is allocated.  The score is
+    deterministic, so the search is exact greedy hill-climbing; the
+    schedule is prefix-stable in (restarts, steps), which makes the
+    returned value monotone in the budget.
     """
     grid, n_in = m.grid, m.n_in
     n_allowed = int(np.count_nonzero(allowed))
@@ -405,7 +410,9 @@ def _witness_search(
         )
     allowed_idx = np.flatnonzero(allowed)
 
-    per_chunk = max(1, _BLOCK_BATCH_ENTRIES // (grid.n_nodes * max(n_in, m.n_out)))
+    # the scorers take a chunk's spectra and their images under m in one
+    # pass, so a chunk of half the block budget lets both fit one batch
+    per_chunk = max(1, _BLOCK_BATCH_ENTRIES // (2 * grid.n_nodes * max(n_in, m.n_out)))
 
     def score_batch(specs):
         scores = []
@@ -450,23 +457,34 @@ def _ratio_scorer(m: OperatorSymbol, norms: Callable, src: tuple, dst: tuple) ->
     """Witness score ||T f|| / ||f|| of each spectrum fhat of a stack; -inf
     where ||f|| <= 0.
 
-    norms(fhats, *side) gives the norms of the functions whose spectra a
-    stack holds; src and dst are the two sides' extra arguments.
+    norms(sides) gives, side after side, the norms of the functions whose
+    spectra the stacks of sides (spectra, *side) hold; src and dst are
+    the two sides' extra arguments.  The spectra f and T f of a chunk go
+    through norms together, so the chunk pays one pass for both sides.
+    A symbol with n_out != n_in gives spectra of another width, which
+    cannot share a batch, and its two sides take one call each.
     """
     def score(fhats: np.ndarray) -> list:
-        den = norms(fhats, *src)
-        num = norms(_apply_to_spectrum(m, fhats), *dst)
-        return [-np.inf if d <= 0 else n / d for n, d in zip(num, den)]
+        n = len(fhats)
+        sides = [(fhats, *src), (_apply_to_spectrum(m, fhats), *dst)]
+        vals = norms(sides) if m.n_out == m.n_in else norms(sides[:1]) + norms(sides[1:])
+        return [-np.inf if d <= 0 else v / d for v, d in zip(vals[n:], vals[:n])]
 
     return score
 
 
 def _lp_scorer(m: OperatorSymbol, p: float, q: float, domain_space: ValueSpace,
                codomain_space: ValueSpace) -> Callable:
-    """||T f||_q / ||f||_p of a stack of spectra: one batched idft and one
-    vectorized L^p reduction per side."""
-    def norms(fhats, r, space):
-        return _lp_norms(_idft_stack(fhats, m.grid), r, space, m.grid.cell_volume)
+    """||T f||_q / ||f||_p of a stack of spectra: the sides end to end, one
+    batched idft per batch of _stack_batches and one vectorized L^p
+    reduction per run of sides sharing p and the value space."""
+    def norms(sides):
+        runs = _lp_runs([(len(spectra), r, space) for spectra, r, space in sides])
+        vals = []
+        for j, batch in _stack_batches([spectra for spectra, _, _ in sides]):
+            _idft_stack(batch, m.grid, out=batch)
+            vals += _lp_norms_by_run(batch, runs, m.grid.cell_volume, j)
+        return vals
 
     return _ratio_scorer(m, norms, (p, domain_space), (q, codomain_space))
 
@@ -476,8 +494,8 @@ def _besov_scorer(m: OperatorSymbol, src: BesovParams, dst: BesovParams,
                   codomain_space: ValueSpace, homogeneous: bool) -> Callable:
     """||T f||_dst / ||f||_src of a stack of spectra, equal bit for bit to
     the quotient of besov_norm (or homogeneous_besov_norm) calls."""
-    def norms(fhats, params, space):
-        return _besov_norms(fhats, params, part, space, homogeneous)
+    def norms(sides):
+        return _besov_norms(sides, part, homogeneous)
 
     return _ratio_scorer(m, norms, (src, domain_space), (dst, codomain_space))
 
@@ -495,8 +513,9 @@ def estimate_multiplier_norm(
 ) -> float:
     """Witness-search lower bound on ||T_m||_{L^p -> L^q}; monotone in budget.
 
-    Witnesses are scored from their spectra: each side takes one batched
-    idft and one vectorized L^p reduction per chunk of witnesses.
+    Witnesses are scored from their spectra: a chunk of witnesses and
+    their images take one batched idft, and each side one vectorized L^p
+    reduction (one for both when they share p and the value space).
     """
     _check_exponent(p, "p")
     _check_exponent(q, "q")

@@ -68,8 +68,13 @@ def _complex_normals(rng: np.random.Generator, shape) -> np.ndarray:
     return z[0] + 1j * z[1]
 
 
-# bytes one search may hold in its state stack or its frozen Gaussian draw (1 GiB)
+# bytes one search may hold in its state stack, its frozen Gaussian draw
+# or its per-start random generators (1 GiB)
 _SEARCH_BYTES_CAP = 2**30
+
+# bytes one np.random.Generator over PCG64 holds, with its SeedSequence,
+# rounded up (tracemalloc measures 0.9-1.6 KB a generator)
+_GENERATOR_BYTES = 2**11
 
 # real draws per scratch fill in _fill_complex_gaussians (1 MB)
 _SCRATCH_ENTRIES = 2**17
@@ -166,7 +171,15 @@ def _hill_climb(sampler: GaussianSampler, op_code: int, n_starts: int, start: Ca
     start wins ties, a NaN never wins); no starts, or none scoring above
     -inf, give (-inf, None).  No start depends on n_starts or on the
     other starts, so the best value is monotone in (n_starts, steps).
+    A search whose generators would take more than _SEARCH_BYTES_CAP is
+    refused before the first one is built.
     """
+    rng_bytes = n_starts * _GENERATOR_BYTES
+    if rng_bytes > _SEARCH_BYTES_CAP:
+        raise ValueError(
+            f"search too large: {n_starts} starts need {rng_bytes / 2**20:.0f} MB of random "
+            f"generators, over the {_SEARCH_BYTES_CAP // 2**20} MB cap; lower budget.restarts"
+        )
     rngs = [sampler.generator(op_code, 100 + i) for i in range(n_starts)]
     if not rngs:
         return -np.inf, None

@@ -186,6 +186,13 @@ BAD_CONFIGS = [
           spaces={"domain": {"p": 1.0}, "codomain": {"p": "inf"}}, n_samples=10**6,
           budget={"search_samples": 10**6, "max_vectors": 10**5}),
      "Gaussian search too large"),
+    # the same search with 10^7 restarts would build about 16 GB of random generators
+    ("verify prop43",
+     dict(BASE, operation={"name": "verify", "target": "prop43",
+                           "params": {"cube": [1.0, 9.0], "p": 1.0, "q": "inf"}},
+          spaces={"domain": {"p": 1.0}, "codomain": {"p": "inf"}},
+          budget={"restarts": 10**7, "search_samples": 100}),
+     "random generators"),
 ]
 
 

@@ -436,6 +436,23 @@ def test_gaussian_search_over_the_draw_cap_is_refused_before_allocating():
     assert peak < 2**20
 
 
+def test_gaussian_search_over_the_generator_cap_is_refused_before_allocating():
+    # 10^7 starts would build about 16 GB of random generators up front
+    fam = MatrixFamily((np.eye(2),), L1_2, L4_2)
+    budget = SearchBudget(restarts=10**7, search_samples=100, max_vectors=2)
+    tracemalloc.start()
+    try:
+        for search in (lambda: gamma_bound_search(fam, budget, SMALL_SAMPLER),
+                       lambda: type_constant_lower(L4_2, 1.5, budget, SMALL_SAMPLER)):
+            with pytest.raises(ValueError, match="random generators") as exc:
+                search()
+            assert "\n" not in str(exc.value)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 # -- gamma function norms ----------------------------------------------------
 
 

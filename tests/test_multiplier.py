@@ -36,6 +36,7 @@ from besovlp import (
     verify_thm46,
 )
 from besovlp import GaussianSampler, besov_norm, dft, homogeneous_besov_norm, idft, lp_norm
+from besovlp import spaces
 from besovlp.gaussian import _top_right_singular_vector
 from besovlp.multiplier import (
     _OP_WITNESS,
@@ -284,15 +285,21 @@ def test_batched_besov_scorer_equals_the_norm_quotient_exactly(shape, lp, p, hom
     assert all(type(r) is float for r in got) and got[-1] == -np.inf
 
 
+@pytest.mark.parametrize("dst_p", [3.0, 1.5])
 @pytest.mark.parametrize("homogeneous", [False, True])
-def test_batched_besov_scorer_exact_across_block_batches(homogeneous):
+def test_batched_besov_scorer_exact_across_block_batches(homogeneous, dst_p):
     # d=2, N=128: 4 scalar blocks per 1 MB transform batch, 6 blocks per
-    # witness, so the second batch holds blocks of two witnesses
+    # witness, so the second batch holds blocks of two witnesses; the 5
+    # witnesses' 30 blocks end inside the batch of blocks 28-31, which
+    # also holds the first images' blocks, and the round trip's second
+    # batch of 4 spectra holds the last witness and the first 3 images.
+    # With dst_p = 1.5 both sides share p and space, and the batch of
+    # blocks 28-31 is reduced in one call.
     grid = GridSpec(2, 128, 1.0)
     part = build_partition(grid)
     rng = np.random.default_rng(72)
     m = _scorer_symbol(grid, (1, 1), rng)
-    src, dst = BesovParams(0.5, 1.5, 2.0), BesovParams(0.0, 3.0, 1.0)
+    src, dst = BesovParams(0.5, 1.5, 2.0), BesovParams(0.0, dst_p, 1.0)
     norm = homogeneous_besov_norm if homogeneous else besov_norm
     fhats = _witness_stack(grid, part, 1, 5, homogeneous, rng)
     got = _besov_scorer(m, src, dst, part, SCALAR, SCALAR, homogeneous)(fhats)
@@ -315,6 +322,59 @@ def test_batched_lp_scorer_equals_the_norm_quotient_exactly(shape, lp, p):
     assert got == _serial_ratios(m, fhats, lambda f: lp_norm(f, p, x),
                                  lambda g: lp_norm(g, 3.0, y))
     assert all(type(r) is float for r in got) and got[-1] == -np.inf
+
+
+# (domain p, codomain p, domain space, codomain space) of a (2, 2) symbol:
+# the two sides differ in p, in the value space, in both, or in neither
+SIDES = {
+    "p": (1.5, 3.0, ValueSpace.lp(3.0, 2), ValueSpace.lp(3.0, 2)),
+    "space": (1.5, 1.5, ValueSpace.lp(1.0, 2), ValueSpace.lp(3.0, 2)),
+    "both": (np.inf, 2.0, ValueSpace.lp(np.inf, 2), ValueSpace.lp(2.0, 2)),
+    "neither": (2.0, 2.0, ValueSpace.lp(1.0, 2), ValueSpace.lp(1.0, 2)),
+}
+
+
+@pytest.mark.parametrize("homogeneous", [False, True])
+@pytest.mark.parametrize("differ", sorted(SIDES))
+def test_scorers_exact_when_the_sides_differ_in_p_or_space(differ, homogeneous):
+    grid = GridSpec(1, 32, 1.0)
+    part = build_partition(grid)
+    rng = np.random.default_rng(76)
+    m = _scorer_symbol(grid, (2, 2), rng)
+    p, q, x, y = SIDES[differ]
+    src, dst = BesovParams(0.5, p, 1.5), BesovParams(-0.25, q, 2.0)
+    norm = homogeneous_besov_norm if homogeneous else besov_norm
+    fhats = _witness_stack(grid, part, 2, 5, homogeneous, rng)
+    assert _besov_scorer(m, src, dst, part, x, y, homogeneous)(fhats) == _serial_ratios(
+        m, fhats, lambda f: norm(f, src, part, x), lambda g: norm(g, dst, part, y))
+    assert _lp_scorer(m, p, q, x, y)(fhats) == _serial_ratios(
+        m, fhats, lambda f: lp_norm(f, p, x), lambda g: lp_norm(g, q, y))
+
+
+@pytest.mark.parametrize("shape, besov_calls, lp_calls", [
+    ((1, 1), 3, 1),   # one joint stack: its round trip, one block batch; one idft
+    ((2, 2), 3, 1),
+    ((3, 2), 6, 2),   # n_out != n_in: one stack per side
+])
+def test_a_scored_chunk_takes_one_pass_per_stack(shape, besov_calls, lp_calls, monkeypatch):
+    grid = GridSpec(1, 64, 1.0)
+    part = build_partition(grid)
+    rng = np.random.default_rng(77)
+    m = _scorer_symbol(grid, shape, rng)
+    x, y = ValueSpace.lp(1.5, shape[1]), ValueSpace.lp(3.0, shape[0])
+    fhats = _witness_stack(grid, part, shape[1], 15, False, rng)
+    besov = _besov_scorer(m, BesovParams(0.5, 2.0, 2.0), BesovParams(0.0, 2.0, 1.0),
+                          part, x, y, False)
+    lp = _lp_scorer(m, 2.0, 3.0, x, y)
+    calls = []
+    transform = spaces._transform_stack
+    monkeypatch.setattr(spaces, "_transform_stack",
+                        lambda *a, **k: calls.append(a[0]) or transform(*a, **k))
+    besov(fhats)
+    assert len(calls) == besov_calls
+    calls.clear()
+    lp(fhats)
+    assert calls == [np.fft.ifftn] * lp_calls
 
 
 # -- the lockstep witness search -------------------------------------------

@@ -16,12 +16,13 @@ from besovlp import (
     idft,
 )
 from besovlp import dyadic
-from besovlp.dyadic import _besov_norms, _block_batches, _slab_extents
+from besovlp.dyadic import _besov_norms, _block_batches, _slab_extents, _stack_batches
 from besovlp.spaces import (
     _dft_stack,
     _idft_stack,
     _lp_combine,
     _lp_norms,
+    _lp_roots,
     _lp_rows,
 )
 from besovlp.testfunctions import random_band_limited
@@ -165,9 +166,40 @@ def test_besov_norms_of_a_stack_equal_the_norms_one_by_one_at_d2(homogeneous):
     space = ValueSpace.lp(3.0, 3)
     norm = homogeneous_besov_norm if homogeneous else besov_norm
     for params in (BesovParams(0.5, 2.0, 2.0), BesovParams(-0.25, np.inf, 1.0)):
-        got = _besov_norms(spectra, params, part, space, homogeneous)
+        got = _besov_norms([(spectra, params, space)], part, homogeneous)
         assert list(got) == [norm(idft(GridFunction(grid, fhat, "frequency")), params, part,
                                   space) for fhat in spectra]
+
+
+def test_roots_on_python_floats_equal_the_numpy_scalar_powers():
+    # totals from 1e-300 to 1e300 with 0, inf and the smallest subnormal,
+    # against the numpy float64 scalar power the roots were taken with before
+    totals = np.concatenate([np.geomspace(1e-300, 1e300, 4001), [0.0, np.inf, 5e-324]])
+    for p in (1.0, 1.25, 1.5, 2.0, 2.5, 3.0, 4.0, 7.0, 10.0, 33.3):
+        for weight in (1.0, 0.5, 2.0**-12, 1.0 / 3.0, 7.25):
+            got = _lp_roots(totals, p, weight)
+            want = [float((weight * total) ** (1.0 / p)) for total in totals]
+            assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
+            assert all(type(r) is float for r in got)
+
+
+def test_stack_batches_run_the_stacks_end_to_end(monkeypatch):
+    # 3 spectra per batch over stacks of 2 and 5: the first batch takes
+    # members of both, and every batch is a copy in one reused buffer
+    grid = GridSpec(2, 8, 1.0)
+    monkeypatch.setattr(dyadic, "_BLOCK_BATCH_ENTRIES", 3 * grid.n_nodes * 2)
+    rng = np.random.default_rng(50)
+    stacks = [_stack(rng, (2, grid.n_nodes, 2)), _stack(rng, (5, grid.n_nodes, 2))]
+    before = _snapshot(*stacks)
+    joint = np.concatenate(stacks)
+    seen = []
+    for first, batch in _stack_batches(stacks):
+        assert np.array_equal(batch, joint[first:first + len(batch)])
+        assert not any(np.shares_memory(batch, stack) for stack in stacks)
+        seen.append((first, len(batch)))
+        batch[:] = 0.0
+    assert seen == [(0, 3), (3, 3), (6, 1)]
+    assert _snapshot(*stacks) == before
 
 
 def test_a_yielded_block_batch_is_overwritten_by_the_next(monkeypatch):
@@ -256,5 +288,6 @@ def test_block_and_besov_cores_leave_their_inputs_alone(dim, homogeneous, monkey
     out = np.empty((len(fhats) * len(rows),) + fhats.shape[1:], dtype=np.complex128)
     for _ in _block_batches(fhats, rows, grid, out):
         pass
-    _besov_norms(fhats, BesovParams(0.5, 2.0, 2.0), part, ValueSpace.lp(3.0, dim), homogeneous)
+    _besov_norms([(fhats, BesovParams(0.5, 2.0, 2.0), ValueSpace.lp(3.0, dim))], part,
+                 homogeneous)
     assert _snapshot(fhats, rows, part.phi_hat, part.psi_hat) == before
