@@ -244,9 +244,17 @@ def _partition(cfg: dict, ctx: dict, op: str):
     return build_partition(ctx["grid"], _param(cfg, "smoothness", op, int, 3))
 
 
+def _nonempty_list(cfg: dict, key: str, op: str) -> dict:
+    """cfg[key], which must be a non-empty list (a JSON array), by index."""
+    value = _require(cfg, key, op)
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"config schema: {op}.{key} must be a non-empty list, got {value!r}")
+    return dict(enumerate(value))
+
+
 def _grids(cfg: dict, ctx: dict, op: str) -> list:
     """The grids of a sweep: the scenario grid refined to each listed n_per_dim."""
-    grid, ns = ctx["grid"], dict(enumerate(_require(cfg, "grids", op)))
+    grid, ns = ctx["grid"], _nonempty_list(cfg, "grids", op)
     return [GridSpec(grid.d, _param(ns, i, f"{op}.grids", int), grid.period) for i in ns]
 
 
@@ -430,7 +438,7 @@ def _op_sweep(cfg, ctx):
     def factory(grid):
         return _build_symbol({"symbol": spec}, grid)
 
-    pairs = dict(enumerate(_require(cfg, "pairs", "sweep")))
+    pairs = _nonempty_list(cfg, "pairs", "sweep")
     rep = extrapolation_sweep(
         factory,
         _param(cfg, "r", "sweep", _exponent),

@@ -24,6 +24,7 @@ from .multiplier import (
     estimate_multiplier_norm,
     multiplier_norm_l2_exact,
     riesz_symbol,
+    _estimate_multiplier_norms,
 )
 from .reports import VerificationReport
 from .sampling import GaussianSampler, SearchBudget
@@ -807,6 +808,11 @@ def verify_weak_type(
 # ---------------------------------------------------------------------------
 
 
+def _require_nonempty(items: Sequence, name: str) -> None:
+    if len(items) == 0:
+        raise ValueError(f"{name} must be non-empty")
+
+
 @dataclass
 class SweepReport:
     rows: list          # dicts with p, q, n_per_dim, estimate
@@ -840,7 +846,11 @@ def extrapolation_sweep(
 ) -> SweepReport:
     """Norm estimates across the line 1/p - 1/q = 1/r and a grid family.
 
-    Emits one row per (p, q, N) between l^2 value spaces; the stability
+    Emits one row per (p, q, N) between l^2 value spaces.  On each grid
+    the pairs share one witness search, whose lanes draw every random
+    proposal once (multiplier._estimate_multiplier_norms), and each
+    row's estimate is, bit for bit, the estimate_multiplier_norm of its
+    pair alone.  Empty pq_list or grid_list is refused.  The stability
     table holds the max/min spread of the estimates across grids, and
     the endpoint growth is least-squares fitted against 1/(p-1) (as p
     drops to 1) and against q (as q grows).  Each fit uses the rows of
@@ -849,6 +859,8 @@ def extrapolation_sweep(
     constants are informational: the asymptotics hold in the limit, not
     at any fixed grid.
     """
+    _require_nonempty(pq_list, "pq_list")
+    _require_nonempty(grid_list, "grid_list")
     # sub-critical pairs (1/p - 1/q < 1/r) are admissible on the finite-measure
     # torus and are flagged; pairs demanding more smoothing than r provides
     # are rejected
@@ -863,10 +875,10 @@ def extrapolation_sweep(
     for grid in grid_list:
         m = symbol_factory(grid)
         zero_at_origin = bool(np.all(m.values[0] == 0))
-        for p, q in pq_list:
-            est = estimate_multiplier_norm(
-                m, p, q, budget=budget, sampler=sampler, mean_zero=zero_at_origin
-            )
+        ests = _estimate_multiplier_norms(
+            m, pq_list, budget=budget, sampler=sampler, mean_zero=zero_at_origin
+        )
+        for (p, q), est in zip(pq_list, ests):
             rows.append(
                 {
                     "p": p,
@@ -917,10 +929,12 @@ def sharpness_probe(
     For sigma < d/r the estimate on the probe annulus must grow like
     2^(d/r - sigma) per added dyadic level; at sigma = d/r it is flat,
     above it shrinks.  Uses the deterministic smooth-annulus packet
-    witness, evaluated at p = 2r/(r+1), q = 2r/(r-1).
+    witness, evaluated at p = 2r/(r+1), q = 2r/(r-1).  An empty
+    grid_list is refused.
     """
     if not (1.0 < r < np.inf):
         raise ValueError("probe needs a finite r > 1")
+    _require_nonempty(grid_list, "grid_list")
     p = 2.0 * r / (r + 1.0)
     q = 2.0 * r / (r - 1.0)
 

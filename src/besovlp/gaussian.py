@@ -205,7 +205,7 @@ def _search_vector_families(
     def score(vecs):
         return ratio_of(vecs, g_all[:, : vecs.shape[0]])
 
-    _, best = _hill_climb(
+    [(_, best)] = _hill_climb(
         sampler, op_code, budget.restarts,
         lambda rngs: [start_one(i, rng) for i, rng in enumerate(rngs)],
         lambda states, step, rngs: [move(v, step, rng) for v, rng in zip(states, rngs)],
@@ -388,7 +388,7 @@ def gamma_bound_search(
             trial_v = trial_v / scale
         return assignment, trial_v, den_of(trial_v)
 
-    _, best = _hill_climb(
+    [(_, best)] = _hill_climb(
         sampler, _OP_GAMMA, len(configs) + budget.restarts,
         lambda rngs: [start_one(i, rng) for i, rng in enumerate(rngs)],
         lambda states, step, rngs: [move(s, step, rng) for s, rng in zip(states, rngs)],

@@ -14,7 +14,11 @@ restarts, each refined greedily on the prefix-stable schedule of
 ``sampling._hill_climb``).  All starts climb in lockstep on one state
 stack (S, n_allowed, n_in): each step draws every start's noise from its
 own stream, adds it with one scatter, rescales the stack with one divide
-and scores the candidates together from their spectra.  A chunk of
+and scores the candidates together from their spectra.  Estimates that
+differ only in their score, such as the (p, q) pairs of a sweep on one
+grid, share one search: each is a lane of the stack, every draw is made
+once for all of them, and each lane's value is the one its own search
+would give, bit for bit.  A chunk of
 witness spectra and their images under the symbol are scored in one
 pass, end to end: one batched transform for the L^p scorer, one round
 trip and one run of the block core for the Besov scorer, with the same
@@ -348,12 +352,15 @@ def _dyadic_annulus_masks(grid: GridSpec) -> list:
 
 
 def _propose_witnesses(states: np.ndarray, step: float, rngs: list) -> np.ndarray:
-    """Trials of a witness state stack (S, n_allowed, n_in), one per start.
+    """Trials of a witness state stack (L * S, n_allowed, n_in): L lanes of
+    S starts, lane-major, one trial per row.
 
     Start i's rng picks 1-8 distinct nodes and draws their complex noise,
-    rngs in start order; all the noise is added with one scatter, and
-    every nonzero trial is divided by its largest modulus.
+    once, rngs in start order; all the noise is added with one scatter,
+    start i's to row i of every lane, and every nonzero trial is divided
+    by its largest modulus.
     """
+    n_starts = len(rngs)
     n_allowed, n_in = states.shape[1:]
     trials = states.copy()
     cols, draws = [], []
@@ -361,10 +368,12 @@ def _propose_witnesses(states: np.ndarray, step: float, rngs: list) -> np.ndarra
         n_touch = int(min(n_allowed, 1 + rng.integers(0, 8)))
         cols.append(rng.choice(n_allowed, size=n_touch, replace=False))
         draws.append(rng.standard_normal((2, n_touch, n_in)))
-    rows = np.repeat(np.arange(len(rngs)), [c.size for c in cols])
+    rows = np.repeat(np.arange(n_starts), [c.size for c in cols])
     re, im = np.concatenate(draws, axis=1)
-    # one start's nodes are distinct, so each noise term is added once
-    trials[rows, np.concatenate(cols)] += step * (re + 1j * im)
+    # one start's nodes are distinct, so each noise term is added once per
+    # lane; several lanes are indexed through an (L, S, n_allowed, n_in) view
+    lanes = trials if len(trials) == n_starts else trials.reshape(-1, n_starts, n_allowed, n_in)
+    lanes[..., rows, np.concatenate(cols), :] += step * (re + 1j * im)
     scale = np.abs(trials).max(axis=(1, 2))[:, None, None]
     return np.divide(trials, scale, out=trials, where=scale > 0)
 
@@ -374,38 +383,44 @@ def _witness_search(
     allowed: np.ndarray,
     budget: SearchBudget,
     sampler: GaussianSampler,
-    score_spectra: Callable[[np.ndarray], Sequence[float]],
-) -> float:
-    """Largest score found over witness spectra supported in a node mask.
+    scorers: Sequence[Callable[[np.ndarray], Sequence[float]]],
+) -> list:
+    """Largest score found over witness spectra supported in a node mask,
+    one per scorer.
 
-    score_spectra maps a stack (S, n_nodes, n_in) of spectra to their S
-    scores.  Every start climbs in lockstep, and the S states are one
-    array (S, n_allowed, n_in): each start's spectrum at the allowed
-    nodes.  A step copies that stack once into the trials, draws every
-    start's nodes and noise from its own stream in start order, adds all
-    the noise with one scatter, rescales every trial by its largest
-    entry with one divide, and scores the trials in chunks of at most
-    _BLOCK_BATCH_ENTRIES / 2 samples (one spectrum when a spectrum is
-    larger), each scattered into one zeroed buffer, so a chunk and its
-    image under m fit one scoring batch and the scoring memory stays
-    bounded however many starts run.  The state and trial stacks are
-    capped: a search whose starts could need more than _SEARCH_BYTES_CAP
-    for them is refused before anything is allocated.  The score is
-    deterministic, so the search is exact greedy hill-climbing; the
-    schedule is prefix-stable in (restarts, steps), which makes the
-    returned value monotone in the budget.
+    A scorer maps a stack (S, n_nodes, n_in) of spectra to their S
+    scores.  The scorers share one search: each is a lane of
+    _hill_climb, so every random draw is made once and serves all of
+    them, and each lane's value is, bit for bit, the one a search with
+    that scorer alone would return.  Every start climbs in lockstep, and
+    the states are one array (L * S, n_allowed, n_in), lane-major: each
+    start's spectrum at the allowed nodes, once per scorer.  A step
+    copies that stack once into the trials, draws every start's nodes
+    and noise from its own stream in start order, adds the noise to
+    every lane with one scatter, rescales every trial by its largest
+    entry with one divide, and scores each lane's trials with its own
+    scorer in chunks of at most _BLOCK_BATCH_ENTRIES / 2 samples (one
+    spectrum when a spectrum is larger), each scattered into one zeroed
+    buffer, so a chunk and its image under m fit one scoring batch and
+    the scoring memory stays bounded however many starts run.  The state
+    and trial stacks are capped: a search whose lanes and starts could
+    need more than _SEARCH_BYTES_CAP for them is refused before anything
+    is allocated.  The scores are deterministic, so the search is exact
+    greedy hill-climbing; the schedule is prefix-stable in (restarts,
+    steps), which makes every returned value monotone in the budget.
     """
-    grid, n_in = m.grid, m.n_in
+    grid, n_in, n_lanes = m.grid, m.n_in, len(scorers)
     n_allowed = int(np.count_nonzero(allowed))
     if n_allowed == 0:
         raise ValueError("empty witness support")
     # at most 5 single modes, the flat spectrum and one per annulus, then the restarts
     max_starts = min(5, n_allowed) + 1 + _n_dyadic_annuli(grid) + budget.restarts
-    stack_bytes = 2 * max_starts * n_allowed * n_in * 16
+    stack_bytes = 2 * n_lanes * max_starts * n_allowed * n_in * 16
     if stack_bytes > _SEARCH_BYTES_CAP:
+        lanes = f"{n_lanes} estimates x " if n_lanes > 1 else ""
         raise ValueError(
-            f"witness search too large: {max_starts} starts x {n_allowed} nodes x {n_in} "
-            f"components need {stack_bytes / 2**20:.0f} MB of search state, over the "
+            f"witness search too large: {lanes}{max_starts} starts x {n_allowed} nodes x "
+            f"{n_in} components need {stack_bytes / 2**20:.0f} MB of search state, over the "
             f"{_SEARCH_BYTES_CAP // 2**20} MB cap; lower budget.restarts or the grid size"
         )
     allowed_idx = np.flatnonzero(allowed)
@@ -416,10 +431,12 @@ def _witness_search(
 
     def score_batch(specs):
         scores = []
-        for j in range(0, len(specs), per_chunk):
-            chunk = specs[j:j + per_chunk]
-            fhats[:len(chunk), allowed_idx] = chunk
-            scores += score_spectra(fhats[:len(chunk)])
+        for lane, score_spectra in enumerate(scorers):
+            lane_specs = specs[lane * n_starts:(lane + 1) * n_starts]
+            for j in range(0, n_starts, per_chunk):
+                chunk = lane_specs[j:j + per_chunk]
+                fhats[:len(chunk), allowed_idx] = chunk
+                scores += score_spectra(fhats[:len(chunk)])
         return scores
 
     # structured starts: single modes at the largest symbol values,
@@ -440,17 +457,16 @@ def _witness_search(
             n_active = int(min(n_allowed, max(1, rng.integers(1, 33))))
             idx = rng.choice(n_allowed, size=n_active, replace=False)
             states[i, idx] = _complex_normals(rng, (n_active, n_in))
-        return states
+        return states if n_lanes == 1 else np.tile(states, (n_lanes, 1, 1))
 
-    # one zeroed chunk for the whole search, no larger than the lockstep
-    # states: only the allowed nodes are ever written, and score_spectra
-    # does not write into its input
+    # one zeroed chunk for the whole search, no larger than one lane's
+    # states: only the allowed nodes are ever written, and a scorer does
+    # not write into its input
     n_starts = n_structured + budget.restarts
     fhats = np.zeros((min(per_chunk, n_starts), grid.n_nodes, n_in), dtype=np.complex128)
-    best_val, _ = _hill_climb(
-        sampler, _OP_WITNESS, n_starts, start, _propose_witnesses, score_batch, budget
-    )
-    return best_val
+    found = _hill_climb(sampler, _OP_WITNESS, n_starts, start, _propose_witnesses,
+                        score_batch, budget, lanes=n_lanes)
+    return [value for value, _ in found]
 
 
 def _ratio_scorer(m: OperatorSymbol, norms: Callable, src: tuple, dst: tuple) -> Callable:
@@ -517,8 +533,26 @@ def estimate_multiplier_norm(
     their images take one batched idft, and each side one vectorized L^p
     reduction (one for both when they share p and the value space).
     """
-    _check_exponent(p, "p")
-    _check_exponent(q, "q")
+    [est] = _estimate_multiplier_norms(m, [(p, q)], domain_space, codomain_space, budget,
+                                       sampler, support_mask, mean_zero)
+    return est
+
+
+def _estimate_multiplier_norms(
+    m: OperatorSymbol,
+    pairs: Sequence[tuple],
+    domain_space: Optional[ValueSpace] = None,
+    codomain_space: Optional[ValueSpace] = None,
+    budget: SearchBudget = SearchBudget(),
+    sampler: GaussianSampler = GaussianSampler(0),
+    support_mask: Optional[np.ndarray] = None,
+    mean_zero: bool = False,
+) -> list:
+    """estimate_multiplier_norm of every (p, q) of pairs, bit for bit, from
+    one witness search whose lanes share every random draw."""
+    for p, q in pairs:
+        _check_exponent(p, "p")
+        _check_exponent(q, "q")
     domain_space = _space_for(m.n_in, domain_space)
     codomain_space = _space_for(m.n_out, codomain_space)
     allowed = (
@@ -526,8 +560,8 @@ def estimate_multiplier_norm(
     )
     if mean_zero:
         allowed[0] = False
-    score = _lp_scorer(m, p, q, domain_space, codomain_space)
-    return _witness_search(m, allowed, budget, sampler, score)
+    scorers = [_lp_scorer(m, p, q, domain_space, codomain_space) for p, q in pairs]
+    return _witness_search(m, allowed, budget, sampler, scorers)
 
 
 def besov_multiplier_norm_estimate(
@@ -556,7 +590,8 @@ def besov_multiplier_norm_estimate(
     if homogeneous:
         allowed[0] = False
     score = _besov_scorer(m, src, dst, part, domain_space, codomain_space, homogeneous)
-    return _witness_search(m, allowed, budget, sampler, score)
+    [est] = _witness_search(m, allowed, budget, sampler, [score])
+    return est
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,9 @@ list comprehension, while the multiplier witness search holds one
 (S, n_allowed, n_in) array, so its noise, rescaling and scoring run
 once per step over the whole stack.  Acceptance is one mask over the
 scores, and the Python overhead is paid once per step instead of once
-per candidate.
+per candidate.  A search may run in several lanes, one per score it
+serves: the lanes share the starts' streams, so each draw is made once,
+and each lane keeps its own states, acceptances and best state.
 """
 
 from __future__ import annotations
@@ -153,26 +155,32 @@ class SearchBudget:
 
 
 def _hill_climb(sampler: GaussianSampler, op_code: int, n_starts: int, start: Callable,
-                propose: Callable, score_batch: Callable, budget: SearchBudget) -> tuple:
-    """Greedy annealed hill-climbing from n_starts starts in lockstep; (best value, best state).
+                propose: Callable, score_batch: Callable, budget: SearchBudget,
+                lanes: int = 1) -> list:
+    """Greedy annealed hill-climbing from n_starts starts in lockstep, in
+    each of `lanes` lanes; one (best value, best state) per lane.
 
-    Start i draws from its own stream (op_code, 100 + i), rngs[i].  The
-    hooks are batched over the starts, in start order: states =
+    Start i draws from its own stream (op_code, 100 + i), rngs[i], and
+    the lanes share the streams: a lane is one more copy of every start,
+    climbing on its own scores, so the states hold lanes * n_starts
+    rows, lane-major (row l * n_starts + i is start i of lane l).  The
+    hooks are batched over the rows, in that order: states =
     start(rngs), then budget.steps times trials = propose(states, step,
-    rngs), and score_batch(states) gives one float per state.  A start's
+    rngs), and score_batch(states) gives one float per row.  A row's
     trial replaces its state only if it scores strictly higher (a NaN
     never does): the rows of that mask are copied, states[i] = trials[i],
-    so states may be a list or an array whose first axis is the start.
-    step begins at budget.initial_step and is multiplied by budget.anneal
-    after every step.  Each start's trajectory is the one it would follow
-    alone, as long as the hooks draw from rngs[i] only for start i.
-    propose must not mutate states, as starts may be shared.  The best
-    state over the starts wins, with its score as a float (an earlier
-    start wins ties, a NaN never wins); no starts, or none scoring above
-    -inf, give (-inf, None).  No start depends on n_starts or on the
-    other starts, so the best value is monotone in (n_starts, steps).
-    A search whose generators would take more than _SEARCH_BYTES_CAP is
-    refused before the first one is built.
+    so states may be a list or an array whose first axis is the row.
+    step begins at budget.initial_step and is multiplied by
+    budget.anneal after every step.  Each start's trajectory in each
+    lane is the one it would follow alone, as long as the hooks draw
+    from rngs[i] only for start i, and once per start whatever the
+    lanes.  propose must not mutate states, as starts may be shared.
+    Per lane, the best state over its starts wins, with its score as a
+    float (an earlier start wins ties, a NaN never wins); no starts, or
+    none scoring above -inf, give (-inf, None).  No start depends on
+    n_starts or on the other starts, so each lane's best value is
+    monotone in (n_starts, steps).  A search whose generators would take
+    more than _SEARCH_BYTES_CAP is refused before the first one is built.
     """
     rng_bytes = n_starts * _GENERATOR_BYTES
     if rng_bytes > _SEARCH_BYTES_CAP:
@@ -182,7 +190,7 @@ def _hill_climb(sampler: GaussianSampler, op_code: int, n_starts: int, start: Ca
         )
     rngs = [sampler.generator(op_code, 100 + i) for i in range(n_starts)]
     if not rngs:
-        return -np.inf, None
+        return [(-np.inf, None)] * lanes
     states = start(rngs)
     values = np.asarray(score_batch(states), dtype=float)
     step = budget.initial_step
@@ -195,6 +203,7 @@ def _hill_climb(sampler: GaussianSampler, op_code: int, n_starts: int, start: Ca
         values[better] = tvals[better]
         step *= budget.anneal
     # argmax takes the first of equal maxima; a NaN counts as -inf
-    ranked = np.where(np.isnan(values), -np.inf, values)
-    best = int(np.argmax(ranked))
-    return (float(values[best]), states[best]) if ranked[best] > -np.inf else (-np.inf, None)
+    ranked = np.where(np.isnan(values), -np.inf, values).reshape(lanes, n_starts)
+    best = [lane * n_starts + int(i) for lane, i in enumerate(np.argmax(ranked, axis=1))]
+    return [(float(values[i]), states[i]) if ranked.flat[i] > -np.inf else (-np.inf, None)
+            for i in best]

@@ -165,6 +165,23 @@ NULL_P = dict(
     operation={"name": "verify", "target": "thm44", "params": {"p": None, "q": 2.0}},
 )
 
+SWEEP = dict(
+    BASE,
+    symbol={"constructor": "riesz", "params": {"sigma": 0.5}},
+    operation={"name": "sweep", "params": {"r": 2.0, "pairs": [[2.0, "inf"]],
+                                           "grids": [32, 64]}},
+)
+EMPTY_GRIDS_PROBE = dict(
+    BASE,
+    symbol=None,
+    operation={"name": "sharpness", "params": {"sigma": 0.25, "r": 2.0, "grids": []}},
+)
+
+
+def _sweep_params(**params):
+    return dict(SWEEP, operation={"name": "sweep",
+                                  "params": dict(SWEEP["operation"]["params"], **params)})
+
 
 # (command, config, what the message names: the offending key, or the
 # order the oracle covers)
@@ -193,6 +210,18 @@ BAD_CONFIGS = [
           spaces={"domain": {"p": 1.0}, "codomain": {"p": "inf"}},
           budget={"restarts": 10**7, "search_samples": 100}),
      "random generators"),
+    ("sharpness", EMPTY_GRIDS_PROBE,
+     "config schema: sharpness.grids must be a non-empty list, got []"),
+    ("sweep", _sweep_params(pairs=[]),
+     "config schema: sweep.pairs must be a non-empty list, got []"),
+    ("sweep", _sweep_params(grids=[]),
+     "config schema: sweep.grids must be a non-empty list, got []"),
+    # at N = 2^15 with 400 restarts one pair's witness search fits under the
+    # state cap, and the three pairs sharing it do not
+    ("sweep",
+     dict(_sweep_params(pairs=[[4.0 / 3.0, 4.0], [1.5, 6.0], [2.0, 10.0]], grids=[2**15]),
+          budget={"restarts": 400}),
+     "witness search too large: 3 estimates x 421 starts"),
 ]
 
 
@@ -287,6 +316,20 @@ def test_suite_records_errors_and_keeps_going(tmp_path, capsys):
     assert main(["suite", str(tmp_path), "--out", str(out)]) == EXIT_USAGE
     matrix = json.loads(out.read_text())["suite"]
     assert matrix == {"a-bad.json": "error", "b-bad.json": "error", "c-ok.json": "pass"}
+
+
+def test_suite_runs_the_other_scenarios_past_an_empty_sweep_list(tmp_path, capsys):
+    write(tmp_path, "a-empty.json", EMPTY_GRIDS_PROBE)
+    write(tmp_path, "b-ok.json", BASE)
+    (tmp_path / "c-probe.json").write_text((SCENARIOS / "sharpness-probe.json").read_text())
+    out = tmp_path / "agg.json"
+    assert main(["suite", str(tmp_path), "--out", str(out)]) == EXIT_USAGE
+    matrix = json.loads(out.read_text())["suite"]
+    assert matrix == {"a-empty.json": "error", "b-ok.json": "pass", "c-probe.json": "pass"}
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert ("error: scenario a-empty.json: config schema: sharpness.grids must be a "
+            "non-empty list, got []") in err
 
 
 def test_suite_times_each_scenario_on_stderr_only(tmp_path, capsys):

@@ -16,6 +16,7 @@ from besovlp import (
     ValueSpace,
     apply_multiplier,
     cz_decompose,
+    estimate_multiplier_norm,
     eta_zeta_system,
     extrapolation_sweep,
     hilbert_kernel,
@@ -707,6 +708,42 @@ def test_sweep_detects_mihlin_violating_ridge():
     assert ests[1] >= 1.9 * ests[0]
     assert ests[2] >= 1.9 * ests[1]
     assert rep.stability["p=2,q=2"]["spread"] >= 2.0
+
+
+def _random_2x2_symbol(grid):
+    rng = np.random.default_rng(grid.n_per_dim)
+    shape = (grid.n_nodes, 2, 2)
+    return OperatorSymbol(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+@pytest.mark.parametrize("factory, grids", [
+    # zero at the origin, so the sweep searches mean-zero witnesses
+    (lambda g: riesz_symbol(g, 0.5), [GridSpec(1, n, 1.0) for n in (32, 64)]),
+    (_random_2x2_symbol, [GridSpec(2, n, 1.0) for n in (8, 16)]),
+])
+def test_sweep_rows_equal_the_lone_estimates_bit_for_bit(factory, grids):
+    # an l^1 -> l^2 and an l^2 -> l^inf pair, and one pair listed twice
+    pairs = [(1.0, 2.0), (4.0 / 3.0, 4.0), (2.0, np.inf), (4.0 / 3.0, 4.0)]
+    budget = SearchBudget(restarts=3, steps=5)
+    rep = extrapolation_sweep(factory, 2.0, pairs, grids, budget=budget, sampler=SAMPLER)
+    lone = []
+    for grid in grids:
+        m = factory(grid)
+        lone += [estimate_multiplier_norm(m, p, q, budget=budget, sampler=SAMPLER,
+                                          mean_zero=bool(np.all(m.values[0] == 0)))
+                 for p, q in pairs]
+    got = np.array([row["estimate"] for row in rep.rows])
+    assert np.array_equal(got.view(np.int64), np.array(lone).view(np.int64))
+    assert [(row["p"], row["q"]) for row in rep.rows] == pairs * len(grids)
+
+
+def test_sweep_and_probe_refuse_empty_lists():
+    grids, pairs = [GridSpec(1, 32, 1.0)], [(2.0, 2.0)]
+    for args, name in (((pairs, []), "grid_list"), (([], grids), "pq_list")):
+        with pytest.raises(ValueError, match=f"^{name} must be non-empty$"):
+            extrapolation_sweep(identity_symbol, np.inf, *args, budget=BUDGET, sampler=SAMPLER)
+    with pytest.raises(ValueError, match="^grid_list must be non-empty$"):
+        sharpness_probe(0.5, 2.0, [], SAMPLER)
 
 
 def test_sharpness_borderline_sigma_is_flat():

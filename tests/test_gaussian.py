@@ -284,7 +284,7 @@ def _reference_gamma_search(family, budget, sampler, warm_start=None):
                 trial_v = trial_v / scale
         return trial_a, trial_v
 
-    _, best = _hill_climb(
+    [(_, best)] = _hill_climb(
         sampler, _OP_GAMMA, len(configs) + budget.restarts,
         lambda rngs: [start_one(i, rng) for i, rng in enumerate(rngs)],
         lambda states, step, rngs: [move(st, step, rng) for st, rng in zip(states, rngs)],

@@ -1,3 +1,4 @@
+import copy
 import importlib.util
 import json
 import re
@@ -43,11 +44,12 @@ from besovlp.multiplier import (
     OperatorSymbol,
     _besov_scorer,
     _dyadic_annulus_masks,
+    _estimate_multiplier_norms,
     _lp_scorer,
     _propose_witnesses,
     _witness_search,
 )
-from besovlp.sampling import _complex_normals
+from besovlp.sampling import _SEARCH_BYTES_CAP, _complex_normals
 from besovlp.testfunctions import random_band_limited, single_mode
 from test_search import _serial_hill_climb
 
@@ -482,11 +484,68 @@ def test_witness_search_over_the_state_cap_is_refused_before_allocating():
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="1018 starts x 16777216 nodes") as exc:
-            _witness_search(stub, allowed, SearchBudget(restarts=1000), GaussianSampler(0), None)
+            _witness_search(stub, allowed, SearchBudget(restarts=1000), GaussianSampler(0), [None])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert "\n" not in str(exc.value)
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("n_lanes", [2, 3])
+@pytest.mark.parametrize("n_allowed, n_in", [(3, 1), (64, 2)])
+def test_lane_proposals_are_copies_of_the_one_lane_move(n_allowed, n_in, n_lanes):
+    # each lane holds states of its own, and every start draws once for all lanes
+    states = _complex_normals(np.random.default_rng(n_lanes * n_allowed),
+                              (n_lanes * 5, n_allowed, n_in))
+    states[1] = 0.0
+    sampler = GaussianSampler(78)
+    rngs, lone_rngs = ([sampler.generator(_OP_WITNESS, 100 + i) for i in range(5)]
+                       for _ in range(2))
+    before = states.copy()
+    trials = _propose_witnesses(states, 0.5, rngs)
+    assert _same_bits(states, before)
+    for lane in range(n_lanes):
+        lane_rngs = copy.deepcopy(lone_rngs)
+        rows = slice(5 * lane, 5 * lane + 5)
+        assert _same_bits(trials[rows], _propose_witnesses(states[rows], 0.5, lane_rngs))
+        assert ([rng.bit_generator.state for rng in rngs]
+                == [rng.bit_generator.state for rng in lane_rngs])
+
+
+@pytest.mark.parametrize("restarts, steps", [(0, 0), (0, 5), (3, 0), (3, 5)])
+@pytest.mark.parametrize("mean_zero", [False, True])
+@pytest.mark.parametrize("d, shape", [(1, (1, 1)), (1, (2, 2)), (2, (1, 1)), (2, (2, 2))])
+def test_shared_search_estimates_equal_the_lone_estimates_bit_for_bit(d, shape, mean_zero,
+                                                                      restarts, steps):
+    grid = GridSpec(d, 32 if d == 1 else 8, 1.0)
+    m = _scorer_symbol(grid, shape, np.random.default_rng(10 * d + shape[0]))
+    # an l^1 -> l^inf pair, and one pair listed twice
+    pairs = [(1.0, np.inf), (1.5, 3.0), (2.0, 2.0), (1.5, 3.0)]
+    kwargs = dict(budget=SearchBudget(restarts=restarts, steps=steps),
+                  sampler=GaussianSampler(79), mean_zero=mean_zero)
+    got = np.array(_estimate_multiplier_norms(m, pairs, **kwargs))
+    lone = np.array([estimate_multiplier_norm(m, p, q, **kwargs) for p, q in pairs])
+    assert _same_bits(got, lone)
+    assert len(set(got)) > 1   # so a lane reading another lane's best shows
+
+
+def test_lanes_that_push_the_witness_state_over_the_cap_are_refused_before_allocating():
+    # d = 1, N = 2^15, mean zero, 400 restarts: 421 starts x 32767 nodes.  One
+    # lane's states and trials take 421 MB, under the cap; three take 1263 MB
+    one_lane = 2 * 421 * 32767 * 16
+    assert one_lane <= _SEARCH_BYTES_CAP < 3 * one_lane
+    m = riesz_symbol(GridSpec(1, 2**15, 1.0), 0.5)
+    pairs = [(4.0 / 3.0, 4.0), (1.5, 6.0), (2.0, 10.0)]
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="3 estimates x 421 starts x 32767 nodes") as exc:
+            _estimate_multiplier_norms(m, pairs, budget=SearchBudget(restarts=400),
+                                       mean_zero=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "\n" not in str(exc.value) and "1263 MB of search state" in str(exc.value)
     assert peak < 2**20
 
 

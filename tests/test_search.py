@@ -57,7 +57,7 @@ def _count_climb(n_starts, budget, scores):
         log.append(("propose", state, step))
         return state + 1
 
-    value, state = _hill_climb(
+    [(value, state)] = _hill_climb(
         GaussianSampler(3), 7, n_starts, *_batched(start, propose),
         lambda states: [scores.get(s, 0.0) for s in states], budget,
     )
@@ -135,10 +135,52 @@ def test_lockstep_engine_matches_the_serial_reference(seed, steps, n_starts):
         return [score(s) for s in states]
 
     sampler, budget = GaussianSampler(seed), SearchBudget(steps=steps, anneal=0.8)
-    got = _hill_climb(sampler, 9, n_starts, *_batched(start, propose), score_batch, budget)
+    [got] = _hill_climb(sampler, 9, n_starts, *_batched(start, propose), score_batch, budget)
     assert got == _serial_hill_climb(sampler, 9, n_starts, start, propose, score, budget)
     # one batched call per step, each over every start
     assert calls == ([n_starts] * (steps + 1) if n_starts else [])
+
+
+@pytest.mark.parametrize("n_lanes", [1, 2, 3])
+@pytest.mark.parametrize("steps", [0, 1, 9])
+@pytest.mark.parametrize("seed", range(4))
+def test_each_lane_matches_the_serial_reference_of_its_own_score(seed, steps, n_lanes):
+    # the lanes share every draw: a start's rng is called once per step, and
+    # its move lands on that start's row in every lane; each lane scores
+    # through its own table, with ties, NaN and -inf common
+    n_starts = 7
+    tables = np.random.default_rng(seed).choice([-np.inf, np.nan, 0.0, 1.0, 1.0, 2.5],
+                                                size=(n_lanes, 17))
+
+    def start(i, rng):
+        return int(rng.integers(0, 40)) if i % 3 else 5 * i
+
+    def move(step, rng):
+        return int(rng.integers(-3, 4)) + int(8 * step)
+
+    def start_lanes(rngs):
+        return [start(i, rng) for i, rng in enumerate(rngs)] * n_lanes
+
+    def propose_lanes(states, step, rngs):
+        return [s + d for s, d in zip(states, [move(step, rng) for rng in rngs] * n_lanes)]
+
+    def score_lanes(states):
+        return [float(tables[row // n_starts][s % 17]) for row, s in enumerate(states)]
+
+    sampler, budget = GaussianSampler(seed), SearchBudget(steps=steps, anneal=0.8)
+    got = _hill_climb(sampler, 9, n_starts, start_lanes, propose_lanes, score_lanes, budget,
+                      lanes=n_lanes)
+    assert got == [
+        _serial_hill_climb(sampler, 9, n_starts, start,
+                           lambda s, step, rng: s + move(step, rng),
+                           lambda s: float(tables[lane][s % 17]), budget)
+        for lane in range(n_lanes)
+    ]
+
+
+def test_lanes_with_no_starts():
+    assert _hill_climb(GaussianSampler(0), 9, 0, None, None, None, SearchBudget(),
+                       lanes=3) == [(-np.inf, None)] * 3
 
 
 def test_type_search_needs_one_restart():
