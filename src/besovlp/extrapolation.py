@@ -36,6 +36,7 @@ from .spaces import (
     idft,
     lp_norm,
     weak_lp_norm,
+    _check_exponent,
     _dft_stack,
     _idft_stack,
     _inv,
@@ -850,7 +851,8 @@ def extrapolation_sweep(
     the pairs share one witness search, whose lanes draw every random
     proposal once (multiplier._estimate_multiplier_norms), and each
     row's estimate is, bit for bit, the estimate_multiplier_norm of its
-    pair alone.  Empty pq_list or grid_list is refused.  The stability
+    pair alone.  Empty pq_list or grid_list is refused, and so is an r,
+    p or q outside [1, inf], before anything is computed.  The stability
     table holds the max/min spread of the estimates across grids, and
     the endpoint growth is least-squares fitted against 1/(p-1) (as p
     drops to 1) and against q (as q grows).  Each fit uses the rows of
@@ -861,6 +863,10 @@ def extrapolation_sweep(
     """
     _require_nonempty(pq_list, "pq_list")
     _require_nonempty(grid_list, "grid_list")
+    _check_exponent(r, "r")
+    for p, q in pq_list:
+        _check_exponent(p, "p")
+        _check_exponent(q, "q")
     # sub-critical pairs (1/p - 1/q < 1/r) are admissible on the finite-measure
     # torus and are flagged; pairs demanding more smoothing than r provides
     # are rejected

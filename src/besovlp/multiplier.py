@@ -57,6 +57,7 @@ from .sampling import (
     SearchBudget,
     _complex_normals,
     _hill_climb,
+    _pick_nodes,
 )
 from .spaces import (
     DimensionMismatchError,
@@ -351,29 +352,32 @@ def _dyadic_annulus_masks(grid: GridSpec) -> list:
     return [_annulus_mask(mags, k) for k in range(_n_dyadic_annuli(grid))]
 
 
-def _propose_witnesses(states: np.ndarray, step: float, rngs: list) -> np.ndarray:
+def _propose_witnesses(states: np.ndarray, step: float, rngs: list, halves: list) -> np.ndarray:
     """Trials of a witness state stack (L * S, n_allowed, n_in): L lanes of
     S starts, lane-major, one trial per row.
 
     Start i's rng picks 1-8 distinct nodes and draws their complex noise,
     once, rngs in start order; all the noise is added with one scatter,
     start i's to row i of every lane, and every nonzero trial is divided
-    by its largest modulus.
+    by its largest modulus.  The nodes come from sampling._pick_nodes:
+    halves[i] holds the 32-bit half of start i's stream left unread
+    between its draws, and is updated in place.
     """
     n_starts = len(rngs)
     n_allowed, n_in = states.shape[1:]
     trials = states.copy()
-    cols, draws = [], []
-    for rng in rngs:
-        n_touch = int(min(n_allowed, 1 + rng.integers(0, 8)))
-        cols.append(rng.choice(n_allowed, size=n_touch, replace=False))
-        draws.append(rng.standard_normal((2, n_touch, n_in)))
-    rows = np.repeat(np.arange(n_starts), [c.size for c in cols])
+    cols, sizes, draws = [], [], []
+    for i, rng in enumerate(rngs):
+        nodes, halves[i] = _pick_nodes(rng.bit_generator, halves[i], n_allowed, 3)
+        cols += nodes
+        sizes.append(len(nodes))
+        draws.append(rng.standard_normal((2, len(nodes), n_in)))
+    rows = np.repeat(np.arange(n_starts), sizes)
     re, im = np.concatenate(draws, axis=1)
     # one start's nodes are distinct, so each noise term is added once per
     # lane; several lanes are indexed through an (L, S, n_allowed, n_in) view
     lanes = trials if len(trials) == n_starts else trials.reshape(-1, n_starts, n_allowed, n_in)
-    lanes[..., rows, np.concatenate(cols), :] += step * (re + 1j * im)
+    lanes[..., rows, cols, :] += step * (re + 1j * im)
     scale = np.abs(trials).max(axis=(1, 2))[:, None, None]
     return np.divide(trials, scale, out=trials, where=scale > 0)
 
@@ -454,17 +458,22 @@ def _witness_search(
         for i, sub in enumerate(subs, len(modes) + 1):
             states[i, sub, 0] = 1.0
         for i, rng in enumerate(rngs[n_structured:], n_structured):
-            n_active = int(min(n_allowed, max(1, rng.integers(1, 33))))
-            idx = rng.choice(n_allowed, size=n_active, replace=False)
-            states[i, idx] = _complex_normals(rng, (n_active, n_in))
+            # 1-32 nodes, as rng.integers(1, 33) and rng.choice would pick them
+            idx, halves[i] = _pick_nodes(rng.bit_generator, None, n_allowed, 5)
+            states[i, idx] = _complex_normals(rng, (len(idx), n_in))
         return states if n_lanes == 1 else np.tile(states, (n_lanes, 1, 1))
+
+    def propose(states, step, rngs):
+        return _propose_witnesses(states, step, rngs, halves)
 
     # one zeroed chunk for the whole search, no larger than one lane's
     # states: only the allowed nodes are ever written, and a scorer does
     # not write into its input
     n_starts = n_structured + budget.restarts
     fhats = np.zeros((min(per_chunk, n_starts), grid.n_nodes, n_in), dtype=np.complex128)
-    found = _hill_climb(sampler, _OP_WITNESS, n_starts, start, _propose_witnesses,
+    # per start, the 32-bit half of its stream that _pick_nodes left unread
+    halves = [None] * n_starts
+    found = _hill_climb(sampler, _OP_WITNESS, n_starts, start, propose,
                         score_batch, budget, lanes=n_lanes)
     return [value for value, _ in found]
 

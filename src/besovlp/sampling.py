@@ -22,6 +22,12 @@ scores, and the Python overhead is paid once per step instead of once
 per candidate.  A search may run in several lanes, one per score it
 serves: the lanes share the starts' streams, so each draw is made once,
 and each lane keeps its own states, acceptances and best state.
+
+The multiplier witness streams read their node draws from raw PCG64
+words (``_pick_nodes``) and their noise from ``standard_normal``, so they
+depend on the PCG64 stream and numpy's normal sampler only, not on the
+code of numpy's ``choice`` or ``integers``, whose draws ``_pick_nodes``
+replays exactly.
 """
 
 from __future__ import annotations
@@ -70,6 +76,82 @@ def _complex_normals(rng: np.random.Generator, shape) -> np.ndarray:
     return z[0] + 1j * z[1]
 
 
+_LOW32 = 0xFFFFFFFF
+
+
+def _pick_nodes(bit_generator, half: int | None, n: int, bits: int) -> tuple:
+    """(nodes, half): k = min(n, 1 + rng.integers(0, 2**bits)) distinct
+    nodes of range(n), as rng.choice(n, k, replace=False) picks them, and
+    the unread 32-bit half left over, for the next call on that stream.
+
+    Exact replay of numpy 2.x on the generator's PCG64 bit_generator,
+    read through random_raw, with the same values and the same stream
+    position as those two calls.  numpy draws 32 bits at a time, the low
+    half and then the high half of each 64-bit word, and keeps an unread
+    high half for the next 32-bit draw; standard_normal reads whole
+    words and never touches that half, so the caller keeps it instead
+    (half, None when there is none) and hands it back on the next call.
+    A bounded draw in [0, r] is Lemire's method (u * (r + 1) >> 32,
+    redrawn while the low 32 bits fall under (2^32 - 1 - r) mod (r + 1)),
+    r = 0 drawing nothing; choice is Floyd's sampling (j = n - k .. n - 1
+    draws v in [0, j], j itself if v is taken) and then a Fisher-Yates
+    shuffle of the k picks.  numpy's tail-shuffle branch of choice needs
+    n > 10000 and k > n // 50, which k <= 32 never meets, so bits <= 5;
+    n < 2^32 keeps every draw on the 32-bit path.
+    """
+    if half is None:
+        word = bit_generator.random_raw()
+        u, stream = word & _LOW32, [word >> 32]
+    else:
+        u, stream = half, []
+    # 2^bits values: Lemire's method never redraws, and the draw is u's top bits
+    k = min(n, 1 + (u >> (32 - bits)))
+    # k - 1 shuffle draws, and k Floyd draws but for j = 0 when k == n
+    end = 2 * k - 1 - (k == n)
+    short = end - len(stream)
+    if short > 0:
+        for word in bit_generator.random_raw((short + 1) // 2).tolist():
+            stream += (word & _LOW32, word >> 32)
+    pos = 0
+    nodes = []
+    for j in range(n - k, n):
+        if j == 0:
+            nodes.append(0)
+            continue
+        m = stream[pos] * (j + 1)
+        pos += 1
+        if m & _LOW32 <= j:
+            m, pos, end = _lemire_redraw(bit_generator, stream, pos, end, j, m)
+        v = m >> 32
+        nodes.append(j if v in nodes else v)
+    for i in range(k - 1, 0, -1):
+        m = stream[pos] * (i + 1)
+        pos += 1
+        if m & _LOW32 <= i:
+            m, pos, end = _lemire_redraw(bit_generator, stream, pos, end, i, m)
+        v = m >> 32
+        nodes[i], nodes[v] = nodes[v], nodes[i]
+    return nodes, (stream[pos] if pos < len(stream) else None)
+
+
+def _lemire_redraw(bit_generator, stream: list, pos: int, end: int, r: int, m: int) -> tuple:
+    """The rare branch of _pick_nodes' bounded draw in [0, r], whose first
+    product m = u * (r + 1) has low 32 bits <= r: (m, pos, end) after
+    redrawing while they fall under (2^32 - 1 - r) mod (r + 1).  Each
+    redraw moves every later draw one value on, so end, the stream
+    length the call needs, grows by one, and a word is drawn when the
+    stream falls short of it, as numpy would draw it."""
+    threshold = (_LOW32 - r) % (r + 1)
+    while m & _LOW32 < threshold:
+        end += 1
+        if len(stream) < end:
+            word = bit_generator.random_raw()
+            stream += (word & _LOW32, word >> 32)
+        m = stream[pos] * (r + 1)
+        pos += 1
+    return m, pos, end
+
+
 # bytes one search may hold in its state stack, its frozen Gaussian draw
 # or its per-start random generators (1 GiB)
 _SEARCH_BYTES_CAP = 2**30
@@ -92,12 +174,15 @@ def _fill_complex_gaussians(rng: np.random.Generator, out: np.ndarray) -> np.nda
     """
     flat = out.reshape(-1)
     scratch = np.empty(max(1, min(flat.size, _SCRATCH_ENTRIES)))
+    # numpy divides a complex array by a real scalar as a product with its
+    # reciprocal, so scaling each real piece gives the same bits
+    inv_sqrt2 = 1.0 / np.sqrt(2.0)
     for part in (flat.real, flat.imag):
         for i in range(0, flat.size, scratch.size):
             piece = scratch[:flat.size - i]
             rng.standard_normal(out=piece)
-            part[i:i + piece.size] = piece
-    return np.divide(out, np.sqrt(2.0), out=out)
+            np.multiply(piece, inv_sqrt2, out=part[i:i + piece.size])
+    return out
 
 
 @dataclass(frozen=True)

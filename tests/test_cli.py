@@ -222,6 +222,9 @@ BAD_CONFIGS = [
      dict(_sweep_params(pairs=[[4.0 / 3.0, 4.0], [1.5, 6.0], [2.0, 10.0]], grids=[2**15]),
           budget={"restarts": 400}),
      "witness search too large: 3 estimates x 421 starts"),
+    # r = 0 divided by zero, and p < 1 read as a pair off the line
+    ("sweep", _sweep_params(r=0), "r must lie in [1, inf], got 0"),
+    ("sweep", _sweep_params(pairs=[[0.5, 2.0]]), "p must lie in [1, inf], got 0.5"),
 ]
 
 

@@ -746,6 +746,23 @@ def test_sweep_and_probe_refuse_empty_lists():
         sharpness_probe(0.5, 2.0, [], SAMPLER)
 
 
+@pytest.mark.parametrize("r, pairs, message", [
+    (0.0, [(2.0, np.inf)], r"^r must lie in \[1, inf\], got 0.0$"),
+    (-2.0, [(2.0, np.inf)], r"^r must lie in \[1, inf\], got -2.0$"),
+    (np.nan, [(2.0, 2.0)], r"^r must lie in \[1, inf\], got nan$"),
+    # p < 1 lies above the line 1/p - 1/q = 1/2 too, and is named as a bad exponent
+    (2.0, [(2.0, np.inf), (0.5, 2.0)], r"^p must lie in \[1, inf\], got 0.5$"),
+    (2.0, [(2.0, 0.5)], r"^q must lie in \[1, inf\], got 0.5$"),
+])
+def test_sweep_refuses_bad_exponents_before_building_a_symbol(r, pairs, message):
+    def factory(grid):
+        raise AssertionError("the symbol is built before the exponents are checked")
+
+    with pytest.raises(ValueError, match=message):
+        extrapolation_sweep(factory, r, pairs, [GridSpec(1, 32, 1.0)], budget=BUDGET,
+                            sampler=SAMPLER)
+
+
 def test_sharpness_borderline_sigma_is_flat():
     grids = [GridSpec(1, n, 1.0) for n in (128, 256, 512)]
     probe = sharpness_probe(0.5, 2.0, grids, SAMPLER)  # sigma = d/r

@@ -24,3 +24,12 @@ def test_check_names_a_stale_golden_and_writes_nothing(tmp_path, monkeypatch, ca
     assert capsys.readouterr().out == f"would change: {stale}\n"
     assert stale.read_text() == "{}\n"
     assert [p.name for p in tmp_path.iterdir()] == ["partition_export.json"]
+
+
+def test_check_finds_every_demo_output_unchanged():
+    names = sorted(f"demos/{path.stem}.txt" for path in (TOOL.parents[1] / "demos").glob("*.py"))
+    assert len(names) == 6
+    proc = subprocess.run([sys.executable, str(TOOL), "--check", *names],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.count("unchanged: ") == 6

@@ -37,7 +37,7 @@ from besovlp import (
     verify_thm46,
 )
 from besovlp import GaussianSampler, besov_norm, dft, homogeneous_besov_norm, idft, lp_norm
-from besovlp import spaces
+from besovlp import multiplier, spaces
 from besovlp.gaussian import _top_right_singular_vector
 from besovlp.multiplier import (
     _OP_WITNESS,
@@ -399,6 +399,17 @@ def _per_state_propose(spec, step, rng):
     return trial / scale if scale > 0 else trial
 
 
+def _per_state_restart(n_allowed, n_in, rng):
+    """A random restart start of the witness search, drawn one start at a time
+    with numpy's integers and choice: the reference."""
+    n_active = int(min(n_allowed, max(1, rng.integers(1, 33))))
+    idx = rng.choice(n_allowed, size=n_active, replace=False)
+    spec = np.zeros((n_allowed, n_in), dtype=np.complex128)
+    shape = (n_active, n_in)
+    spec[idx] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return spec
+
+
 def _per_state_witness_search(m, allowed, budget, sampler, score_spectra):
     """The witness search on per-state hooks and the serial engine: the reference."""
     grid, n_in = m.grid, m.n_in
@@ -417,14 +428,7 @@ def _per_state_witness_search(m, allowed, budget, sampler, score_spectra):
             starts.append(spec)
 
     def start(i, rng):
-        if i < len(starts):
-            return starts[i]
-        n_active = int(min(n_allowed, max(1, rng.integers(1, 33))))
-        idx = rng.choice(n_allowed, size=n_active, replace=False)
-        spec = np.zeros((n_allowed, n_in), dtype=np.complex128)
-        shape = (n_active, n_in)
-        spec[idx] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        return spec
+        return starts[i] if i < len(starts) else _per_state_restart(n_allowed, n_in, rng)
 
     def score(spec):
         fhat = np.zeros((1, grid.n_nodes, n_in), dtype=np.complex128)
@@ -445,26 +449,32 @@ def test_batched_witness_proposal_matches_the_per_state_reference(n_allowed, n_i
     sampler = GaussianSampler(76)
     rngs, ref_rngs = ([sampler.generator(_OP_WITNESS, 100 + i) for i in range(6)]
                       for _ in range(2))
-    ref, step = list(states), 0.5
+    ref, step, halves = list(states), 0.5, [None] * 6
     for _ in range(6):
         before = states.copy()
-        trials = _propose_witnesses(states, step, rngs)
+        trials = _propose_witnesses(states, step, rngs, halves)
         ref = [_per_state_propose(spec, step, rng) for spec, rng in zip(ref, ref_rngs)]
         assert _same_bits(trials, np.stack(ref))
         assert _same_bits(states, before)   # the states are left as they were
         states, step = trials, step * 0.9
 
 
-@pytest.mark.parametrize("shape", [(1, 1), (2, 2)])
-def test_witness_searches_match_the_per_state_serial_reference(shape):
-    grid = GridSpec(1, 32, 1.0)
+@pytest.mark.parametrize("d, shape", [(1, (1, 1)), (1, (2, 2)), (2, (2, 2))],
+                         ids=["shape0", "shape1", "shape1-d2"])
+def test_witness_searches_match_the_per_state_serial_reference(d, shape):
+    # at d = 2 the L^p witnesses live on the 20 nonzero nodes of |xi| <= 2.5:
+    # restarts drawing 20-32 nodes take all of them, which leaves a 32-bit
+    # half of their stream unread for the first proposal
+    grid = GridSpec(d, 32 if d == 1 else 16, 1.0)
     part = build_partition(grid)
     m = _scorer_symbol(grid, shape, np.random.default_rng(74))
     x, y = ValueSpace.lp(1.0, shape[1]), ValueSpace.lp(3.0, shape[0])
-    budget, sampler = SearchBudget(restarts=4, steps=12), GaussianSampler(75)
-    mean_zero = np.ones(grid.n_nodes, dtype=bool)
+    budget, sampler = SearchBudget(restarts=4 if d == 1 else 8, steps=12), GaussianSampler(75)
+    support = grid.frequency_magnitudes() <= (np.inf if d == 1 else 2.5)
+    mean_zero = support.copy()
     mean_zero[0] = False
-    got = estimate_multiplier_norm(m, 1.5, 3.0, x, y, budget, sampler, mean_zero=True)
+    got = estimate_multiplier_norm(m, 1.5, 3.0, x, y, budget, sampler, support_mask=support,
+                                   mean_zero=True)
     assert type(got) is float
     assert got == _per_state_witness_search(m, mean_zero, budget, sampler,
                                             _lp_scorer(m, 1.5, 3.0, x, y))
@@ -473,6 +483,34 @@ def test_witness_searches_match_the_per_state_serial_reference(shape):
     assert got == _per_state_witness_search(
         m, part.band_limit_mask(), budget, sampler,
         _besov_scorer(m, src, dst, part, x, y, False))
+
+
+def test_restart_starts_hand_their_unread_half_to_their_first_proposal(monkeypatch):
+    # 20 allowed nodes: a restart drawing 20-32 nodes takes all of them and
+    # leaves a 32-bit half of its stream unread, which its first proposal reads
+    grid = GridSpec(2, 16, 1.0)
+    m = _scorer_symbol(grid, (2, 2), np.random.default_rng(74))
+    allowed = grid.frequency_magnitudes() <= 2.5
+    allowed[0] = False
+    n_allowed, sampler, seen = int(allowed.sum()), GaussianSampler(75), {}
+
+    def first_step(sampler, op_code, n_starts, start, propose, score_batch, budget, lanes):
+        rngs = [sampler.generator(op_code, 100 + i) for i in range(n_starts)]
+        seen["states"] = start(rngs)
+        seen["trials"] = propose(seen["states"], 0.5, rngs)
+        return [(-np.inf, None)] * lanes
+
+    monkeypatch.setattr(multiplier, "_hill_climb", first_step)
+    _witness_search(m, allowed, SearchBudget(restarts=8, steps=1), sampler, [None])
+    n_starts = len(seen["states"])
+    takes_all = 0
+    for i in range(n_starts - 8, n_starts):
+        rng = sampler.generator(_OP_WITNESS, 100 + i)
+        spec = _per_state_restart(n_allowed, 2, rng)
+        takes_all += np.all(spec[:, 0] != 0)
+        assert _same_bits(seen["states"][i], spec)
+        assert _same_bits(seen["trials"][i], _per_state_propose(spec, 0.5, rng))
+    assert takes_all >= 2
 
 
 def test_witness_search_over_the_state_cap_is_refused_before_allocating():
@@ -502,15 +540,19 @@ def test_lane_proposals_are_copies_of_the_one_lane_move(n_allowed, n_in, n_lanes
     sampler = GaussianSampler(78)
     rngs, lone_rngs = ([sampler.generator(_OP_WITNESS, 100 + i) for i in range(5)]
                        for _ in range(2))
+    # start 2 carries a half of its stream from an earlier draw
+    halves, lone_halves = [None, None, 12345, None, None], [None, None, 12345, None, None]
     before = states.copy()
-    trials = _propose_witnesses(states, 0.5, rngs)
+    trials = _propose_witnesses(states, 0.5, rngs, halves)
     assert _same_bits(states, before)
     for lane in range(n_lanes):
-        lane_rngs = copy.deepcopy(lone_rngs)
+        lane_rngs, lane_halves = copy.deepcopy(lone_rngs), list(lone_halves)
         rows = slice(5 * lane, 5 * lane + 5)
-        assert _same_bits(trials[rows], _propose_witnesses(states[rows], 0.5, lane_rngs))
+        assert _same_bits(trials[rows],
+                          _propose_witnesses(states[rows], 0.5, lane_rngs, lane_halves))
         assert ([rng.bit_generator.state for rng in rngs]
                 == [rng.bit_generator.state for rng in lane_rngs])
+        assert halves == lane_halves
 
 
 @pytest.mark.parametrize("restarts, steps", [(0, 0), (0, 5), (3, 0), (3, 5)])

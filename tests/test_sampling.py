@@ -7,7 +7,12 @@ import pytest
 from besovlp import GaussianSampler, MCEstimate, SearchBudget, ValueSpace
 from besovlp import gaussian
 from besovlp.gaussian import _chunked_moment
-from besovlp.sampling import _SCRATCH_ENTRIES, _complex_normals
+from besovlp.sampling import (
+    _SCRATCH_ENTRIES,
+    _complex_normals,
+    _fill_complex_gaussians,
+    _pick_nodes,
+)
 
 
 def _old_draw(rng, shape):
@@ -76,6 +81,67 @@ def test_complex_gaussians_equal_the_old_draw_bit_for_bit(shape):
     got = s.complex_gaussians(shape, op_code=3, stream=2)
     assert got.dtype == np.complex128
     assert _same_bits(got, _old_draw(s.generator(3, 2), shape))
+
+
+@pytest.mark.parametrize("shape", [(5,), (_SCRATCH_ENTRIES - 1,), (_SCRATCH_ENTRIES,),
+                                   (2, _SCRATCH_ENTRIES), (2 * _SCRATCH_ENTRIES + 3,)])
+def test_fill_scales_each_piece_as_the_complex_divide_does(shape):
+    # below, at and across the scratch size, into an array holding other values
+    rng, ref = np.random.default_rng(12), np.random.default_rng(12)
+    out = np.full(shape, 3.0 - 4.0j)
+    assert _fill_complex_gaussians(rng, out) is out
+    re, im = ref.standard_normal(shape), ref.standard_normal(shape)
+    assert _same_bits(out, (re + 1j * im) / np.sqrt(2.0))
+    assert rng.random() == ref.random()
+
+
+# n of range(n): 1-9 put k == n within reach of both counts, 2^31 + 5 and
+# 3 * 2^30 make Lemire's method redraw about one draw in two and one in four
+PICK_NS = [*range(1, 10), 33, 511, 12941, 2**31 + 5, 3 * 2**30]
+
+
+def _numpy_pick(rng, n, bits):
+    """The draws _pick_nodes replays: the reference."""
+    k = int(min(n, 1 + rng.integers(0, 2**bits)))
+    return rng.choice(n, size=k, replace=False).tolist()
+
+
+def _assert_same_stream(bit_generator, half, ref):
+    """The stream sits where numpy left ref's, with numpy's unread half in half."""
+    state = ref.bit_generator.state
+    assert bit_generator.state["state"] == state["state"]
+    assert half == (state["uinteger"] if state["has_uint32"] else None)
+
+
+@pytest.mark.parametrize("bits", [3, 5])
+@pytest.mark.parametrize("n", PICK_NS)
+def test_pick_nodes_replays_numpy_integers_and_choice(n, bits):
+    for seed in range(40):
+        rng, ref = (np.random.Generator(np.random.PCG64(seed)) for _ in range(2))
+        nodes, half = _pick_nodes(rng.bit_generator, None, n, bits)
+        assert nodes == _numpy_pick(ref, n, bits)
+        _assert_same_stream(rng.bit_generator, half, ref)
+        # standard_normal reads whole words and leaves the unread half alone
+        assert _same_bits(rng.standard_normal(3), ref.standard_normal(3))
+        _assert_same_stream(rng.bit_generator, half, ref)
+
+
+@pytest.mark.parametrize("n", PICK_NS)
+def test_chained_picks_carry_the_unread_half(n):
+    # picks from range(3) take all 3 nodes most of the time, which leaves a
+    # half unread, so picks from range(n) often start from a carried half
+    rng, ref = (np.random.Generator(np.random.PCG64(n)) for _ in range(2))
+    half, carried = None, 0
+    for step in range(80):
+        size, bits = (3, 3) if step % 2 else (n, 5 if step % 3 == 0 else 3)
+        carried += size == n and half is not None
+        nodes, half = _pick_nodes(rng.bit_generator, half, size, bits)
+        assert nodes == _numpy_pick(ref, size, bits)
+        _assert_same_stream(rng.bit_generator, half, ref)
+        if step % 5 == 0:
+            assert _same_bits(rng.standard_normal((2, len(nodes))),
+                              ref.standard_normal((2, len(nodes))))
+    assert carried >= 10
 
 
 def _old_chunked_moment(vectors, space, sampler, op_code, stream):

@@ -3,7 +3,8 @@
 Run from the repository root:
 
     python3 tools/make_goldens.py                  # rewrite every golden
-    python3 tools/make_goldens.py NAME...          # rewrite only the named files
+    python3 tools/make_goldens.py NAME...          # rewrite only the named files,
+                                                   # e.g. demos/02_besov_norms.txt
     python3 tools/make_goldens.py --check [NAME...]
 
 --check recomputes the goldens and writes nothing; it names each file
@@ -26,6 +27,10 @@ The search results are the exact repr of every randomized search's
 output (type/cotype constants, gamma-bound searches, multiplier-norm
 witness searches) at three budgets, so a change to the search schedule
 shows up in the last bit.
+
+The demo outputs, demos/NAME.txt, are the stdout of each script
+demos/NAME.py run with this checkout's src/ on the import path: every
+printed number of the narrative demos is deterministic.
 """
 
 import argparse
@@ -33,6 +38,8 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -69,6 +76,7 @@ from besovlp.testfunctions import random_band_limited  # noqa: E402
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN_DIR = ROOT / "tests" / "golden"
 SCENARIO_DIR = ROOT / "scenarios"
+DEMO_DIR = ROOT / "demos"
 
 SANDWICH_GRIDS = [(1, 256), (2, 64)]
 SANDWICH_S = [-1.0, 0.5, 2.0]
@@ -286,13 +294,34 @@ def verifier_reports() -> dict:
     return out
 
 
+def _json_text(build):
+    return lambda: json.dumps(build(), sort_keys=True, indent=2) + "\n"
+
+
+def _demo_output(script: Path):
+    def run() -> str:
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.run([sys.executable, str(script)], cwd=ROOT, env=env,
+                              capture_output=True, text=True)
+        if proc.returncode != 0:
+            raise RuntimeError(f"{script.name} exited {proc.returncode}:\n{proc.stderr}")
+        return proc.stdout
+    return run
+
+
+# golden file name (relative to GOLDEN_DIR) -> the text it holds
 ARTIFACTS = {
-    "sandwich_constants.json": sandwich_constants,
-    "cutoff_equivalence.json": cutoff_equivalence,
-    "partition_export.json": partition_export,
-    "suite_reports.json": suite_reports,
-    "search_results.json": search_results,
-    "verifier_reports.json": verifier_reports,
+    **{name: _json_text(build) for name, build in (
+        ("sandwich_constants.json", sandwich_constants),
+        ("cutoff_equivalence.json", cutoff_equivalence),
+        ("partition_export.json", partition_export),
+        ("suite_reports.json", suite_reports),
+        ("search_results.json", search_results),
+        ("verifier_reports.json", verifier_reports),
+    )},
+    **{f"demos/{script.stem}.txt": _demo_output(script)
+       for script in sorted(DEMO_DIR.glob("*.py"))},
 }
 
 
@@ -309,9 +338,9 @@ def main(argv=None) -> int:
     changed = False
     for name in args.names or ARTIFACTS:
         path = GOLDEN_DIR / name
-        text = json.dumps(ARTIFACTS[name](), sort_keys=True, indent=2) + "\n"
+        text = ARTIFACTS[name]()
         if not args.check:
-            GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
+            path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(text)
             print(f"wrote {path}")
         elif not path.exists() or path.read_bytes() != text.encode():
