@@ -170,6 +170,9 @@ class DyadicPartition:
         self.partition_sum = phi.sum(axis=0)
         self.partition_sum.setflags(write=False)
         self._complete = self.partition_sum >= 1.0 - _PARTITION_COMPLETE_TOL
+        # the mask the band-limit guard sums over, built once: one byte a
+        # node, where an index array would take eight per incomplete node
+        self._incomplete = ~self._complete
 
     # -- annuli ----------------------------------------------------------
 
@@ -198,10 +201,14 @@ class DyadicPartition:
 
     def _residual_fractions(self, power: np.ndarray) -> np.ndarray:
         """spectral_residual_fraction of a spectrum, or of each spectrum of a
-        stack, from its _node_power."""
+        stack, from its _node_power.
+
+        The residual sums the powers at the incomplete nodes, through the
+        partition's stored mask of them.
+        """
         total = power.sum(axis=-1)
         # np.compress: boolean indexing behind an Ellipsis is several times slower
-        residual = np.compress(~self._complete, power, axis=-1).sum(axis=-1)
+        residual = np.compress(self._incomplete, power, axis=-1).sum(axis=-1)
         return np.divide(residual, total, out=np.zeros_like(total), where=total != 0.0)
 
     def to_summary(self) -> dict:
@@ -312,9 +319,10 @@ def _block_batches(fhats: np.ndarray, rows: np.ndarray, grid: GridSpec, out=None
     extents are the rows' _slab_extents (computed when not given).  At
     d >= 2, when every row of a batch is zero on the slabs |i| > a of the
     first lattice axis, only the slabs |i| <= a are transformed over the
-    other axes, then the whole batch along the first: numpy's ifftn
-    takes its axis passes in that order, last axis first, so every line
-    gets the same 1-D transform and the blocks the same bits.
+    other axes, then the whole batch along the first: _idft_stack takes
+    its axis passes in that order, last axis first, as numpy's ifftn
+    does, so every line gets the same 1-D transform and the blocks the
+    same bits.
     """
     if extents is None:
         extents = _slab_extents(rows, grid)
@@ -355,7 +363,8 @@ def _block_batches(fhats: np.ndarray, rows: np.ndarray, grid: GridSpec, out=None
         batch[:, (a + 1) * slab:(n - a) * slab] = 0.0
         lat = batch.reshape((-1,) + grid.spatial_shape() + (dim,))
         for half in (lat[:, :a + 1], lat[:, n - a:]):
-            np.fft.ifftn(half, axes=tuple(range(2, grid.d + 1)), out=half)
+            for axis in range(grid.d, 1, -1):
+                np.fft.ifft(half, axis=axis, out=half)
         np.fft.ifft(lat, axis=1, out=lat)
         yield np.multiply(batch, _idft_scale(grid), out=batch)
 
@@ -455,13 +464,14 @@ def _stack_batches(stacks: list):
         yield j, batch
 
 
-def _besov_norms(sides: list, part: DyadicPartition, homogeneous: bool) -> list:
+def _besov_norms(sides: list, part: DyadicPartition, homogeneous: bool, weights: list) -> list:
     """besov_norm (or homogeneous_besov_norm) of idft(fhat) for each spectrum
     fhat of the stacks (S_i, n_nodes, dim) that sides lists, bit for bit.
 
     sides lists (spectra, params, space), one stack per side; the norms
     come back side after side, each with its side's params and value
-    space.  The sides go through one pass, end to end, in the batches of
+    space.  weights lists each side's _besov_weights, which a caller that
+    scores many stacks with the same params computes once.  The sides go through one pass, end to end, in the batches of
     _stack_batches (at most _BLOCK_BATCH_ENTRIES samples, one spectrum
     per FFT call at d = 2, N = 256): per batch the same idft/dft round
     trip as those norms' inputs (skipping it would move the last bits),
@@ -490,11 +500,10 @@ def _besov_norms(sides: list, part: DyadicPartition, homogeneous: bool) -> list:
             block_norms += _lp_norms_by_run(batch, runs, grid.cell_volume, len(block_norms))
         # free the block buffer before the next batch's core allocates its own
         del batch
+    block_norms = np.array(block_norms).reshape(-1, n_rows)
     norms, lo = [], 0
-    for spectra, params, _ in sides:
-        hi = lo + len(spectra) * n_rows
-        weights = _besov_weights(part, params, homogeneous)
-        norms += _lp_rows(weights * np.reshape(block_norms[lo:hi], (len(spectra), n_rows)),
-                          params.v)
+    for (spectra, params, _), side_weights in zip(sides, weights):
+        hi = lo + len(spectra)
+        norms += _lp_rows(side_weights * block_norms[lo:hi], params.v)
         lo = hi
     return norms

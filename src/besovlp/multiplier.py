@@ -44,6 +44,7 @@ from .dyadic import (
     _BLOCK_BATCH_ENTRIES,
     _annulus_mask,
     _besov_norms,
+    _besov_weights,
     _node_power,
     _require_band_limited,
     _require_physical,
@@ -518,9 +519,15 @@ def _besov_scorer(m: OperatorSymbol, src: BesovParams, dst: BesovParams,
                   part: DyadicPartition, domain_space: ValueSpace,
                   codomain_space: ValueSpace, homogeneous: bool) -> Callable:
     """||T f||_dst / ||f||_src of a stack of spectra, equal bit for bit to
-    the quotient of besov_norm (or homogeneous_besov_norm) calls."""
+    the quotient of besov_norm (or homogeneous_besov_norm) calls.  The
+    two sides' block weights are computed once, for every stack scored."""
+    src_weights, dst_weights = (_besov_weights(part, params, homogeneous)
+                                for params in (src, dst))
+
     def norms(sides):
-        return _besov_norms(sides, part, homogeneous)
+        return _besov_norms(sides, part, homogeneous,
+                            [src_weights if params is src else dst_weights
+                             for _, params, _ in sides])
 
     return _ratio_scorer(m, norms, (src, domain_space), (dst, codomain_space))
 

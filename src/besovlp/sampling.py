@@ -32,6 +32,7 @@ replays exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -230,6 +231,10 @@ class SearchBudget:
                           ("search_samples", 1)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        # a NaN, infinite or zero step (or anneal) would leave every start where it began
+        for name in ("initial_step", "anneal"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
 
     def scaled(self, factor: float) -> "SearchBudget":
         return replace(

@@ -37,7 +37,7 @@ from besovlp import (
     verify_thm46,
 )
 from besovlp import GaussianSampler, besov_norm, dft, homogeneous_besov_norm, idft, lp_norm
-from besovlp import multiplier, spaces
+from besovlp import dyadic, multiplier, spaces
 from besovlp.gaussian import _top_right_singular_vector
 from besovlp.multiplier import (
     _OP_WITNESS,
@@ -376,7 +376,31 @@ def test_a_scored_chunk_takes_one_pass_per_stack(shape, besov_calls, lp_calls, m
     assert len(calls) == besov_calls
     calls.clear()
     lp(fhats)
-    assert calls == [np.fft.ifftn] * lp_calls
+    assert calls == [np.fft.ifft] * lp_calls
+
+
+@pytest.mark.parametrize("homogeneous", [False, True])
+@pytest.mark.parametrize("shape", [(1, 1), (3, 2)])
+def test_the_besov_scorer_weighs_its_sides_once_per_search(shape, homogeneous, monkeypatch):
+    grid = GridSpec(1, 32, 1.0)
+    part = build_partition(grid)
+    rng = np.random.default_rng(78)
+    m = _scorer_symbol(grid, shape, rng)
+    src, dst = BesovParams(0.5, 2.0, 1.5), BesovParams(-0.25, 3.0, 2.0)
+    fhats = _witness_stack(grid, part, shape[1], 4, homogeneous, rng)
+    x, y = ValueSpace.hilbert(shape[1]), ValueSpace.lp(1.0, shape[0])
+    norm = homogeneous_besov_norm if homogeneous else besov_norm
+    want = _serial_ratios(m, fhats, lambda f: norm(f, src, part, x),
+                          lambda g: norm(g, dst, part, y))
+    calls = []
+    weights = dyadic._besov_weights
+    for module in (dyadic, multiplier):
+        monkeypatch.setattr(module, "_besov_weights",
+                            lambda *a, **k: calls.append(a[1]) or weights(*a, **k))
+    score = _besov_scorer(m, src, dst, part, x, y, homogeneous)
+    assert calls == [src, dst]
+    assert score(fhats) == want and score(fhats[::-1]) == want[::-1]
+    assert calls == [src, dst]
 
 
 # -- the lockstep witness search -------------------------------------------

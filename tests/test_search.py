@@ -191,10 +191,23 @@ def test_type_search_needs_one_restart():
 
 @pytest.mark.parametrize("field, value", [
     ("restarts", -2), ("steps", -1), ("max_vectors", 0), ("search_samples", 0),
+    # a NaN, infinite or zero step leaves every start where it began: at
+    # N = 64, (p, q) = (2, 4), 4 x 40, GaussianSampler(3), the estimate of
+    # a scalar symbol drawn by default_rng(0) was 2.4173 for each of them,
+    # the value of the starts, against 2.5691 at step 0.5
+    ("initial_step", np.nan), ("initial_step", np.inf), ("initial_step", 0.0),
+    ("initial_step", -0.5), ("anneal", np.nan), ("anneal", np.inf), ("anneal", -np.inf),
+    ("anneal", 0.0), ("anneal", -0.97),
 ])
 def test_budget_rejects_out_of_range_fields(field, value):
-    with pytest.raises(ValueError, match=field):
+    with pytest.raises(ValueError, match=field) as err:
         SearchBudget(**{field: value})
+    assert "\n" not in str(err.value)
+
+
+def test_budget_accepts_any_finite_positive_step_and_anneal():
+    budget = SearchBudget(initial_step=1e-300, anneal=1.5)
+    assert (budget.initial_step, budget.anneal) == (1e-300, 1.5)
 
 
 def _gamma_family():

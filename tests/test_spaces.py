@@ -192,6 +192,64 @@ def test_norm_rows_matches_the_last_axis_reduce_exactly(rng):
                 assert np.array_equal(space.norm_rows(rows), reference(rows, p)), (dim, p)
 
 
+def _floats(exponents, mantissas):
+    """The binary64 numbers 2^e * (1 + m / 2^52), built from their bits."""
+    bits = (np.asarray(exponents, dtype=np.int64) + 1023) << 52 | np.asarray(mantissas, np.int64)
+    return bits.view(np.float64)
+
+
+def _root_of_square(rows):
+    """The one-component l^2 norm as norm_rows took it before: abs, square, sqrt."""
+    a = np.abs(np.atleast_2d(rows))
+    with np.errstate(over="ignore", under="ignore"):
+        return np.sqrt((a * a).sum(axis=-1))
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_scalar_l2_norm_rows_equal_the_root_of_the_square_exactly():
+    # sqrt(fl(h*h)) == h in binary64 wherever h*h neither overflows nor
+    # underflows, so |z| keeps the old bits on [2^-511, 2^512): 2^23 random
+    # magnitudes and 2^22 random complex values (|z| below 2^511.5), then
+    # every exponent with its edge mantissas
+    space = ValueSpace.scalar()
+    rng = np.random.default_rng(60)
+    chunk = 2**20
+    for _ in range(8):
+        h = _floats(rng.integers(-511, 512, chunk), rng.integers(0, 2**52, chunk))
+        h[::2] *= -1.0
+        assert _same_bits(space.norm_rows(h[:, None]), _root_of_square(h[:, None]))
+    for _ in range(4):
+        parts = [_floats(rng.integers(-511, 511, chunk), rng.integers(0, 2**52, chunk))
+                 for _ in range(2)]
+        z = (parts[0] * rng.choice([-1.0, 1.0], chunk) + 1j * parts[1])[:, None]
+        assert _same_bits(space.norm_rows(z), _root_of_square(z))
+    exponents = np.repeat(np.arange(-511, 512), 7)
+    edges = np.tile([0, 1, 2, 3, 2**51, 2**52 - 2, 2**52 - 1], 1023)
+    h = np.concatenate([_floats(exponents, edges), [0.0, -0.0, np.inf, -np.inf]])
+    assert _same_bits(space.norm_rows(h[:, None]), _root_of_square(h[:, None]))
+    assert np.isnan(space.norm_rows(np.array([[np.nan], [complex(np.nan, 1.0)]]))).all()
+
+
+def test_scalar_l2_norms_are_exact_where_the_square_leaves_the_range(rng):
+    # the old root of the square gave inf at 1e200 and 0.0 at 1e-200
+    space = ValueSpace.scalar()
+    huge, tiny = np.finfo(float).max, np.finfo(float).smallest_subnormal
+    for h in (1e200, 2.0**512, huge, 1e-200, 2.0**-512, tiny):
+        assert space.norm([h]) == space.norm([-h]) == space.norm([1j * h]) == h
+    assert _root_of_square([1e200]) == np.inf and _root_of_square([1e-200]) == 0.0
+    # magnitudes whose squares are subnormal: [2^-537, 2^-511)
+    h = _floats(rng.integers(-537, -511, 10**5), rng.integers(0, 2**52, 10**5))
+    assert _same_bits(space.norm_rows(h[:, None]), h)
+    assert not np.array_equal(_root_of_square(h[:, None]), h)
+    g = GridSpec(1, 8, 1.0)
+    for h in (1e-200, 1e200):
+        assert lp_norm(GridFunction(g, np.full(8, h)), np.inf) == h
+        assert weak_lp_norm(GridFunction(g, np.full(8, -h)), 2.0) == h
+
+
 def test_custom_norm_oracle_spot_checks(rng):
     def taxi(rows):
         return np.abs(rows).sum(axis=-1)

@@ -16,7 +16,14 @@ from besovlp import (
     idft,
 )
 from besovlp import dyadic
-from besovlp.dyadic import _besov_norms, _block_batches, _slab_extents, _stack_batches
+from besovlp.dyadic import (
+    _besov_norms,
+    _besov_weights,
+    _block_batches,
+    _node_power,
+    _slab_extents,
+    _stack_batches,
+)
 from besovlp.spaces import (
     _dft_stack,
     _idft_stack,
@@ -70,11 +77,17 @@ def test_transform_stack_equals_the_plain_fft_exactly(grid, dim):
     fwd = np.fft.fftn(_lattice(grid, stack), axes=_axes(grid)) * grid.cell_volume
     inv = np.fft.ifftn(_lattice(grid, stack), axes=_axes(grid)) * (
         (grid.n_per_dim / grid.period) ** grid.d)
-    assert _same_bits(_dft_stack(stack, grid), fwd.reshape(stack.shape))
-    assert _same_bits(_idft_stack(stack, grid), inv.reshape(stack.shape))
-    buf = stack.copy()
-    assert _dft_stack(buf, grid, out=buf) is buf
-    assert _same_bits(buf, fwd.reshape(stack.shape))
+    # one axis pass at a time, last axis first, is fftn/ifftn bit for bit:
+    # into a new array, into a given buffer, and in place
+    for stack_core, want in ((_dft_stack, fwd), (_idft_stack, inv)):
+        want = want.reshape(stack.shape)
+        assert _same_bits(stack_core(stack, grid), want)
+        buf = np.empty_like(stack)
+        assert stack_core(stack, grid, out=buf) is buf
+        assert _same_bits(buf, want)
+        buf = stack.copy()
+        assert stack_core(buf, grid, out=buf) is buf
+        assert _same_bits(buf, want)
 
 
 @pytest.mark.parametrize("per_batch", [None, 1, 2, 3, 5, 6])
@@ -166,9 +179,34 @@ def test_besov_norms_of_a_stack_equal_the_norms_one_by_one_at_d2(homogeneous):
     space = ValueSpace.lp(3.0, 3)
     norm = homogeneous_besov_norm if homogeneous else besov_norm
     for params in (BesovParams(0.5, 2.0, 2.0), BesovParams(-0.25, np.inf, 1.0)):
-        got = _besov_norms([(spectra, params, space)], part, homogeneous)
+        weights = [_besov_weights(part, params, homogeneous)]
+        got = _besov_norms([(spectra, params, space)], part, homogeneous, weights)
         assert list(got) == [norm(idft(GridFunction(grid, fhat, "frequency")), params, part,
                                   space) for fhat in spectra]
+
+
+@pytest.mark.parametrize("grid", [GridSpec(1, 64, 1.0), GridSpec(1, 256, 3.0),
+                                  GridSpec(2, 32, 1.0), GridSpec(3, 16, 1.0)],
+                         ids=["d1", "d1-256", "d2", "d3"])
+def test_guard_fractions_equal_the_compress_path_exactly(grid):
+    # the stored incomplete-node mask against compressing through the
+    # complement of the complete mask, as the guard did on every call
+    part = build_partition(grid)
+    rng = np.random.default_rng(51)
+    stack = _stack(rng, (6, grid.n_nodes, 2)) * np.exp(rng.uniform(-30.0, 30.0, (6, 1, 1)))
+    stack[1] = 0.0
+    stack[2][part.band_limit_mask()] = 0.0
+    power = _node_power(stack)
+    assert 0 < np.count_nonzero(part._incomplete) < grid.n_nodes
+    for p in (power, power[0], power[3:5]):
+        total = p.sum(axis=-1)
+        residual = np.compress(~part.band_limit_mask(), p, axis=-1).sum(axis=-1)
+        want = np.divide(residual, total, out=np.zeros_like(total), where=total != 0.0)
+        assert _same_bits(np.asarray(part._residual_fractions(p)), want)
+    assert part.spectral_residual_fraction(stack[0]) == float(
+        part._residual_fractions(power)[0])
+    assert part._residual_fractions(power)[1] == 0.0
+    assert part._residual_fractions(power)[2] == pytest.approx(1.0, rel=1e-15)
 
 
 def test_roots_on_python_floats_equal_the_numpy_scalar_powers():
@@ -288,6 +326,7 @@ def test_block_and_besov_cores_leave_their_inputs_alone(dim, homogeneous, monkey
     out = np.empty((len(fhats) * len(rows),) + fhats.shape[1:], dtype=np.complex128)
     for _ in _block_batches(fhats, rows, grid, out):
         pass
-    _besov_norms([(fhats, BesovParams(0.5, 2.0, 2.0), ValueSpace.lp(3.0, dim))], part,
-                 homogeneous)
+    params = BesovParams(0.5, 2.0, 2.0)
+    _besov_norms([(fhats, params, ValueSpace.lp(3.0, dim))], part, homogeneous,
+                 [_besov_weights(part, params, homogeneous)])
     assert _snapshot(fhats, rows, part.phi_hat, part.psi_hat) == before
