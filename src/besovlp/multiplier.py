@@ -521,15 +521,12 @@ def _besov_scorer(m: OperatorSymbol, src: BesovParams, dst: BesovParams,
     """||T f||_dst / ||f||_src of a stack of spectra, equal bit for bit to
     the quotient of besov_norm (or homogeneous_besov_norm) calls.  The
     two sides' block weights are computed once, for every stack scored."""
-    src_weights, dst_weights = (_besov_weights(part, params, homogeneous)
-                                for params in (src, dst))
-
     def norms(sides):
-        return _besov_norms(sides, part, homogeneous,
-                            [src_weights if params is src else dst_weights
-                             for _, params, _ in sides])
+        return _besov_norms(sides, part, homogeneous)
 
-    return _ratio_scorer(m, norms, (src, domain_space), (dst, codomain_space))
+    return _ratio_scorer(m, norms,
+                         (src, domain_space, _besov_weights(part, src, homogeneous)),
+                         (dst, codomain_space, _besov_weights(part, dst, homogeneous)))
 
 
 def estimate_multiplier_norm(

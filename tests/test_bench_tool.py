@@ -3,8 +3,6 @@ import json
 import subprocess
 from pathlib import Path
 
-import pytest
-
 ROOT = Path(__file__).resolve().parents[1]
 spec = importlib.util.spec_from_file_location("bench_tool", ROOT / "tools" / "bench.py")
 bench = importlib.util.module_from_spec(spec)
@@ -98,48 +96,3 @@ def test_bench_refuses_to_overwrite_a_bench_file(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "BENCH_new.json").exists()
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "BENCH_base.json exists" in err
-
-
-def test_bench_runs_only_the_named_workloads(tmp_path, monkeypatch, capsys):
-    other = _checkout(tmp_path / "parent")
-    seen = []
-    run_once, calls = _fake_run({bench.ROOT: 10.0, other: 8.0})
-
-    def tracked(checkout, workload, seed):
-        seen.append(workload)
-        return run_once(checkout, workload, seed)
-
-    monkeypatch.setattr(bench, "run_once", tracked)
-    monkeypatch.setattr(bench, "SEEDS", [0, 1])
-    monkeypatch.setattr(bench, "OUT_DIR", tmp_path)
-    assert bench.main(["new", "--workloads", "grid2d-256,thm44-grid", f"old={other}"]) == 0
-    # in BENCHMARK.json's order, whatever the order named
-    assert seen == ["thm44-grid"] * 4 + ["grid2d-256"] * 4
-    new = json.loads((tmp_path / "BENCH_new.json").read_text())
-    assert new["workloads"] == ["thm44-grid", "grid2d-256"]
-    assert sorted(new["summary"]) == ["grid2d-256", "thm44-grid"]
-    out = capsys.readouterr().out
-    assert "thm44-grid      ops_per_s" in out and "gamma-search" not in out
-
-
-@pytest.mark.parametrize("option", [["--workloads", "thm44-grid,no-such-workload"],
-                                    ["--workloads", ""], ["--workloads"]])
-def test_bench_refuses_an_unknown_workload(tmp_path, monkeypatch, capsys, option):
-    run_once, calls = _fake_run({bench.ROOT: 10.0})
-    monkeypatch.setattr(bench, "run_once", run_once)
-    monkeypatch.setattr(bench, "OUT_DIR", tmp_path)
-    assert bench.main(["new"] + option) == 2
-    assert calls == [] and not (tmp_path / "BENCH_new.json").exists()
-    assert "--workloads takes names from thm44-grid" in capsys.readouterr().err
-
-
-def test_bench_runs_every_workload_by_default(tmp_path, monkeypatch):
-    run_once, calls = _fake_run({bench.ROOT: 10.0})
-    monkeypatch.setattr(bench, "run_once", run_once)
-    monkeypatch.setattr(bench, "SEEDS", [0])
-    monkeypatch.setattr(bench, "OUT_DIR", tmp_path)
-    assert bench.main(["new"]) == 0
-    new = json.loads((tmp_path / "BENCH_new.json").read_text())
-    assert new["workloads"] == bench.WORKLOADS
-    assert bench.WORKLOADS == [w["name"] for w in bench.BENCHMARK["workloads"]]
-    assert len(calls) == len(bench.WORKLOADS)

@@ -17,6 +17,7 @@ from besovlp import (
 )
 from besovlp import dyadic
 from besovlp.dyadic import (
+    _PARTITION_COMPLETE_TOL,
     _besov_norms,
     _besov_weights,
     _block_batches,
@@ -179,8 +180,8 @@ def test_besov_norms_of_a_stack_equal_the_norms_one_by_one_at_d2(homogeneous):
     space = ValueSpace.lp(3.0, 3)
     norm = homogeneous_besov_norm if homogeneous else besov_norm
     for params in (BesovParams(0.5, 2.0, 2.0), BesovParams(-0.25, np.inf, 1.0)):
-        weights = [_besov_weights(part, params, homogeneous)]
-        got = _besov_norms([(spectra, params, space)], part, homogeneous, weights)
+        weights = _besov_weights(part, params, homogeneous)
+        got = _besov_norms([(spectra, params, space, weights)], part, homogeneous)
         assert list(got) == [norm(idft(GridFunction(grid, fhat, "frequency")), params, part,
                                   space) for fhat in spectra]
 
@@ -192,6 +193,11 @@ def test_guard_fractions_equal_the_compress_path_exactly(grid):
     # the stored incomplete-node mask against compressing through the
     # complement of the complete mask, as the guard did on every call
     part = build_partition(grid)
+    complete = part.partition_sum >= 1.0 - _PARTITION_COMPLETE_TOL
+    mask = part.band_limit_mask()
+    assert np.array_equal(mask, complete) and mask.flags.writeable
+    mask[:] = ~mask
+    assert np.array_equal(part.band_limit_mask(), complete)
     rng = np.random.default_rng(51)
     stack = _stack(rng, (6, grid.n_nodes, 2)) * np.exp(rng.uniform(-30.0, 30.0, (6, 1, 1)))
     stack[1] = 0.0
@@ -200,7 +206,7 @@ def test_guard_fractions_equal_the_compress_path_exactly(grid):
     assert 0 < np.count_nonzero(part._incomplete) < grid.n_nodes
     for p in (power, power[0], power[3:5]):
         total = p.sum(axis=-1)
-        residual = np.compress(~part.band_limit_mask(), p, axis=-1).sum(axis=-1)
+        residual = np.compress(~complete, p, axis=-1).sum(axis=-1)
         want = np.divide(residual, total, out=np.zeros_like(total), where=total != 0.0)
         assert _same_bits(np.asarray(part._residual_fractions(p)), want)
     assert part.spectral_residual_fraction(stack[0]) == float(
@@ -327,6 +333,6 @@ def test_block_and_besov_cores_leave_their_inputs_alone(dim, homogeneous, monkey
     for _ in _block_batches(fhats, rows, grid, out):
         pass
     params = BesovParams(0.5, 2.0, 2.0)
-    _besov_norms([(fhats, params, ValueSpace.lp(3.0, dim))], part, homogeneous,
-                 [_besov_weights(part, params, homogeneous)])
+    _besov_norms([(fhats, params, ValueSpace.lp(3.0, dim),
+                   _besov_weights(part, params, homogeneous))], part, homogeneous)
     assert _snapshot(fhats, rows, part.phi_hat, part.psi_hat) == before

@@ -2,13 +2,11 @@
 
 Run from the repository root:
 
-    python3 tools/bench.py LABEL [BASE_LABEL=CHECKOUT] [--workloads NAME,NAME,...]
+    python3 tools/bench.py LABEL [BASE_LABEL=CHECKOUT]
 
 LABEL names this checkout; BASE_LABEL=CHECKOUT adds another one to compare
-against, e.g. a ``git clone`` of the parent commit.  --workloads runs only
-the named workloads of BENCHMARK.json, for a quick look while iterating; a
-measurement that backs a claim runs them all.  For each workload and each
-seed 0-9 (the seeds with a reference checksum),
+against, e.g. a ``git clone`` of the parent commit.  For each workload of
+BENCHMARK.json and each seed 0-9 (the seeds with a reference checksum),
 each checkout's ``perfbench/run.py --trace 0`` runs once for BENCHMARK.json's
 run_seconds.  With two checkouts their runs alternate, and which goes first
 rotates from seed to seed, so a slow spell of a shared machine falls on
@@ -42,20 +40,7 @@ SEEDS = list(range(10))
 RUN_SECONDS = BENCHMARK["run_seconds"]
 OUT_DIR = ROOT
 RUN_TIMEOUT_S = 300   # perfbench/run.py ends itself within 180 s
-USAGE = "usage: python3 tools/bench.py LABEL [BASE_LABEL=CHECKOUT] [--workloads NAME,NAME,...]"
-
-
-def _split_workloads(argv: list) -> tuple:
-    """(argv without its --workloads option, the workloads to run); the
-    workloads are None when the option lacks a value or names an unknown one."""
-    if "--workloads" not in argv:
-        return argv, list(WORKLOADS)
-    i = argv.index("--workloads")
-    names = argv[i + 1].split(",") if i + 1 < len(argv) else []
-    rest = argv[:i] + argv[i + 2:]
-    if not names or not set(names) <= set(WORKLOADS):
-        return rest, None
-    return rest, [w for w in WORKLOADS if w in names]
+USAGE = "usage: python3 tools/bench.py LABEL [BASE_LABEL=CHECKOUT]"
 
 
 def _target(text: str, default: Path = None) -> tuple:
@@ -119,9 +104,9 @@ def _value(run: dict, name: str):
 
 
 def summarize(runs: list) -> dict:
-    """Median and quartiles over the seeds, per workload run and end-to-end metric."""
+    """Median and quartiles over the seeds, per workload and end-to-end metric."""
     out = {}
-    for workload in [w for w in WORKLOADS if any(r["workload"] == w for r in runs)]:
+    for workload in WORKLOADS:
         mine = [r for r in runs if r["workload"] == workload and "metrics" in r]
         out[workload] = {"attempted": sum(r["attempted"] for r in mine),
                          "failed": sum(r["failed"] for r in mine),
@@ -136,9 +121,9 @@ def summarize(runs: list) -> dict:
     return out
 
 
-def compare(results: dict, label: str, base: str, workloads: list) -> None:
+def compare(results: dict, label: str, base: str) -> None:
     """Print both medians, and in how many seeds label did better than base."""
-    for workload in workloads:
+    for workload in WORKLOADS:
         for metric in BENCHMARK["end_to_end"]:
             name, sign = metric["name"], (1 if metric["better"] == "higher" else -1)
             pairs = [(_value(results[label][(workload, s)], name),
@@ -154,10 +139,6 @@ def compare(results: dict, label: str, base: str, workloads: list) -> None:
 
 
 def main(argv: list) -> int:
-    argv, workloads = _split_workloads(argv)
-    if workloads is None:
-        print(f"{USAGE}\n(--workloads takes names from {', '.join(WORKLOADS)})", file=sys.stderr)
-        return 2
     targets = [_target(argv[0], ROOT)] if argv else []
     targets += [_target(text) for text in argv[1:]]
     if not 1 <= len(targets) <= 2 or None in targets or len({t[0] for t in targets}) != len(targets):
@@ -171,7 +152,7 @@ def main(argv: list) -> int:
         return 2
 
     results = {label: {} for label, _ in targets}
-    for workload in workloads:
+    for workload in WORKLOADS:
         for i, seed in enumerate(SEEDS):
             k = i % len(targets)
             for order, (label, checkout) in enumerate(targets[k:] + targets[:k]):
@@ -191,7 +172,6 @@ def main(argv: list) -> int:
             "program_sha256": program_sha256(checkout),
             "command": f"perfbench/run.py --trace 0 --seconds {RUN_SECONDS:g}",
             "seeds": SEEDS,
-            "workloads": workloads,
             "measured_with": [other for other, _ in targets if other != label],
             "runs": runs,
             "summary": summarize(runs),
@@ -200,7 +180,7 @@ def main(argv: list) -> int:
         path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
         print(f"wrote {path}")
     if len(targets) == 2:
-        compare(results, targets[0][0], targets[1][0], workloads)
+        compare(results, targets[0][0], targets[1][0])
     ok = all(_ok(run) for per in results.values() for run in per.values())
     return 0 if ok else 1
 
