@@ -59,7 +59,7 @@ for key, stat in sweep.stability.items():
 
 print("\nsharpness of the d/r exponent (witness growth per dyadic level):")
 for sigma in (0.25, 0.5, 0.8):
-    probe = sharpness_probe(sigma, 2.0, grids, sampler)
+    probe = sharpness_probe(sigma, 2.0, grids)
     growth = ", ".join(f"{g:.4f}" for g in probe["per_level_growth"])
     print(f"  sigma={sigma}: growth [{growth}]  "
           f"expected {probe['expected_growth']:.4f}")

@@ -76,8 +76,15 @@ def _exponent_pair(value):
     return _exponent(p), _exponent(q)
 
 
+def _flag(value):
+    """A switch: JSON true or false only (a string such as "false" is refused)."""
+    if isinstance(value, bool):
+        return value
+    raise TypeError(f"not true or false: {value!r}")
+
+
 _KINDS = {int: "an integer", float: "a number", _exponent: "a number or 'inf'",
-          _exponent_pair: "a [p, q] pair of numbers or 'inf'"}
+          _exponent_pair: "a [p, q] pair of numbers or 'inf'", _flag: "true or false"}
 _REQUIRED = object()
 _EXPONENT_DEFAULTS = {"u": "inf", "v": 2.0, "w": 2.0}
 
@@ -204,17 +211,28 @@ def _build_kernel(cfg: dict, grid: GridSpec):
         raise ConfigError(f"config schema: bad kernel params for {name!r}: {exc}") from exc
 
 
+def _function_int(spec: dict, key: str, default, low: int, high: Optional[int] = None) -> int:
+    """The integer spec[key] of a function spec, which must lie in [low, high]
+    (no upper end when high is None); a ConfigError naming function.key if not."""
+    value = _param(spec, key, "function", int, default)
+    if value < low or (high is not None and value > high):
+        span = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ConfigError(f"config schema: function.{key} must be an integer {span}, "
+                          f"got {value!r}")
+    return value
+
+
 def _build_function(spec: dict, grid: GridSpec, seed: int) -> GridFunction:
     kind = _require(spec, "kind", "function")
     rng = np.random.default_rng(seed)
-    dim = _param(spec, "dim", "function", int, 1)
+    dim = _function_int(spec, "dim", 1, 1)
     if kind == "constant":
         return tf.constant_function(grid, spec.get("value", 1.0))
     if kind == "single_mode":
         return tf.single_mode(grid, spec.get("mode", [1] + [0] * (grid.d - 1)),
                               spec.get("amplitude", 1.0), dim)
     if kind == "spike":
-        return tf.spike(grid, _param(spec, "cell", "function", int, 0),
+        return tf.spike(grid, _function_int(spec, "cell", 0, 0, grid.n_nodes - 1),
                         _param(spec, "l1_mass", "function", float, 1.0), dim)
     if kind == "plateau":
         return tf.plateau(grid, _param(spec, "fraction", "function", float, 0.25),
@@ -222,11 +240,11 @@ def _build_function(spec: dict, grid: GridSpec, seed: int) -> GridFunction:
     if kind == "random_band_limited":
         part = build_partition(grid)
         if "annulus" in spec:
-            mask = part.annulus_mask(_param(spec, "annulus", "function", int))
+            mask = part.annulus_mask(_function_int(spec, "annulus", _REQUIRED, 0, part.k_max))
         else:
             mask = part.band_limit_mask()
-        return tf.random_band_limited(grid, mask, rng, dim,
-                                      mean_zero=bool(spec.get("mean_zero", False)))
+        mean_zero = _param(spec, "mean_zero", "function", _flag, False)
+        return tf.random_band_limited(grid, mask, rng, dim, mean_zero=mean_zero)
     raise ConfigError(f"config schema: unknown function kind {kind!r}")
 
 
@@ -308,7 +326,7 @@ def _op_besov_norm(cfg, ctx):
                          _param(cfg, "p", "besov-norm", _exponent, 2.0),
                          _param(cfg, "v", "besov-norm", _exponent, 2.0))
     space = _space(ctx, "domain", f.value_dim)
-    if cfg.get("homogeneous", False):
+    if _param(cfg, "homogeneous", "besov-norm", _flag, False):
         value = homogeneous_besov_norm(f, params, part, space)
     else:
         value = besov_norm(f, params, part, space)
@@ -320,7 +338,7 @@ def _op_multiplier(cfg, ctx):
     m = _build_symbol(ctx["raw"], ctx["grid"])
     value = estimate_multiplier_norm(
         m, **_exponents(cfg, "multiplier"), **_operator_kwargs(ctx, m),
-        mean_zero=bool(cfg.get("mean_zero", False)),
+        mean_zero=_param(cfg, "mean_zero", "multiplier", _flag, False),
     )
     return [_value_report("multiplier_norm", value, {})], {"value": value}
 
@@ -362,7 +380,7 @@ def _op_mihlin(cfg, ctx):
         n=_param(cfg, "n", "mihlin", int, None),
         mode=cfg.get("mode", "oracle"),
         h=_param(cfg, "h", "mihlin", float, None),
-        adjoint=bool(cfg.get("adjoint", False)),
+        adjoint=_param(cfg, "adjoint", "mihlin", _flag, False),
     )
     return (
         [_value_report("mihlin_constant", rep.constant,
@@ -459,10 +477,8 @@ def _op_sweep(cfg, ctx):
 def _op_sharpness(cfg, ctx):
     _refuse_tolerance(ctx, "sharpness", "its verdict comes from sharpness.growth_tolerance")
     grids = _grids(cfg, ctx, "sharpness")
-    probe = sharpness_probe(
-        _param(cfg, "sigma", "sharpness"), _param(cfg, "r", "sharpness"),
-        grids, ctx["sampler"],
-    )
+    probe = sharpness_probe(_param(cfg, "sigma", "sharpness"), _param(cfg, "r", "sharpness"),
+                            grids)
     growth = probe["per_level_growth"]
     worst = max(abs(g / probe["expected_growth"] - 1.0) for g in growth) if growth else 0.0
     cap = _param(cfg, "growth_tolerance", "sharpness", float, 0.10)

@@ -308,12 +308,12 @@ def hormander_constant(
     kernel: Kernel,
     a: float,
     t_samples: Optional[Sequence[np.ndarray]] = None,
-    x_test: Optional[np.ndarray] = None,
     codomain_space: Optional[ValueSpace] = None,
 ) -> HormanderReport:
     """Grid estimate of the (H)_a constant of a kernel.
 
-    For lattice difference vectors t and unit test directions x, computes
+    For lattice difference vectors t and the unit test directions x (the
+    standard basis of the domain), computes
     ( cell * sum_{|s| >= 2|t|} ||K(s-t)x - K(s)x||^a )^(1/a)
     with torus min-image coordinates; the integral is truncated at the
     half period, and t-samples beyond L/8 are rejected (recorded), so
@@ -334,8 +334,6 @@ def hormander_constant(
 
     if t_samples is None:
         t_samples = _default_t_samples(grid)
-    if x_test is None:
-        x_test = np.eye(kernel.n_in, dtype=np.complex128)
     codomain_space = _space_for(kernel.n_out, codomain_space)
 
     view = vals.reshape(grid.spatial_shape() + vals.shape[1:])
@@ -366,7 +364,7 @@ def hormander_constant(
             )
             origin_shifted[flat_idx] = True
             region = region & ~origin_shifted
-        for x in np.atleast_2d(x_test):
+        for x in np.eye(kernel.n_in, dtype=np.complex128):
             mapped = diff[region] @ x
             norms = codomain_space.norm_rows(mapped)
             integral = _lp_combine(norms, a, grid.cell_volume)
@@ -374,7 +372,7 @@ def hormander_constant(
                 {
                     "t_cells": [int(v) for v in t_cells],
                     "t_mag": t_mag,
-                    "x": [complex(c).real for c in x] if np.allclose(x.imag, 0) else "complex",
+                    "x": x.real.tolist(),
                     "value": integral,
                 }
             )
@@ -443,7 +441,6 @@ def mihlin_check(
     n: Optional[int] = None,
     mode: str = "oracle",
     h: Optional[float] = None,
-    x_test: Optional[np.ndarray] = None,
     adjoint: bool = False,
 ) -> MihlinReport:
     """Dyadic-shell derivative bounds with scaling weight R^(|alpha|+d/r-d/rho).
@@ -452,7 +449,8 @@ def mihlin_check(
     central differences on the frequency lattice with a declared step h
     (an integer multiple of the lattice spacing).  The maximum runs over
     dyadic shells R <= |xi| < 2R in the representable range, all
-    multi-indices |alpha| <= n and the unit test directions.
+    multi-indices |alpha| <= n and the unit test directions (the
+    standard basis of the domain).
     """
     grid = m.grid
     d = grid.d
@@ -478,8 +476,6 @@ def mihlin_check(
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    if x_test is None:
-        x_test = np.eye(sym.n_in, dtype=np.complex128)
     space = ValueSpace.lp(2.0, sym.n_out)
 
     mags = grid.frequency_magnitudes()
@@ -513,7 +509,7 @@ def mihlin_check(
             else:
                 dvals = deriv_full[mask]
             weight = R ** (sum(alpha) + dr - d / rho)
-            for x in np.atleast_2d(x_test):
+            for x in np.eye(sym.n_in, dtype=np.complex128):
                 mapped = np.einsum("noi,i->no", dvals, x)
                 shell_norm = _lp_combine(space.norm_rows(mapped), rho, cell)
                 value = weight * shell_norm
@@ -729,7 +725,6 @@ def verify_weak_type(
     codomain_space: Optional[ValueSpace] = None,
     sampler: GaussianSampler = GaussianSampler(0),
     budget: SearchBudget = SearchBudget(),
-    truncation_levels: Optional[int] = None,
     tolerance: float = 1e-9,
 ) -> VerificationReport:
     """Endpoint bound: weak-L^a norm of T f <= C_{d,a} B + 4 C_{H,a} for ||f||_1 <= 1.
@@ -738,7 +733,8 @@ def verify_weak_type(
     (exact on the grid when p0 = q0 = 2 between Hilbert spaces, else a
     witness-search estimate, flagged); C_{H,a} comes from the kernel's
     Hoermander report.  Pass the symbol, the kernel, or both; the
-    missing one is derived (symbol -> kernel via dyadic truncation).
+    missing one is derived (symbol -> kernel via dyadic truncation at
+    the eta-zeta system's j_max levels).
     """
     if symbol is None and kernel is None:
         raise ValueError("provide a symbol or a kernel")
@@ -749,8 +745,7 @@ def verify_weak_type(
 
     if kernel is None:
         system = eta_zeta_system(symbol.grid)
-        levels = truncation_levels if truncation_levels is not None else system.j_max
-        kernel = kernel_of_symbol(symbol, levels, system)
+        kernel = kernel_of_symbol(symbol, system.j_max, system)
     if symbol is None:
         symbol = symbol_of_kernel(kernel)
 
@@ -927,7 +922,6 @@ def sharpness_probe(
     sigma: float,
     r: float,
     grid_list: Sequence[GridSpec],
-    sampler: GaussianSampler = GaussianSampler(0),
     smoothness: int = 3,
 ) -> dict:
     """Growth of the power-symbol norm on top-annulus wave packets.
@@ -935,8 +929,8 @@ def sharpness_probe(
     For sigma < d/r the estimate on the probe annulus must grow like
     2^(d/r - sigma) per added dyadic level; at sigma = d/r it is flat,
     above it shrinks.  Uses the deterministic smooth-annulus packet
-    witness, evaluated at p = 2r/(r+1), q = 2r/(r-1).  An empty
-    grid_list is refused.
+    witness, evaluated at p = 2r/(r+1), q = 2r/(r-1), so nothing is
+    drawn at random.  An empty grid_list is refused.
     """
     if not (1.0 < r < np.inf):
         raise ValueError("probe needs a finite r > 1")

@@ -110,15 +110,13 @@ class OperatorSymbol:
     values: (n_nodes, n_out, n_in) in FFT node order.  Homogeneous
     symbols store the zero matrix at xi = 0 (the mode is annihilated for
     mean-zero inputs); inhomogeneous symbols must be finite everywhere.
-    The moderate-growth flags are caller assertions: on a finite grid
-    every symbol has moderate growth, so they are recorded, not checked.
+    On a finite grid every symbol has moderate growth at zero and at
+    infinity, so there is nothing to assert or check about it.
     """
 
     grid: GridSpec
     values: np.ndarray
     derivative_oracle: Optional[Callable[[tuple, np.ndarray], np.ndarray]] = None
-    moderate_at_infinity: bool = True
-    moderate_at_zero: bool = True
     name: str = ""
 
     def __post_init__(self):
@@ -158,8 +156,7 @@ class OperatorSymbol:
         )
 
     def scaled(self, c: complex) -> "OperatorSymbol":
-        return OperatorSymbol(self.grid, c * self.values, self.derivative_oracle,
-                              self.moderate_at_infinity, self.moderate_at_zero, self.name)
+        return OperatorSymbol(self.grid, c * self.values, self.derivative_oracle, self.name)
 
     def __mul__(self, other: "OperatorSymbol") -> "OperatorSymbol":
         """Pointwise composition self(xi) @ other(xi)."""
@@ -247,8 +244,7 @@ def riesz_symbol(grid: GridSpec, sigma: float, dim: int = 1) -> OperatorSymbol:
     vals[nz] = mags[nz] ** (-sigma)
     full = vals[:, None, None] * np.eye(dim, dtype=np.complex128)[None, :, :]
     oracle = _riesz_derivative_oracle(sigma) if dim == 1 else None
-    return OperatorSymbol(grid, full, derivative_oracle=oracle,
-                          moderate_at_zero=(sigma <= 0), name=f"riesz({sigma:g})")
+    return OperatorSymbol(grid, full, derivative_oracle=oracle, name=f"riesz({sigma:g})")
 
 
 def annulus_indicator_symbol(grid: GridSpec, k: int, dim: int = 1) -> OperatorSymbol:
@@ -276,7 +272,7 @@ def hilbert_symbol(grid: GridSpec) -> OperatorSymbol:
         raise ValueError("the Hilbert-transform symbol is one-dimensional")
     xi = grid.frequency_coords()[:, 0]
     vals = -1j * np.sign(xi)
-    return OperatorSymbol(grid, vals[:, None, None], moderate_at_zero=True, name="hilbert")
+    return OperatorSymbol(grid, vals[:, None, None], name="hilbert")
 
 
 SYMBOL_CONSTRUCTORS = {
@@ -647,7 +643,7 @@ def _gamma_bound_terms(
     empty one), exact (max opnorm) in the Hilbert case and a search
     lower bound otherwise.
     """
-    _check_type_cotype_exponents(p, q)
+    _check_type_cotype_pair(p, q)
     r = _holder_r(p, q)
     dr = 0.0 if np.isinf(r) else m.grid.d / r
     tau = domain_space.type_constant(p)
@@ -726,7 +722,7 @@ def _check_uvw(u: float, v: float, w: float) -> None:
         )
 
 
-def _check_type_cotype_exponents(p: float, q: float) -> None:
+def _check_type_cotype_pair(p: float, q: float) -> None:
     if not (1.0 <= p <= 2.0):
         raise ValueError(f"type exponent p must lie in [1, 2], got {p}")
     if not (2.0 <= q):
@@ -920,7 +916,7 @@ def verify_prop34(
     expected_r = _holder_r(p, q)
     if not np.isclose(_inv(r), _inv(expected_r), atol=1e-9):
         raise ValueError(f"need 1/r = 1/p - 1/q; got r={r}, p={p}, q={q}")
-    _check_type_cotype_exponents(p, q)
+    _check_type_cotype_pair(p, q)
 
     opn = m.opnorms()
     cell = m.grid.freq_cell_volume

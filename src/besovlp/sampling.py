@@ -32,7 +32,6 @@ replays exactly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -164,6 +163,11 @@ _GENERATOR_BYTES = 2**11
 # real draws per scratch fill in _fill_complex_gaussians (1 MB)
 _SCRATCH_ENTRIES = 2**17
 
+# the step schedule of _hill_climb: the first proposal's step size, and the
+# factor applied to it after every step
+_INITIAL_STEP = 0.5
+_ANNEAL = 0.97
+
 
 def _fill_complex_gaussians(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
     """Fill a C-contiguous complex array with complex standard Gaussians; returns out.
@@ -210,20 +214,19 @@ class MCEstimate:
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Knobs of the randomized witness searches.
+    """Sizes of the randomized witness searches.
 
     restarts/steps drive the prefix-stable schedule of ``_hill_climb``:
     enlarging either never removes candidates, so returned estimates are
-    monotone in the budget.  search_samples is the (smaller) Monte-Carlo
-    size used while climbing; final values are re-evaluated at the
-    sampler's full n_samples.
+    monotone in the budget.  max_vectors caps the vectors of a Gaussian
+    search.  search_samples is the (smaller) Monte-Carlo size used while
+    climbing; final values are re-evaluated at the sampler's full
+    n_samples.  The step schedule is fixed (_INITIAL_STEP, _ANNEAL).
     """
 
     restarts: int = 64
     steps: int = 200
     max_vectors: int = 8
-    initial_step: float = 0.5
-    anneal: float = 0.97
     search_samples: int = 4000
 
     def __post_init__(self):
@@ -231,10 +234,6 @@ class SearchBudget:
                           ("search_samples", 1)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        # a NaN, infinite or zero step (or anneal) would leave every start where it began
-        for name in ("initial_step", "anneal"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
 
     def scaled(self, factor: float) -> "SearchBudget":
         return replace(
@@ -260,11 +259,10 @@ def _hill_climb(sampler: GaussianSampler, op_code: int, n_starts: int, start: Ca
     trial replaces its state only if it scores strictly higher (a NaN
     never does): the rows of that mask are copied, states[i] = trials[i],
     so states may be a list or an array whose first axis is the row.
-    step begins at budget.initial_step and is multiplied by
-    budget.anneal after every step.  Each start's trajectory in each
-    lane is the one it would follow alone, as long as the hooks draw
-    from rngs[i] only for start i, and once per start whatever the
-    lanes.  propose must not mutate states, as starts may be shared.
+    step begins at _INITIAL_STEP and is multiplied by _ANNEAL after
+    every step.  Each start's trajectory in each lane is the one it
+    would follow alone, as long as the hooks draw from rngs[i] only for
+    start i, and once per start whatever the lanes.  propose must not mutate states, as starts may be shared.
     Per lane, the best state over its starts wins, with its score as a
     float (an earlier start wins ties, a NaN never wins); no starts, or
     none scoring above -inf, give (-inf, None).  No start depends on
@@ -283,7 +281,7 @@ def _hill_climb(sampler: GaussianSampler, op_code: int, n_starts: int, start: Ca
         return [(-np.inf, None)] * lanes
     states = start(rngs)
     values = np.asarray(score_batch(states), dtype=float)
-    step = budget.initial_step
+    step = _INITIAL_STEP
     for _ in range(budget.steps):
         trials = propose(states, step, rngs)
         tvals = np.asarray(score_batch(trials), dtype=float)
@@ -291,7 +289,7 @@ def _hill_climb(sampler: GaussianSampler, op_code: int, n_starts: int, start: Ca
         for i in np.flatnonzero(better):
             states[i] = trials[i]
         values[better] = tvals[better]
-        step *= budget.anneal
+        step *= _ANNEAL
     # argmax takes the first of equal maxima; a NaN counts as -inf
     ranked = np.where(np.isnan(values), -np.inf, values).reshape(lanes, n_starts)
     best = [lane * n_starts + int(i) for lane, i in enumerate(np.argmax(ranked, axis=1))]

@@ -178,6 +178,22 @@ def _fold_columns(ufunc, a: np.ndarray) -> np.ndarray:
     return out
 
 
+# below this sum of squares an l^2 row's squares may have underflowed
+_L2_SUM_FLOOR = 2.0**-968
+
+
+def _scaled_l2_rows(a: np.ndarray) -> np.ndarray:
+    """l^2 norms of the rows of a nonnegative (k, dim) array, as m * sqrt(sum (a/m)^2)
+    with m the row's largest entry, so no square overflows or underflows.
+
+    A zero row gives 0 and a row holding inf gives inf (m = 0 and m = inf
+    divide by 1 instead); a norm past the largest double overflows to inf.
+    """
+    m = _fold_columns(np.maximum, a)
+    r = a / np.where((m > 0.0) & (m < np.inf), m, 1.0)[:, None]
+    return m * np.sqrt(_fold_columns(np.add, r * r))
+
+
 def _inv(x: float) -> float:
     """1/x, with 1/inf = 0."""
     return 0.0 if np.isinf(x) else 1.0 / x
@@ -202,23 +218,16 @@ class ValueSpace:
     """Finite-dimensional normed space, the stand-in for the Banach space.
 
     Supported kinds: the l^p_n family (``kind='lp'``) and custom norm
-    oracles.  Type/cotype/Fourier data is attached when it is actually
-    known:   every space gets type 1 and cotype infinity with constant 1,
-    and the Hilbert member l^2_n carries type 2 = cotype 2 = Fourier
-    type 2, all with constant 1.  Other constants stay None and the
-    operations that need them refuse to run.
+    oracles.  Only the type/cotype constants that are known are given:
+    every space has type 1 and cotype infinity with constant 1, and the
+    Hilbert member l^2_n has type 2 = cotype 2 with constant 1.  Any
+    other constant is refused, and so are the operations that need it.
     """
 
     dim: int
     kind: str = "lp"
     p_exponent: float = 2.0
     norm_oracle: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    type_exponent: Optional[float] = None
-    type_const: Optional[float] = None
-    cotype_exponent: Optional[float] = None
-    cotype_const: Optional[float] = None
-    fourier_type: Optional[float] = None
-    fourier_const: Optional[float] = None
     label: str = ""
 
     @classmethod
@@ -227,18 +236,8 @@ class ValueSpace:
             raise ValueError(f"l^p exponent must be >= 1, got {p}")
         if dim < 1:
             raise ValueError(f"dimension must be >= 1, got {dim}")
-        kwargs = {}
-        if p == 2.0:
-            kwargs = dict(
-                type_exponent=2.0,
-                type_const=1.0,
-                cotype_exponent=2.0,
-                cotype_const=1.0,
-                fourier_type=2.0,
-                fourier_const=1.0,
-            )
         ptxt = "inf" if np.isinf(p) else f"{p:g}"
-        return cls(dim=dim, kind="lp", p_exponent=p, label=f"l{ptxt}_{dim}", **kwargs)
+        return cls(dim=dim, kind="lp", p_exponent=p, label=f"l{ptxt}_{dim}")
 
     @classmethod
     def hilbert(cls, dim: int) -> "ValueSpace":
@@ -265,9 +264,11 @@ class ValueSpace:
         one component is |z| itself: sqrt(fl(h*h)) == h in binary64 round
         to nearest wherever h*h neither overflows nor underflows, so this
         is the sum-of-squares root bit for bit on [2^-511, 2^512), and
-        exact beyond it.  Rows of two or more components still square
-        and sum, so their l^2 norm overflows to inf past about 1e154
-        (and loses bits below about 1e-154).
+        exact beyond it.  Rows of two or more components square and sum,
+        and the rows whose sum of squares overflows to inf or falls below
+        2^-968 (where an underflowed square may have lost bits) are taken
+        again scaled by their largest entry (_scaled_l2_rows); at or above
+        2^-968 the squares that underflow are below the sum's last bit.
         """
         rows = np.atleast_2d(rows)
         if rows.shape[-1] != self.dim:
@@ -285,29 +286,30 @@ class ValueSpace:
         if p == 1.0:
             return _fold_columns(np.add, a)
         if p == 2.0:
-            total = _fold_columns(np.add, np.multiply(a, a, out=a))
-            return np.sqrt(total, out=total)
+            with np.errstate(over="ignore"):
+                total = _fold_columns(np.add, np.multiply(a, a, out=a))
+                rescale = (total == np.inf) | (total < _L2_SUM_FLOOR)
+                norms = np.sqrt(total, out=total)
+                if rescale.any():
+                    norms[rescale] = _scaled_l2_rows(np.abs(rows[rescale]))
+            return norms
         return _fold_columns(np.add, a**p) ** (1.0 / p)
 
     def norm(self, vec: np.ndarray) -> float:
         return float(self.norm_rows(np.asarray(vec).reshape(1, -1))[0])
 
     def type_constant(self, p: float) -> float:
-        """Valid type-p constant, using monotonicity tau_r <= tau_p for r <= p."""
-        if p == 1.0:
+        """Valid type-p constant: 1 at p = 1, and at p <= 2 in l^2 (tau_r <= tau_p, r <= p)."""
+        if p == 1.0 or (self.is_hilbert and p <= 2.0 + 1e-12):
             return 1.0
-        if self.type_exponent is not None and p <= self.type_exponent + 1e-12:
-            return float(self.type_const)
         raise ValueError(
             f"no known type-{p} constant for space {self.label or self.kind}"
         )
 
     def cotype_constant(self, q: float) -> float:
-        """Valid cotype-q constant, using monotonicity c_s <= c_q for s >= q."""
-        if np.isinf(q):
+        """Valid cotype-q constant: 1 at q = inf, and at q >= 2 in l^2 (c_s <= c_q, s >= q)."""
+        if np.isinf(q) or (self.is_hilbert and q >= 2.0 - 1e-12):
             return 1.0
-        if self.cotype_exponent is not None and q >= self.cotype_exponent - 1e-12:
-            return float(self.cotype_const)
         raise ValueError(
             f"no known cotype-{q} constant for space {self.label or self.kind}"
         )

@@ -266,7 +266,7 @@ def test_criterion_09_extrapolation_stability_and_sharpness():
         grids, budget=budget, sampler=sampler,
     )
     ok = all(v["spread"] < 1.25 for v in sweep.stability.values())
-    probe = sharpness_probe(0.25, 2.0, grids, sampler)
+    probe = sharpness_probe(0.25, 2.0, grids)
     expected = 2.0**0.25
     ok &= all(abs(g / expected - 1.0) <= 0.10 for g in probe["per_level_growth"])
     elapsed = time.monotonic() - t0

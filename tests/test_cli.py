@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import re
@@ -5,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from besovlp import cli
 from besovlp.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, main, run_scenario, run_suite
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -183,6 +185,32 @@ def _sweep_params(**params):
                                   "params": dict(SWEEP["operation"]["params"], **params)})
 
 
+def _besov_norm(kind="random_band_limited", **function):
+    """A besov-norm scenario on N = 64 of the function spec {kind, **function}."""
+    spec = dict(function, kind=kind)
+    return dict(BASE, operation={"name": "besov-norm", "params": {"function": spec}})
+
+
+def _with_params(cfg, **params):
+    op = cfg["operation"]
+    return dict(cfg, operation=dict(op, params=dict(op["params"], **params)))
+
+
+MIHLIN = dict(BASE, symbol={"constructor": "riesz", "params": {"sigma": 0.5}},
+              operation={"name": "mihlin", "params": {"r": 2.0}})
+# (subcommand, switch, the scenario with the switch set to a value): every
+# switch reads only JSON true or false, and unset is false; a string
+# "false" used to be truthy and ran the homogeneous norm
+SWITCHES = [
+    ("besov-norm", "besov-norm.homogeneous",
+     lambda v: _with_params(_besov_norm(), homogeneous=v)),
+    ("besov-norm", "function.mean_zero",
+     lambda v: _with_params(_besov_norm(mean_zero=v), homogeneous=True)),
+    ("multiplier", "multiplier.mean_zero", lambda v: _with_params(BASE, q=4.0, mean_zero=v)),
+    ("mihlin", "mihlin.adjoint", lambda v: _with_params(MIHLIN, adjoint=v)),
+]
+
+
 # (command, config, what the message names: the offending key, or the
 # order the oracle covers)
 BAD_CONFIGS = [
@@ -225,6 +253,23 @@ BAD_CONFIGS = [
     # r = 0 divided by zero, and p < 1 read as a pair off the line
     ("sweep", _sweep_params(r=0), "r must lie in [1, inf], got 0"),
     ("sweep", _sweep_params(pairs=[[0.5, 2.0]]), "p must lie in [1, inf], got 0.5"),
+    # function values out of range on N = 64 (k_max = 4): an IndexError
+    # traceback, a spike on the last cell, or a zero function before
+    ("besov-norm", _besov_norm("spike", cell=64),
+     "config schema: function.cell must be an integer in [0, 63], got 64"),
+    ("besov-norm", _besov_norm("spike", cell=-1),
+     "config schema: function.cell must be an integer in [0, 63], got -1"),
+    ("besov-norm", _besov_norm("spike", dim=0),
+     "config schema: function.dim must be an integer >= 1, got 0"),
+    ("besov-norm", _besov_norm("single_mode", dim=0),
+     "config schema: function.dim must be an integer >= 1, got 0"),
+    ("besov-norm", _besov_norm("random_band_limited", annulus=99),
+     "config schema: function.annulus must be an integer in [0, 4], got 99"),
+    ("besov-norm", _besov_norm("random_band_limited", annulus=-3),
+     "config schema: function.annulus must be an integer in [0, 4], got -3"),
+    # a switch set to anything but JSON true or false
+    *[(command, make(value), f"config schema: {name} must be true or false, got {value!r}")
+      for command, name, make in SWITCHES for value in ("false", "no", {"x": 1}, 1, None)],
 ]
 
 
@@ -236,6 +281,40 @@ def test_bad_parameter_exits_one_with_one_line(tmp_path, capsys, command, cfg):
     assert err.startswith("error: scenario bad.json: ")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert next(named for _, bad, named in BAD_CONFIGS if bad is cfg) in err
+
+
+@pytest.mark.parametrize("command, name, make", SWITCHES, ids=[s[1] for s in SWITCHES])
+def test_switches_take_true_and_false_and_unset_is_false(tmp_path, monkeypatch, command, name,
+                                                         make):
+    # the adjoint of a bundled (scalar or diagonal) symbol has the same
+    # Mihlin constant, so the check reports the flag it was given
+    mihlin_check = cli.mihlin_check
+    monkeypatch.setattr(cli, "mihlin_check", lambda m, **kw: dataclasses.replace(
+        mihlin_check(m, **kw), constant=float(kw["adjoint"])))
+
+    def outcome(cfg):
+        code, rep = run_scenario(write(tmp_path, "s.json", cfg))
+        return code, rep and rep["extras"]
+
+    on, off = outcome(make(True)), outcome(make(False))
+    assert on != off and EXIT_PASS in (on[0], off[0])
+    unset = make(False)
+    params = unset["operation"]["params"]
+    del (params["function"] if name.startswith("function.") else params)[name.split(".")[1]]
+    assert outcome(unset) == off
+
+
+@pytest.mark.parametrize("op, spec", [
+    ("cz", {"kind": "spike", "cell": 0}), ("cz", {"kind": "spike", "cell": 63, "dim": 2}),
+    ("gamma", {"kind": "random_band_limited", "annulus": 0}),
+    ("gamma", {"kind": "random_band_limited", "annulus": 4}),
+])
+def test_function_values_at_the_ends_of_their_range_run(tmp_path, op, spec):
+    params = {"function": spec, "alpha": 2.0} if op == "cz" else {"function": spec}
+    cfg = dict(BASE, n_samples=1000, operation={"name": op, "params": params})
+    code, rep = run_scenario(write(tmp_path, "ok.json", cfg))
+    assert code == EXIT_PASS
+    assert (rep["extras"]["n_cubes"] if op == "cz" else rep["extras"]["estimate"]["value"]) > 0
 
 
 THM46 = dict(

@@ -743,7 +743,7 @@ def test_sweep_and_probe_refuse_empty_lists():
         with pytest.raises(ValueError, match=f"^{name} must be non-empty$"):
             extrapolation_sweep(identity_symbol, np.inf, *args, budget=BUDGET, sampler=SAMPLER)
     with pytest.raises(ValueError, match="^grid_list must be non-empty$"):
-        sharpness_probe(0.5, 2.0, [], SAMPLER)
+        sharpness_probe(0.5, 2.0, [])
 
 
 @pytest.mark.parametrize("r, pairs, message", [
@@ -765,14 +765,14 @@ def test_sweep_refuses_bad_exponents_before_building_a_symbol(r, pairs, message)
 
 def test_sharpness_borderline_sigma_is_flat():
     grids = [GridSpec(1, n, 1.0) for n in (128, 256, 512)]
-    probe = sharpness_probe(0.5, 2.0, grids, SAMPLER)  # sigma = d/r
+    probe = sharpness_probe(0.5, 2.0, grids)  # sigma = d/r
     for g in probe["per_level_growth"]:
         assert abs(g - 1.0) < 0.05
 
 
 def test_sharpness_supersmoothing_shrinks():
     grids = [GridSpec(1, n, 1.0) for n in (128, 256, 512)]
-    probe = sharpness_probe(0.8, 2.0, grids, SAMPLER)  # sigma > d/r
+    probe = sharpness_probe(0.8, 2.0, grids)  # sigma > d/r
     for g in probe["per_level_growth"]:
         assert g < 1.0
 

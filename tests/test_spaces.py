@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -167,6 +168,47 @@ def test_value_space_norms_and_constants():
         l1.type_constant(2.0)
 
 
+# the spaces and exponents of the type/cotype table; "-" marks a refusal
+_CONSTANT_SPACES = {
+    "l1_3": ValueSpace.lp(1.0, 3),
+    "l1.5_3": ValueSpace.lp(1.5, 3),
+    "l2_3": ValueSpace.hilbert(3),
+    "l2_1": ValueSpace.scalar(),
+    "linf_3": ValueSpace.lp(np.inf, 3),
+    "custom": ValueSpace.custom(3, lambda rows: np.abs(rows).sum(axis=-1)),
+}
+_TYPE_EXPONENTS = (1.0, 1.5, 2.0, 2.0 + 1e-13, 2.5)
+_COTYPE_EXPONENTS = (1.5, 2.0 - 1e-13, 2.0, 4.0, np.inf)
+_CONSTANT_TABLE = {
+    # name: (type constants over _TYPE_EXPONENTS, cotype over _COTYPE_EXPONENTS)
+    "l1_3": ("1 - - - -", "- - - - 1"),
+    "l1.5_3": ("1 - - - -", "- - - - 1"),
+    "l2_3": ("1 1 1 1 -", "- 1 1 1 1"),
+    "l2_1": ("1 1 1 1 -", "- 1 1 1 1"),
+    "linf_3": ("1 - - - -", "- - - - 1"),
+    "custom": ("1 - - - -", "- - - - 1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CONSTANT_TABLE))
+def test_type_and_cotype_constants_table(name):
+    # type 1 and cotype infinity hold with constant 1 in every space, and l^2
+    # has type 2 = cotype 2 with constant 1 (monotone, with 1e-12 slack);
+    # every other exponent has no known constant and is refused in one line
+    space = _CONSTANT_SPACES[name]
+    for method, exponents, row in (
+        (space.type_constant, _TYPE_EXPONENTS, _CONSTANT_TABLE[name][0]),
+        (space.cotype_constant, _COTYPE_EXPONENTS, _CONSTANT_TABLE[name][1]),
+    ):
+        for exponent, entry in zip(exponents, row.split()):
+            if entry == "1":
+                assert method(exponent) == 1.0, (name, method.__name__, exponent)
+            else:
+                with pytest.raises(ValueError, match="no known") as err:
+                    method(exponent)
+                assert "\n" not in str(err.value)
+
+
 def test_norm_rows_matches_the_last_axis_reduce_exactly(rng):
     # the column fold below 8 components and the reduce from 8 on must both
     # give the bits of a plain reduce over the last axis
@@ -248,6 +290,55 @@ def test_scalar_l2_norms_are_exact_where_the_square_leaves_the_range(rng):
     for h in (1e-200, 1e200):
         assert lp_norm(GridFunction(g, np.full(8, h)), np.inf) == h
         assert weak_lp_norm(GridFunction(g, np.full(8, -h)), 2.0) == h
+
+
+def _sum_of_squares_root(rows):
+    """The l^2 norm of rows as norm_rows took it before for two or more
+    components: abs, square, sum, sqrt."""
+    a = np.abs(np.atleast_2d(rows))
+    with np.errstate(over="ignore"):
+        return np.sqrt((a * a).sum(axis=-1))
+
+
+def test_l2_norms_of_several_components_neither_overflow_nor_underflow():
+    # the sum of squares gave inf, 0.0 and 4.99997e-160 with a RuntimeWarning
+    space = ValueSpace.hilbert(2)
+    assert _sum_of_squares_root([1e200, 0.0])[0] == np.inf
+    assert _sum_of_squares_root([1e-200, 0.0])[0] == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert space.norm([1e200, 0.0]) == 1e200
+        assert space.norm([0.0, -1e-200j]) == 1e-200
+        assert abs(space.norm([3e-160, 4e-160]) - 5e-160) <= np.spacing(5e-160)
+        huge = np.finfo(float).max
+        assert space.norm([huge / 2.0, huge / 2.0]) == pytest.approx(huge / math.sqrt(2.0),
+                                                                      rel=1e-15)
+        assert space.norm([huge, huge]) == np.inf
+        rows = np.array([[0.0, 0.0], [np.inf, 1.0], [1.0, -np.inf], [np.nan, 1.0],
+                         [np.nan, np.inf], [np.inf, np.nan]])
+        got = space.norm_rows(rows)
+        assert got[0] == 0.0 and got[1] == got[2] == np.inf and np.isnan(got[3:]).all()
+        wide = ValueSpace.hilbert(9)
+        assert wide.norm(np.full(9, 1e200)) == pytest.approx(3e200, rel=1e-15)
+        assert wide.norm(np.full(9, 1e-200)) == pytest.approx(3e-200, rel=1e-15)
+        assert wide.norm(np.zeros(9)) == 0.0
+        assert space.norm_rows(np.zeros((0, 2))).shape == (0,)
+
+
+def test_l2_norms_of_several_components_keep_their_bits_in_range():
+    # rows whose sum of squares is finite and at least 2^-968 keep the
+    # sum-of-squares root bit for bit, at every width and across the range
+    rng = np.random.default_rng(61)
+    for dim in (2, 3, 7, 8, 12):
+        shape = (2**15, dim)
+        scale = 2.0 ** rng.integers(-490, 510, shape[0])[:, None]
+        spread = 2.0 ** rng.integers(-30, 1, shape)
+        rows = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * spread * scale
+        old = _sum_of_squares_root(rows)
+        kept = (old < np.inf) & (old * old >= 2.0**-968)
+        assert kept.mean() > 0.9
+        got = ValueSpace.hilbert(dim).norm_rows(rows)
+        assert _same_bits(got[kept], old[kept]), dim
 
 
 def test_custom_norm_oracle_spot_checks(rng):
