@@ -83,7 +83,14 @@ def _flag(value):
     raise TypeError(f"not true or false: {value!r}")
 
 
-_KINDS = {int: "an integer", float: "a number", _exponent: "a number or 'inf'",
+def _integer(value):
+    """A count, size or seed: a JSON integer only (64.9, "64" and true are refused)."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise TypeError(f"not an integer: {value!r}")
+
+
+_KINDS = {_integer: "an integer", float: "a number", _exponent: "a number or 'inf'",
           _exponent_pair: "a [p, q] pair of numbers or 'inf'", _flag: "true or false"}
 _REQUIRED = object()
 _EXPONENT_DEFAULTS = {"u": "inf", "v": 2.0, "w": 2.0}
@@ -132,7 +139,7 @@ def _exponents(cfg: dict, ctx: str, keys: str = "p q") -> dict:
 
 def _build_grid(cfg: dict) -> GridSpec:
     g = _section(cfg, "grid")
-    d, n = _param(g, "d", "grid", int), _param(g, "n_per_dim", "grid", int)
+    d, n = _param(g, "d", "grid", _integer), _param(g, "n_per_dim", "grid", _integer)
     period = _param(g, "period", "grid", float, 1.0)
     try:
         return GridSpec(d, n, period)
@@ -150,7 +157,7 @@ def _space(ctx: dict, role: str, default_dim: int) -> ValueSpace:
         raise ConfigError(f"config schema: unsupported value-space kind {kind!r}")
     where = f"spaces.{role}"
     return ValueSpace.lp(_param(spec, "p", where, _exponent, 2.0),
-                         _param(spec, "dim", where, int, 1))
+                         _param(spec, "dim", where, _integer, 1))
 
 
 def _operator_kwargs(ctx: dict, m) -> dict:
@@ -214,7 +221,7 @@ def _build_kernel(cfg: dict, grid: GridSpec):
 def _function_int(spec: dict, key: str, default, low: int, high: Optional[int] = None) -> int:
     """The integer spec[key] of a function spec, which must lie in [low, high]
     (no upper end when high is None); a ConfigError naming function.key if not."""
-    value = _param(spec, key, "function", int, default)
+    value = _param(spec, key, "function", _integer, default)
     if value < low or (high is not None and value > high):
         span = f">= {low}" if high is None else f"in [{low}, {high}]"
         raise ConfigError(f"config schema: function.{key} must be an integer {span}, "
@@ -251,15 +258,15 @@ def _build_function(spec: dict, grid: GridSpec, seed: int) -> GridFunction:
 def _build_budget(cfg: dict) -> SearchBudget:
     spec = _section(cfg, "budget", default={})
     return SearchBudget(
-        restarts=_param(spec, "restarts", "budget", int, 16),
-        steps=_param(spec, "steps", "budget", int, 60),
-        max_vectors=_param(spec, "max_vectors", "budget", int, 8),
-        search_samples=_param(spec, "search_samples", "budget", int, 4000),
+        restarts=_param(spec, "restarts", "budget", _integer, 16),
+        steps=_param(spec, "steps", "budget", _integer, 60),
+        max_vectors=_param(spec, "max_vectors", "budget", _integer, 8),
+        search_samples=_param(spec, "search_samples", "budget", _integer, 4000),
     )
 
 
 def _partition(cfg: dict, ctx: dict, op: str):
-    return build_partition(ctx["grid"], _param(cfg, "smoothness", op, int, 3))
+    return build_partition(ctx["grid"], _param(cfg, "smoothness", op, _integer, 3))
 
 
 def _nonempty_list(cfg: dict, key: str, op: str) -> dict:
@@ -273,7 +280,7 @@ def _nonempty_list(cfg: dict, key: str, op: str) -> dict:
 def _grids(cfg: dict, ctx: dict, op: str) -> list:
     """The grids of a sweep: the scenario grid refined to each listed n_per_dim."""
     grid, ns = ctx["grid"], _nonempty_list(cfg, "grids", op)
-    return [GridSpec(grid.d, _param(ns, i, f"{op}.grids", int), grid.period) for i in ns]
+    return [GridSpec(grid.d, _param(ns, i, f"{op}.grids", _integer), grid.period) for i in ns]
 
 
 def _refuse_tolerance(ctx: dict, command: str, reason: str) -> None:
@@ -359,7 +366,7 @@ def _op_hormander(cfg, ctx):
     if kernel is None:
         m = _build_symbol(ctx["raw"], ctx["grid"])
         system = eta_zeta_system(ctx["grid"])
-        levels = _param(cfg, "levels", "hormander", int, system.j_max)
+        levels = _param(cfg, "levels", "hormander", _integer, system.j_max)
         kernel = kernel_of_symbol(m, levels, system)
     rep = hormander_constant(kernel, _param(cfg, "a", "hormander"))
     return (
@@ -377,7 +384,7 @@ def _op_mihlin(cfg, ctx):
         m,
         r=_param(cfg, "r", "mihlin", _exponent),
         rho=_param(cfg, "rho", "mihlin", _exponent, 2.0),
-        n=_param(cfg, "n", "mihlin", int, None),
+        n=_param(cfg, "n", "mihlin", _integer, None),
         mode=cfg.get("mode", "oracle"),
         h=_param(cfg, "h", "mihlin", float, None),
         adjoint=_param(cfg, "adjoint", "mihlin", _flag, False),
@@ -432,7 +439,8 @@ def _op_weak_type(cfg, ctx):
     else:
         raise ConfigError("config schema: weak-type needs a 'symbol' or 'kernel' entry")
     f_set = tf.adversarial_l1_family(
-        ctx["grid"], _param(cfg, "f_count", "weak-type", int, 24), seed=ctx["seed"], dim=m.n_in
+        ctx["grid"], _param(cfg, "f_count", "weak-type", _integer, 24), seed=ctx["seed"],
+        dim=m.n_in,
     )
     rep = verify_weak_type(
         a=_param(cfg, "a", "weak-type"),
@@ -606,9 +614,9 @@ def run_scenario(path, seed_override=None, tolerance_override=None,
             raise ConfigError("config schema: missing mandatory 'seed'")
         if seed_override is not None:
             raw = dict(raw, seed=seed_override)
-        seed = _param(raw, "seed", "scenario", int)
+        seed = _param(raw, "seed", "scenario", _integer)
         grid = _build_grid(raw)
-        sampler = GaussianSampler(seed, _param(raw, "n_samples", "scenario", int, 20000))
+        sampler = GaussianSampler(seed, _param(raw, "n_samples", "scenario", _integer, 20000))
         tolerance = (tolerance_override if tolerance_override is not None
                      else _param(raw, "tolerance", "scenario", float, None))
         ctx = {

@@ -844,9 +844,10 @@ def extrapolation_sweep(
 
     Emits one row per (p, q, N) between l^2 value spaces.  On each grid
     the pairs share one witness search, whose lanes draw every random
-    proposal once (multiplier._estimate_multiplier_norms), and each
-    row's estimate is, bit for bit, the estimate_multiplier_norm of its
-    pair alone.  Empty pq_list or grid_list is refused, and so is an r,
+    proposal once and propose, transform and norm each of their
+    duplicate rows once (multiplier._estimate_multiplier_norms), and
+    each row's estimate is, bit for bit, the estimate_multiplier_norm of
+    its pair alone.  Empty pq_list or grid_list is refused, and so is an r,
     p or q outside [1, inf], before anything is computed.  The stability
     table holds the max/min spread of the estimates across grids, and
     the endpoint growth is least-squares fitted against 1/(p-1) (as p

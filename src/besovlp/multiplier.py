@@ -17,12 +17,15 @@ own stream, adds it with one scatter, rescales the stack with one divide
 and scores the candidates together from their spectra.  Estimates that
 differ only in their score, such as the (p, q) pairs of a sweep on one
 grid, share one search: each is a lane of the stack, every draw is made
-once for all of them, and each lane's value is the one its own search
-would give, bit for bit.  A chunk of
-witness spectra and their images under the symbol are scored in one
-pass, end to end: one batched transform for the L^p scorer, one round
-trip and one run of the block core for the Besov scorer, with the same
-values, bit for bit, as norm calls on one function at a time.
+once for all of them, and the lanes share their duplicate rows too.
+Until their acceptances part them, a lane's rows are bitwise copies of
+an earlier lane's; each distinct row is proposed, transformed and
+normed once, and only the L^p powers, sums and roots are taken per lane.
+Each lane's value is the one its own search would give, bit for bit.  A
+chunk of witness spectra and their images under the symbol are scored
+in one pass, end to end: one batched transform for the L^p scorer, one
+round trip and one run of the block core for the Besov scorer, with the
+same values, bit for bit, as norm calls on one function at a time.
 Verification reports then check the measured lower bound against the
 displayed theoretical bound, which is the falsifiable direction.  The
 per-annulus gamma-bounds entering the bounds are exact between Hilbert
@@ -72,8 +75,11 @@ from .spaces import (
     _inv,
     _lp_combine,
     _lp_norms_by_run,
+    _lp_of_node_norms,
     _lp_runs,
+    _node_norms,
     _pack_complex,
+    _run_slices,
     _space_for,
     _unpack_complex,
 )
@@ -156,7 +162,10 @@ class OperatorSymbol:
         )
 
     def scaled(self, c: complex) -> "OperatorSymbol":
-        return OperatorSymbol(self.grid, c * self.values, self.derivative_oracle, self.name)
+        """c m: the values and the derivative oracle, if any, times c."""
+        base = self.derivative_oracle
+        oracle = None if base is None else (lambda alpha, xi: c * base(alpha, xi))
+        return OperatorSymbol(self.grid, c * self.values, oracle, self.name)
 
     def __mul__(self, other: "OperatorSymbol") -> "OperatorSymbol":
         """Pointwise composition self(xi) @ other(xi)."""
@@ -349,34 +358,80 @@ def _dyadic_annulus_masks(grid: GridSpec) -> list:
     return [_annulus_mask(mags, k) for k in range(_n_dyadic_annuli(grid))]
 
 
-def _propose_witnesses(states: np.ndarray, step: float, rngs: list, halves: list) -> np.ndarray:
-    """Trials of a witness state stack (L * S, n_allowed, n_in): L lanes of
-    S starts, lane-major, one trial per row.
+def _propose_witnesses(states: np.ndarray, step: float, rngs: list, halves: list,
+                       rows: Optional[np.ndarray] = None) -> np.ndarray:
+    """One trial per row of a witness state stack: of each of the S rows of
+    one lane's stack (S, n_allowed, n_in), or, for a stack (L * S,
+    n_allowed, n_in) of L lanes of S starts, lane-major, of each row the
+    increasing index array rows lists, in that order.
 
     Start i's rng picks 1-8 distinct nodes and draws their complex noise,
     once, rngs in start order; all the noise is added with one scatter,
-    start i's to row i of every lane, and every nonzero trial is divided
-    by its largest modulus.  The nodes come from sampling._pick_nodes:
-    halves[i] holds the 32-bit half of start i's stream left unread
-    between its draws, and is updated in place.
+    start i's to every row of start i, and every nonzero trial is divided
+    by its largest modulus.  A row's trial depends only on its state and
+    its start's draws, so rows holding the same state get the same trial,
+    bit for bit, and a caller may propose for one of them only.  The nodes
+    come from sampling._pick_nodes: halves[i] holds the 32-bit half of
+    start i's stream left unread between its draws, and is updated in
+    place.
     """
     n_starts = len(rngs)
     n_allowed, n_in = states.shape[1:]
-    trials = states.copy()
     cols, sizes, draws = [], [], []
     for i, rng in enumerate(rngs):
         nodes, halves[i] = _pick_nodes(rng.bit_generator, halves[i], n_allowed, 3)
         cols += nodes
         sizes.append(len(nodes))
         draws.append(rng.standard_normal((2, len(nodes), n_in)))
-    rows = np.repeat(np.arange(n_starts), sizes)
     re, im = np.concatenate(draws, axis=1)
-    # one start's nodes are distinct, so each noise term is added once per
-    # lane; several lanes are indexed through an (L, S, n_allowed, n_in) view
-    lanes = trials if len(trials) == n_starts else trials.reshape(-1, n_starts, n_allowed, n_in)
-    lanes[..., rows, cols, :] += step * (re + 1j * im)
+    # one start's nodes are distinct, so each noise term is added once per row
+    if rows is None:
+        trials = states.copy()
+        trials[np.repeat(np.arange(n_starts), sizes), cols, :] += step * (re + 1j * im)
+    else:
+        trials = states[rows]
+        starts = rows % n_starts
+        # trial k takes its start s's noise terms, cumsum(sizes)[s] - sizes[s] onwards
+        counts = np.asarray(sizes)[starts]
+        terms = (np.repeat(np.cumsum(sizes)[starts] - np.cumsum(counts), counts)
+                 + np.arange(counts.sum()))
+        noise = step * (re + 1j * im)
+        trials[np.repeat(np.arange(len(trials)), counts), np.asarray(cols)[terms], :] += \
+            noise[terms]
     scale = np.abs(trials).max(axis=(1, 2))[:, None, None]
     return np.divide(trials, scale, out=trials, where=scale > 0)
+
+
+class _SharedRows:
+    """A stack of rows held once per distinct row: row k is rows[pos[k]]."""
+
+    __slots__ = ("rows", "pos")
+
+    def __init__(self, rows: np.ndarray, pos: np.ndarray):
+        self.rows, self.pos = rows, pos
+
+    def __getitem__(self, k):
+        return self.rows[self.pos[k]]
+
+
+def _distinct_rows(states: np.ndarray, n_lanes: int) -> tuple:
+    """(leads, pos) of a state stack (L * S, n_allowed, n_in) of L lanes of
+    S starts, lane-major: the increasing indices of its distinct rows, and
+    for each row k the place among them of the row whose bits it holds,
+    so states[k] is a bitwise copy of states[leads[pos[k]]].
+
+    Every row of lane 0 is distinct, and a later lane's row is a copy of
+    lane 0's row of its start when it holds the same bits, compared
+    through a uint64 view (complex == would take -0 for +0 and NaN for
+    unequal); otherwise it is distinct, even where it holds another later
+    lane's bits.
+    """
+    n_starts = len(states) // n_lanes
+    words = states.reshape(n_lanes, n_starts, -1).view(np.uint64)
+    distinct = np.ones(len(states), dtype=bool)
+    distinct[n_starts:] = (words[1:] != words[0]).any(axis=2).ravel()
+    pos = np.where(distinct, np.cumsum(distinct) - 1, np.arange(len(states)) % n_starts)
+    return np.flatnonzero(distinct), pos
 
 
 def _witness_search(
@@ -384,43 +439,56 @@ def _witness_search(
     allowed: np.ndarray,
     budget: SearchBudget,
     sampler: GaussianSampler,
-    scorers: Sequence[Callable[[np.ndarray], Sequence[float]]],
+    score: Callable,
+    lanes: int = 1,
 ) -> list:
     """Largest score found over witness spectra supported in a node mask,
-    one per scorer.
+    one per lane.
 
-    A scorer maps a stack (S, n_nodes, n_in) of spectra to their S
-    scores.  The scorers share one search: each is a lane of
-    _hill_climb, so every random draw is made once and serves all of
-    them, and each lane's value is, bit for bit, the one a search with
-    that scorer alone would return.  Every start climbs in lockstep, and
-    the states are one array (L * S, n_allowed, n_in), lane-major: each
-    start's spectrum at the allowed nodes, once per scorer.  A step
-    copies that stack once into the trials, draws every start's nodes
-    and noise from its own stream in start order, adds the noise to
-    every lane with one scatter, rescales every trial by its largest
-    entry with one divide, and scores each lane's trials with its own
-    scorer in chunks of at most _BLOCK_BATCH_ENTRIES / 2 samples (one
-    spectrum when a spectrum is larger), each scattered into one zeroed
-    buffer, so a chunk and its image under m fit one scoring batch and
-    the scoring memory stays bounded however many starts run.  The state
-    and trial stacks are capped: a search whose lanes and starts could
-    need more than _SEARCH_BYTES_CAP for them is refused before anything
-    is allocated.  The scores are deterministic, so the search is exact
-    greedy hill-climbing; the schedule is prefix-stable in (restarts,
-    steps), which makes every returned value monotone in the budget.
+    With one lane, score maps a stack (S, n_nodes, n_in) of spectra to
+    their S scores.  Every start climbs in lockstep, and the states are
+    one array (S, n_allowed, n_in): each start's spectrum at the allowed
+    nodes.  A step copies that stack once into the trials, draws every
+    start's nodes and noise from its own stream in start order, adds the
+    noise with one scatter, rescales every trial by its largest entry
+    with one divide, and scores the trials in chunks of at most
+    _BLOCK_BATCH_ENTRIES / 2 samples (one spectrum when a spectrum is
+    larger), each scattered into one zeroed buffer, so a chunk and its
+    image under m fit one scoring batch and the scoring memory stays
+    bounded however many starts run.
+
+    Estimates that differ only in their score share one search: each is a
+    lane of _hill_climb, and the states hold lanes * S rows, lane-major.
+    Every random draw is made once and serves all the lanes, and a lane's
+    row holds a bitwise copy of an earlier lane's row of the same start
+    until their acceptances part them.  Each step finds the rows that copy
+    lane 0's (_distinct_rows), proposes for each distinct row once, and
+    hands _hill_climb the distinct trials with each row's place among them
+    (_SharedRows), so no trial is stored twice.  The distinct rows are
+    scored in the same chunks, yielded one by one: score(chunks, picks)
+    gives, for each lane l, the scores of the distinct spectra picks[l],
+    one per start, so each distinct row is transformed and takes its node
+    norms once and each lane reduces the rows it holds.  Each lane's value
+    is, bit for bit, the one a search with its score alone would return.
+
+    The state and trial stacks are capped: a search whose lanes and starts
+    could need more than _SEARCH_BYTES_CAP for them is refused before
+    anything is allocated.  The scores are deterministic, so the search
+    is exact greedy hill-climbing; the schedule is prefix-stable in
+    (restarts, steps), which makes every returned value monotone in the
+    budget.
     """
-    grid, n_in, n_lanes = m.grid, m.n_in, len(scorers)
+    grid, n_in = m.grid, m.n_in
     n_allowed = int(np.count_nonzero(allowed))
     if n_allowed == 0:
         raise ValueError("empty witness support")
     # at most 5 single modes, the flat spectrum and one per annulus, then the restarts
     max_starts = min(5, n_allowed) + 1 + _n_dyadic_annuli(grid) + budget.restarts
-    stack_bytes = 2 * n_lanes * max_starts * n_allowed * n_in * 16
+    stack_bytes = 2 * lanes * max_starts * n_allowed * n_in * 16
     if stack_bytes > _SEARCH_BYTES_CAP:
-        lanes = f"{n_lanes} estimates x " if n_lanes > 1 else ""
+        estimates = f"{lanes} estimates x " if lanes > 1 else ""
         raise ValueError(
-            f"witness search too large: {lanes}{max_starts} starts x {n_allowed} nodes x "
+            f"witness search too large: {estimates}{max_starts} starts x {n_allowed} nodes x "
             f"{n_in} components need {stack_bytes / 2**20:.0f} MB of search state, over the "
             f"{_SEARCH_BYTES_CAP // 2**20} MB cap; lower budget.restarts or the grid size"
         )
@@ -429,16 +497,6 @@ def _witness_search(
     # the scorers take a chunk's spectra and their images under m in one
     # pass, so a chunk of half the block budget lets both fit one batch
     per_chunk = max(1, _BLOCK_BATCH_ENTRIES // (2 * grid.n_nodes * max(n_in, m.n_out)))
-
-    def score_batch(specs):
-        scores = []
-        for lane, score_spectra in enumerate(scorers):
-            lane_specs = specs[lane * n_starts:(lane + 1) * n_starts]
-            for j in range(0, n_starts, per_chunk):
-                chunk = lane_specs[j:j + per_chunk]
-                fhats[:len(chunk), allowed_idx] = chunk
-                scores += score_spectra(fhats[:len(chunk)])
-        return scores
 
     # structured starts: single modes at the largest symbol values,
     # a flat spectrum, and flat per-annulus spectra
@@ -458,10 +516,7 @@ def _witness_search(
             # 1-32 nodes, as rng.integers(1, 33) and rng.choice would pick them
             idx, halves[i] = _pick_nodes(rng.bit_generator, None, n_allowed, 5)
             states[i, idx] = _complex_normals(rng, (len(idx), n_in))
-        return states if n_lanes == 1 else np.tile(states, (n_lanes, 1, 1))
-
-    def propose(states, step, rngs):
-        return _propose_witnesses(states, step, rngs, halves)
+        return states if lanes == 1 else np.tile(states, (lanes, 1, 1))
 
     # one zeroed chunk for the whole search, no larger than one lane's
     # states: only the allowed nodes are ever written, and a scorer does
@@ -470,9 +525,44 @@ def _witness_search(
     fhats = np.zeros((min(per_chunk, n_starts), grid.n_nodes, n_in), dtype=np.complex128)
     # per start, the 32-bit half of its stream that _pick_nodes left unread
     halves = [None] * n_starts
+
+    if lanes == 1:
+        def propose(states, step, rngs):
+            return _propose_witnesses(states, step, rngs, halves)
+
+        def score_batch(specs):
+            scores = []
+            for j in range(0, n_starts, per_chunk):
+                chunk = specs[j:j + per_chunk]
+                fhats[:len(chunk), allowed_idx] = chunk
+                scores += score(fhats[:len(chunk)])
+            return scores
+    else:
+        def propose(states, step, rngs):
+            leads, pos = _distinct_rows(states, lanes)
+            return _SharedRows(_propose_witnesses(states, step, rngs, halves, leads), pos)
+
+        def score_batch(specs):
+            # the starting states are lane 0's, copied into every lane
+            rows, pos = ((specs.rows, specs.pos) if isinstance(specs, _SharedRows)
+                         else (specs[:n_starts], np.tile(np.arange(n_starts), lanes)))
+
+            def chunks():
+                for j in range(0, len(rows), len(fhats)):
+                    chunk = rows[j:j + len(fhats)]
+                    fhats[:len(chunk), allowed_idx] = chunk
+                    yield fhats[:len(chunk)]
+
+            return np.ravel(score(chunks(), pos.reshape(lanes, n_starts)))
+
     found = _hill_climb(sampler, _OP_WITNESS, n_starts, start, propose,
-                        score_batch, budget, lanes=n_lanes)
+                        score_batch, budget, lanes=lanes)
     return [value for value, _ in found]
+
+
+def _ratios(num: list, den: list) -> list:
+    """num / den, term by term; -inf where den <= 0."""
+    return [-np.inf if d <= 0 else v / d for v, d in zip(num, den)]
 
 
 def _ratio_scorer(m: OperatorSymbol, norms: Callable, src: tuple, dst: tuple) -> Callable:
@@ -490,25 +580,71 @@ def _ratio_scorer(m: OperatorSymbol, norms: Callable, src: tuple, dst: tuple) ->
         n = len(fhats)
         sides = [(fhats, *src), (_apply_to_spectrum(m, fhats), *dst)]
         vals = norms(sides) if m.n_out == m.n_in else norms(sides[:1]) + norms(sides[1:])
-        return [-np.inf if d <= 0 else v / d for v, d in zip(vals[n:], vals[:n])]
+        return _ratios(vals[n:], vals[:n])
 
     return score
 
 
-def _lp_scorer(m: OperatorSymbol, p: float, q: float, domain_space: ValueSpace,
+def _lp_scorer(m: OperatorSymbol, pairs: Sequence[tuple], domain_space: ValueSpace,
                codomain_space: ValueSpace) -> Callable:
-    """||T f||_q / ||f||_p of a stack of spectra: the sides end to end, one
-    batched idft per batch of _stack_batches and one vectorized L^p
-    reduction per run of sides sharing p and the value space."""
-    def norms(sides):
-        runs = _lp_runs([(len(spectra), r, space) for spectra, r, space in sides])
-        vals = []
-        for j, batch in _stack_batches([spectra for spectra, _, _ in sides]):
-            _idft_stack(batch, m.grid, out=batch)
-            vals += _lp_norms_by_run(batch, runs, m.grid.cell_volume, j)
-        return vals
+    """||T f||_q / ||f||_p of a stack of spectra, for each (p, q) of pairs.
 
-    return _ratio_scorer(m, norms, (p, domain_space), (q, codomain_space))
+    One pair scores a stack: the sides end to end, one batched idft per
+    batch of _stack_batches and one vectorized L^p reduction per run of
+    sides sharing p and the value space.  Several pairs score
+    (chunks, picks): chunks yields stacks of spectra, end to end the
+    stack S, and pair l scores the spectra S[picks[l]].  Each chunk and
+    its image take their idft and their node norms (_node_norms) once,
+    as one pair's would, and each pair then raises, sums and roots the
+    node norms of its picks, gathered into rows of their own, once for
+    all the chunks, so every norm has the bits of a lone pair's.
+    """
+    grid, measure = m.grid, m.grid.cell_volume
+    if len(pairs) == 1:
+        [(p, q)] = pairs
+
+        def norms(sides):
+            runs = _lp_runs([(len(spectra), r, space) for spectra, r, space in sides])
+            vals = []
+            for j, batch in _stack_batches([spectra for spectra, _, _ in sides]):
+                _idft_stack(batch, grid, out=batch)
+                vals += _lp_norms_by_run(batch, runs, measure, j)
+            return vals
+
+        return _ratio_scorer(m, norms, (p, domain_space), (q, codomain_space))
+
+    def node_norms(sides):
+        """The node norms of the spectra of sides (spectra, space), end to end."""
+        runs = _lp_runs([(len(spectra), None, space) for spectra, space in sides])
+        vals = []
+        for j, batch in _stack_batches([spectra for spectra, _ in sides]):
+            _idft_stack(batch, grid, out=batch)
+            vals += [_node_norms(batch[lo:hi], space)
+                     for lo, hi, _, space in _run_slices(runs, j, len(batch))]
+        return _joined(vals)
+
+    def score(chunks, picks: list) -> list:
+        src, dst = [], []
+        for fhats in chunks:
+            sides = [(fhats, domain_space), (_apply_to_spectrum(m, fhats), codomain_space)]
+            if m.n_out == m.n_in:
+                vals = node_norms(sides)
+                src.append(vals[:len(fhats)])
+                dst.append(vals[len(fhats):])
+            else:
+                src.append(node_norms(sides[:1]))
+                dst.append(node_norms(sides[1:]))
+        src, dst = _joined(src), _joined(dst)
+        return [_ratios(_lp_of_node_norms(dst[idx], q, codomain_space, measure),
+                        _lp_of_node_norms(src[idx], p, domain_space, measure))
+                for (p, q), idx in zip(pairs, picks)]
+
+    return score
+
+
+def _joined(pieces: list) -> np.ndarray:
+    """The arrays of pieces joined along their first axis; a lone piece as it is."""
+    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
 
 def _besov_scorer(m: OperatorSymbol, src: BesovParams, dst: BesovParams,
@@ -569,8 +705,8 @@ def _estimate_multiplier_norms(
     )
     if mean_zero:
         allowed[0] = False
-    scorers = [_lp_scorer(m, p, q, domain_space, codomain_space) for p, q in pairs]
-    return _witness_search(m, allowed, budget, sampler, scorers)
+    score = _lp_scorer(m, pairs, domain_space, codomain_space)
+    return _witness_search(m, allowed, budget, sampler, score, len(pairs))
 
 
 def besov_multiplier_norm_estimate(
@@ -599,7 +735,7 @@ def besov_multiplier_norm_estimate(
     if homogeneous:
         allowed[0] = False
     score = _besov_scorer(m, src, dst, part, domain_space, codomain_space, homogeneous)
-    [est] = _witness_search(m, allowed, budget, sampler, [score])
+    [est] = _witness_search(m, allowed, budget, sampler, score)
     return est
 
 

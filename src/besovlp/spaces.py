@@ -286,6 +286,8 @@ class ValueSpace:
         if p == 1.0:
             return _fold_columns(np.add, a)
         if p == 2.0:
+            # the squares and their root in place need float magnitudes (integer rows)
+            a = a.astype(float, copy=False)
             with np.errstate(over="ignore"):
                 total = _fold_columns(np.add, np.multiply(a, a, out=a))
                 rescale = (total == np.inf) | (total < _L2_SUM_FLOOR)
@@ -503,7 +505,18 @@ def _space_for(value_dim: int, space: Optional[ValueSpace]) -> ValueSpace:
 
 def _lp_norms(samples: np.ndarray, p: float, space: ValueSpace, measure: float) -> list:
     """lp_norm of each member of a stack (S, n_nodes, dim) of samples."""
-    vals = space.norm_rows(samples.reshape(-1, samples.shape[-1])).reshape(samples.shape[:-1])
+    return _lp_of_node_norms(_node_norms(samples, space), p, space, measure)
+
+
+def _node_norms(samples: np.ndarray, space: ValueSpace) -> np.ndarray:
+    """The value-space norm at every node of each member of a stack (S, n_nodes, dim):
+    an (S, n_nodes) array, the first half of _lp_norms."""
+    return space.norm_rows(samples.reshape(-1, samples.shape[-1])).reshape(samples.shape[:-1])
+
+
+def _lp_of_node_norms(vals: np.ndarray, p: float, space: ValueSpace, measure: float) -> list:
+    """The L^p norms of the members whose _node_norms in space are the rows of
+    vals, the second half of _lp_norms; vals may be overwritten."""
     if space.kind != "lp" or math.isinf(p):
         return _lp_rows(vals, p, measure)
     # the powers in place, on norm_rows' own temporary; never on a custom
@@ -529,6 +542,17 @@ def _lp_runs(sides: list) -> list:
     return runs
 
 
+def _run_slices(runs: list, first: int, count: int):
+    """(lo, hi, p, space) of each run of _lp_runs that members first..first+count-1
+    of the stack meet; lo and hi are counted from member first."""
+    lo, last = first, first + count
+    for end, p, space in runs:
+        hi = min(end, last)
+        if hi > lo:
+            yield lo - first, hi - first, p, space
+            lo = hi
+
+
 def _lp_norms_by_run(samples: np.ndarray, runs: list, measure: float, first: int = 0) -> list:
     """_lp_norms of each member of a stack (B, n_nodes, dim) that holds members
     first..first+B-1 of a longer stack cut into _lp_runs.
@@ -537,12 +561,9 @@ def _lp_norms_by_run(samples: np.ndarray, runs: list, measure: float, first: int
     its own rows, so a member's norm has the same bits however the stack
     is cut.
     """
-    norms, lo, last = [], first, first + len(samples)
-    for end, p, space in runs:
-        hi = min(end, last)
-        if hi > lo:
-            norms += _lp_norms(samples[lo - first:hi - first], p, space, measure)
-            lo = hi
+    norms = []
+    for lo, hi, p, space in _run_slices(runs, first, len(samples)):
+        norms += _lp_norms(samples[lo:hi], p, space, measure)
     return norms
 
 

@@ -198,6 +198,9 @@ def _with_params(cfg, **params):
 
 MIHLIN = dict(BASE, symbol={"constructor": "riesz", "params": {"sigma": 0.5}},
               operation={"name": "mihlin", "params": {"r": 2.0}})
+CZ_SPIKE = dict(BASE, symbol=None,
+                operation={"name": "cz", "params": {"function": {"kind": "spike"}, "alpha": 8.0}})
+HILBERT = {"constructor": "hilbert", "params": {}}
 # (subcommand, switch, the scenario with the switch set to a value): every
 # switch reads only JSON true or false, and unset is false; a string
 # "false" used to be truthy and ran the homogeneous norm
@@ -270,6 +273,47 @@ BAD_CONFIGS = [
     # a switch set to anything but JSON true or false
     *[(command, make(value), f"config schema: {name} must be true or false, got {value!r}")
       for command, name, make in SWITCHES for value in ("false", "no", {"x": 1}, 1, None)],
+    # an integer key set to a non-integral number, a boolean or a string:
+    # int() truncated 64.9 to N = 64 and a spike cell 1.5 to cell 1, and took true and "64"
+    ("cz", dict(CZ_SPIKE, grid=dict(BASE["grid"], n_per_dim=64.9)),
+     "config schema: grid.n_per_dim must be an integer, got 64.9"),
+    ("cz", _with_params(CZ_SPIKE, function={"kind": "spike", "cell": 1.5}),
+     "config schema: function.cell must be an integer, got 1.5"),
+    ("multiplier", dict(BASE, grid=dict(BASE["grid"], n_per_dim=True)),
+     "config schema: grid.n_per_dim must be an integer, got True"),
+    ("multiplier", dict(BASE, grid=dict(BASE["grid"], n_per_dim="64")),
+     "config schema: grid.n_per_dim must be an integer, got '64'"),
+    ("multiplier", dict(BASE, grid=dict(BASE["grid"], d=1.0)),
+     "config schema: grid.d must be an integer, got 1.0"),
+    ("multiplier", dict(BASE, budget={"restarts": 2.5, "steps": 5}),
+     "config schema: budget.restarts must be an integer, got 2.5"),
+    ("multiplier", dict(BASE, budget={"restarts": 2, "steps": "5"}),
+     "config schema: budget.steps must be an integer, got '5'"),
+    ("multiplier", dict(BASE, budget={"restarts": 2, "steps": 5, "max_vectors": 8.0}),
+     "config schema: budget.max_vectors must be an integer, got 8.0"),
+    ("multiplier", dict(BASE, budget={"restarts": 2, "steps": 5, "search_samples": True}),
+     "config schema: budget.search_samples must be an integer, got True"),
+    ("multiplier", dict(BASE, seed=1.5), "config schema: scenario.seed must be an integer, got 1.5"),
+    ("multiplier", dict(BASE, n_samples=20000.0),
+     "config schema: scenario.n_samples must be an integer, got 20000.0"),
+    ("multiplier", dict(BASE, spaces={"domain": {"dim": True}}),
+     "config schema: spaces.domain.dim must be an integer, got True"),
+    ("besov-norm", _with_params(_besov_norm(), smoothness=3.5),
+     "config schema: besov-norm.smoothness must be an integer, got 3.5"),
+    ("besov-norm", _besov_norm("spike", dim=1.0),
+     "config schema: function.dim must be an integer, got 1.0"),
+    ("besov-norm", _besov_norm("random_band_limited", annulus=True),
+     "config schema: function.annulus must be an integer, got True"),
+    ("hormander", dict(BASE, symbol=HILBERT,
+                       operation={"name": "hormander", "params": {"a": 1.0, "levels": 2.5}}),
+     "config schema: hormander.levels must be an integer, got 2.5"),
+    ("weak-type", dict(BASE, symbol=HILBERT,
+                       operation={"name": "weak-type",
+                                  "params": {"a": 1.0, "p0": 2.0, "q0": 2.0, "f_count": "24"}}),
+     "config schema: weak-type.f_count must be an integer, got '24'"),
+    ("mihlin", _with_params(MIHLIN, n=1.0), "config schema: mihlin.n must be an integer, got 1.0"),
+    ("sweep", _sweep_params(grids=[32, 64.0]),
+     "config schema: sweep.grids.1 must be an integer, got 64.0"),
 ]
 
 

@@ -306,6 +306,24 @@ def test_mihlin_linear_scaling(grid128):
     assert a.constant == pytest.approx(c.constant, rel=0.05)
 
 
+def test_scaled_symbols_scale_their_derivative_oracle():
+    # the oracle of c m is c times m's: oracle mode used to return m's constant
+    grid = GridSpec(1, 256, 1.0)
+    m = riesz_symbol(grid, 0.5)
+    lone = mihlin_check(m, r=2.0, rho=2.0).constant
+    tripled = mihlin_check(m.scaled(3.0), r=2.0, rho=2.0).constant
+    assert tripled == pytest.approx(3.0 * lone, rel=1e-12)
+    assert tripled == pytest.approx(
+        mihlin_check(m.scaled(3.0), r=2.0, rho=2.0, mode="fd", h=1.0).constant, rel=1e-9)
+    c = -2.0 + 1.0j
+    adjoint = mihlin_check(m, r=2.0, rho=2.0, adjoint=True).constant
+    scaled = mihlin_check(m.scaled(c), r=2.0, rho=2.0, adjoint=True).constant
+    assert scaled == pytest.approx(abs(c) * adjoint, rel=1e-12)
+    assert scaled == pytest.approx(mihlin_check(m.scaled(c), r=2.0, rho=2.0, adjoint=True,
+                                                mode="fd", h=1.0).constant, rel=1e-9)
+    assert scalar_symbol(grid, np.ones(256)).scaled(2.0).derivative_oracle is None
+
+
 def test_mihlin_requires_oracle_or_step(grid128):
     m = scalar_symbol(grid128, np.ones(128, dtype=complex))
     with pytest.raises(ValueError):

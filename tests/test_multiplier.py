@@ -46,6 +46,7 @@ from besovlp.multiplier import (
     _dyadic_annulus_masks,
     _estimate_multiplier_norms,
     _lp_scorer,
+    _distinct_rows,
     _propose_witnesses,
     _witness_search,
 )
@@ -320,7 +321,7 @@ def test_batched_lp_scorer_equals_the_norm_quotient_exactly(shape, lp, p):
     shape_stack = (4, grid.n_nodes, shape[1])
     fhats = rng.standard_normal(shape_stack) + 1j * rng.standard_normal(shape_stack)
     fhats[-1] = 0.0
-    got = _lp_scorer(m, p, 3.0, x, y)(fhats)
+    got = _lp_scorer(m, [(p, 3.0)], x, y)(fhats)
     assert got == _serial_ratios(m, fhats, lambda f: lp_norm(f, p, x),
                                  lambda g: lp_norm(g, 3.0, y))
     assert all(type(r) is float for r in got) and got[-1] == -np.inf
@@ -349,8 +350,31 @@ def test_scorers_exact_when_the_sides_differ_in_p_or_space(differ, homogeneous):
     fhats = _witness_stack(grid, part, 2, 5, homogeneous, rng)
     assert _besov_scorer(m, src, dst, part, x, y, homogeneous)(fhats) == _serial_ratios(
         m, fhats, lambda f: norm(f, src, part, x), lambda g: norm(g, dst, part, y))
-    assert _lp_scorer(m, p, q, x, y)(fhats) == _serial_ratios(
+    assert _lp_scorer(m, [(p, q)], x, y)(fhats) == _serial_ratios(
         m, fhats, lambda f: lp_norm(f, p, x), lambda g: lp_norm(g, q, y))
+
+
+@pytest.mark.parametrize("custom", [False, True])
+@pytest.mark.parametrize("d, n, shape", [(1, 32, (1, 1)), (1, 32, (3, 2)), (2, 128, (2, 2))])
+def test_the_joint_lp_scorer_gives_each_pair_its_lone_scores(d, n, shape, custom):
+    # at d = 2, N = 128 a batch holds two spectra, so the node norms come in pieces
+    grid = GridSpec(d, n, 1.0)
+    rng = np.random.default_rng(85)
+    m = _scorer_symbol(grid, shape, rng)
+    x = ValueSpace.lp(1.0, shape[1])
+    y = (ValueSpace.custom(shape[0], lambda r: np.abs(r).max(axis=-1)) if custom
+         else ValueSpace.lp(3.0, shape[0]))
+    stack = (5, grid.n_nodes, shape[1])
+    fhats = rng.standard_normal(stack) + 1j * rng.standard_normal(stack)
+    fhats[2] = 0.0
+    pairs = [(1.0, np.inf), (1.5, 3.0), (2.0, 2.0), (1.5, 3.0)]
+    picks = [np.arange(5), np.array([3, 0]), np.array([], dtype=int), np.array([1, 1, 2, 4])]
+    want = [_lp_scorer(m, [pair], x, y)(fhats[idx]) for pair, idx in zip(pairs, picks)]
+    assert want[3][2] == -np.inf
+    score = _lp_scorer(m, pairs, x, y)
+    # the stack in one chunk, and in chunks of 2, 2 and 1
+    assert score([fhats], picks) == want
+    assert score((fhats[j:j + 2] for j in range(0, 5, 2)), picks) == want
 
 
 @pytest.mark.parametrize("shape, besov_calls, lp_calls", [
@@ -367,7 +391,7 @@ def test_a_scored_chunk_takes_one_pass_per_stack(shape, besov_calls, lp_calls, m
     fhats = _witness_stack(grid, part, shape[1], 15, False, rng)
     besov = _besov_scorer(m, BesovParams(0.5, 2.0, 2.0), BesovParams(0.0, 2.0, 1.0),
                           part, x, y, False)
-    lp = _lp_scorer(m, 2.0, 3.0, x, y)
+    lp = _lp_scorer(m, [(2.0, 3.0)], x, y)
     calls = []
     transform = spaces._transform_stack
     monkeypatch.setattr(spaces, "_transform_stack",
@@ -501,7 +525,7 @@ def test_witness_searches_match_the_per_state_serial_reference(d, shape):
                                    mean_zero=True)
     assert type(got) is float
     assert got == _per_state_witness_search(m, mean_zero, budget, sampler,
-                                            _lp_scorer(m, 1.5, 3.0, x, y))
+                                            _lp_scorer(m, [(1.5, 3.0)], x, y))
     src, dst = BesovParams(0.5, 1.5, 2.0), BesovParams(0.0, 3.0, 1.0)
     got = besov_multiplier_norm_estimate(m, src, dst, part, x, y, budget, sampler)
     assert got == _per_state_witness_search(
@@ -567,7 +591,7 @@ def test_lane_proposals_are_copies_of_the_one_lane_move(n_allowed, n_in, n_lanes
     # start 2 carries a half of its stream from an earlier draw
     halves, lone_halves = [None, None, 12345, None, None], [None, None, 12345, None, None]
     before = states.copy()
-    trials = _propose_witnesses(states, 0.5, rngs, halves)
+    trials = _propose_witnesses(states, 0.5, rngs, halves, np.arange(n_lanes * 5))
     assert _same_bits(states, before)
     for lane in range(n_lanes):
         lane_rngs, lane_halves = copy.deepcopy(lone_rngs), list(lone_halves)
@@ -613,6 +637,141 @@ def test_lanes_that_push_the_witness_state_over_the_cap_are_refused_before_alloc
         tracemalloc.stop()
     assert "\n" not in str(exc.value) and "1263 MB of search state" in str(exc.value)
     assert peak < 2**20
+
+
+def test_a_lane_search_holds_no_more_trials_than_the_cap_counts():
+    # d = 1, N = 4096, mean zero, 40 restarts: 58 starts x 4095 nodes, 3.6 MB
+    # a lane; the cap counts 3 lanes of states and 3 of trials
+    capped = 2 * 3 * 58 * 4095 * 16
+    m = riesz_symbol(GridSpec(1, 4096, 1.0), 0.5)
+    pairs = [(4.0 / 3.0, 4.0), (1.5, 6.0), (2.0, 10.0)]
+    tracemalloc.start()
+    try:
+        got = _estimate_multiplier_norms(m, pairs, budget=SearchBudget(restarts=40, steps=10),
+                                         mean_zero=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(set(got)) == 3
+    # besides the counted stacks: the trials' moduli, half a stack, while they
+    # are rescaled, and one scoring chunk; a second trial stack would not fit
+    assert peak < 1.25 * capped + 2**21
+
+
+@pytest.mark.parametrize("n_lanes", [1, 3])
+@pytest.mark.parametrize("n_allowed, n_in", [(3, 1), (64, 2)])
+def test_proposals_for_some_rows_are_those_rows_of_the_whole_proposal(n_allowed, n_in, n_lanes):
+    states = _complex_normals(np.random.default_rng(n_allowed + n_lanes),
+                              (n_lanes * 5, n_allowed, n_in))
+    states[1] = 0.0
+    sampler = GaussianSampler(82)
+    rngs, whole_rngs = ([sampler.generator(_OP_WITNESS, 100 + i) for i in range(5)]
+                        for _ in range(2))
+    halves, whole_halves = [None, 7, None, None, None], [None, 7, None, None, None]
+    rows = np.array([0, 1, 3] + [5 * n_lanes - 1] * (n_lanes > 1))
+    before = states.copy()
+    some = _propose_witnesses(states, 0.5, rngs, halves, rows)
+    whole = _propose_witnesses(states, 0.5, whole_rngs, whole_halves,
+                               np.arange(n_lanes * 5) if n_lanes > 1 else None)
+    assert _same_bits(some, whole[rows]) and _same_bits(states, before)
+    assert ([rng.bit_generator.state for rng in rngs]
+            == [rng.bit_generator.state for rng in whole_rngs])
+    assert halves == whole_halves
+
+
+def test_distinct_rows_follow_bits():
+    # 3 lanes of 4 starts with one value per start, so each row is 2 words
+    states = np.tile(np.array([1.0, 2.0, np.nan, 4.0], dtype=np.complex128)[:, None, None],
+                     (3, 1, 1))
+    states[0], states[4], states[8] = 0.0, -0.0, -0.0   # start 0: +0 in lane 0, -0 after
+    states[8 + 1] = 5.0           # lane 2, start 1 leaves lane 0's row
+    leads, pos = _distinct_rows(states, 3)
+    # complex == would take -0 for +0 and NaN for unequal; the bits do neither.
+    # Lane 2's -0 row copies lane 1's, not lane 0's, and is a row of its own
+    assert leads.tolist() == [0, 1, 2, 3, 4, 8, 9]
+    assert pos.tolist() == [0, 1, 2, 3, 4, 1, 2, 3, 5, 6, 2, 3]
+    assert _same_bits(states, states[leads[pos]])
+
+
+def _idft_rows_per_score(monkeypatch):
+    """Patch the witness search to count, per score_batch call, the spectra
+    that reach _idft_stack (each spectrum and its image count once); returns
+    (counts, starts), the latter holding each search's n_starts."""
+    counts, starts = [], []
+    idft, climb = multiplier._idft_stack, multiplier._hill_climb
+
+    def counted_idft(batch, grid, out=None):
+        counts[-1] += len(batch)
+        return idft(batch, grid, out=out)
+
+    def counted_climb(sampler, op_code, n_starts, start, propose, score_batch, budget, lanes=1):
+        def score(specs):
+            counts.append(0)
+            return score_batch(specs)
+
+        starts.append(n_starts)
+        return climb(sampler, op_code, n_starts, start, propose, score, budget, lanes)
+
+    monkeypatch.setattr(multiplier, "_idft_stack", counted_idft)
+    monkeypatch.setattr(multiplier, "_hill_climb", counted_climb)
+    return counts, starts
+
+
+def test_lanes_that_never_diverge_transform_one_lanes_rows(monkeypatch):
+    grid = GridSpec(1, 32, 1.0)
+    m = _scorer_symbol(grid, (1, 1), np.random.default_rng(80))
+    kwargs = dict(budget=SearchBudget(restarts=3, steps=6), sampler=GaussianSampler(81))
+    counts, starts = _idft_rows_per_score(monkeypatch)
+    lone = estimate_multiplier_norm(m, 2.0, 4.0, **kwargs)
+    lone_counts = list(counts)
+    counts.clear()
+    assert _estimate_multiplier_norms(m, [(2.0, 4.0), (2.0, 4.0)], **kwargs) == [lone, lone]
+    # the start's scores and then one per step: one lane's spectra and their images
+    assert counts == lone_counts == [2 * starts[0]] * 7
+
+
+def test_diverging_lanes_transform_their_distinct_rows_and_keep_their_bits(monkeypatch):
+    grid = GridSpec(1, 32, 1.0)
+    m = _scorer_symbol(grid, (1, 1), np.random.default_rng(83))
+    pairs = [(1.0, np.inf), (1.5, 3.0), (2.0, 2.0)]
+    kwargs = dict(budget=SearchBudget(restarts=3, steps=20), sampler=GaussianSampler(84))
+    lone = np.array([estimate_multiplier_norm(m, p, q, **kwargs) for p, q in pairs])
+    counts, starts = _idft_rows_per_score(monkeypatch)
+    got = np.array(_estimate_multiplier_norms(m, pairs, **kwargs))
+    assert _same_bits(got, lone) and len(set(got)) == 3
+    distinct, total = [c // 2 for c in counts], len(pairs) * starts[0]
+    # every lane starts as lane 0; the lanes part, but some rows stay shared
+    assert distinct[0] == starts[0] and len(distinct) == 21
+    assert starts[0] < max(distinct) and distinct[-1] < total
+    assert all(a <= b for a, b in zip(distinct, distinct[1:]))
+
+
+def test_lanes_that_part_completely_keep_their_bits(monkeypatch):
+    grid = GridSpec(1, 32, 1.0)
+    m = _scorer_symbol(grid, (1, 1), np.random.default_rng(83))
+    pairs = [(1.0, np.inf), (2.0, 2.0)]
+    kwargs = dict(budget=SearchBudget(restarts=0, steps=40), sampler=GaussianSampler(84))
+    lone = np.array([estimate_multiplier_norm(m, p, q, **kwargs) for p, q in pairs])
+    counts, starts = _idft_rows_per_score(monkeypatch)
+    got = np.array(_estimate_multiplier_norms(m, pairs, **kwargs))
+    assert _same_bits(got, lone)
+    # by the last steps no row copies another, and every row is transformed
+    assert counts[-1] == 2 * len(pairs) * starts[0]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_lanes_on_a_support_of_several_runs_keep_their_bits(d):
+    # |xi| <= 3 is two runs of nodes in FFT order at d = 1 and more at d = 2,
+    # so the witnesses are scattered through an index array, not a slice
+    grid = GridSpec(d, 32 if d == 1 else 16, 1.0)
+    m = _scorer_symbol(grid, (2, 2), np.random.default_rng(86))
+    support = grid.frequency_magnitudes() <= 3.0
+    pairs = [(1.0, np.inf), (1.5, 3.0), (2.0, 2.0)]
+    kwargs = dict(budget=SearchBudget(restarts=3, steps=12), sampler=GaussianSampler(87),
+                  support_mask=support)
+    got = np.array(_estimate_multiplier_norms(m, pairs, **kwargs))
+    lone = np.array([estimate_multiplier_norm(m, p, q, **kwargs) for p, q in pairs])
+    assert _same_bits(got, lone)
 
 
 # -- compact support bound ---------------------------------------------------

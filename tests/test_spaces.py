@@ -341,6 +341,19 @@ def test_l2_norms_of_several_components_keep_their_bits_in_range():
         assert _same_bits(got[kept], old[kept]), dim
 
 
+def test_integer_rows_take_the_norms_of_the_same_rows_in_float():
+    # l^2 rows of two or more components squared an integer array in place
+    # and could not write its float root there
+    assert ValueSpace.hilbert(2).norm([3, 4]) == 5.0
+    rows = np.array([[3, 4, 0], [1, -2, 2], [0, 0, 0], [-7, 1, 5], [0, 0, -9]])
+    spaces = [ValueSpace.lp(p, 3) for p in (1.0, 1.5, 2.0, 3.0, np.inf)]
+    spaces.append(ValueSpace.custom(3, lambda r: np.abs(r).sum(axis=-1)))
+    for space in spaces:
+        assert np.array_equal(space.norm_rows(rows), space.norm_rows(rows.astype(float)))
+    scalar = ValueSpace.scalar()
+    assert np.array_equal(scalar.norm_rows(rows[:, :1]), scalar.norm_rows(rows[:, :1] * 1.0))
+
+
 def test_custom_norm_oracle_spot_checks(rng):
     def taxi(rows):
         return np.abs(rows).sum(axis=-1)
