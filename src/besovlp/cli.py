@@ -62,13 +62,16 @@ class ConfigError(ValueError):
     """Scenario file is malformed or inconsistent."""
 
 
+def _number(value):
+    """A real parameter: a JSON number only (true and "1" are refused)."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise TypeError(f"not a number: {value!r}")
+
+
 def _exponent(value):
     """An integrability or summation exponent: a number, or 'inf'."""
-    if value == "inf":
-        return np.inf
-    if isinstance(value, (int, float)):
-        return float(value)
-    raise TypeError(f"not an exponent: {value!r}")
+    return np.inf if value == "inf" else _number(value)
 
 
 def _exponent_pair(value):
@@ -90,7 +93,7 @@ def _integer(value):
     raise TypeError(f"not an integer: {value!r}")
 
 
-_KINDS = {_integer: "an integer", float: "a number", _exponent: "a number or 'inf'",
+_KINDS = {_integer: "an integer", _number: "a number", _exponent: "a number or 'inf'",
           _exponent_pair: "a [p, q] pair of numbers or 'inf'", _flag: "true or false"}
 _REQUIRED = object()
 _EXPONENT_DEFAULTS = {"u": "inf", "v": 2.0, "w": 2.0}
@@ -102,7 +105,7 @@ def _require(cfg: dict, key: str, ctx: str):
     return cfg[key]
 
 
-def _param(cfg: dict, key, ctx: str, cast=float, default=_REQUIRED):
+def _param(cfg: dict, key, ctx: str, cast=_number, default=_REQUIRED):
     """cfg[key] read through cast (one of _KINDS), required unless a default
     is given; with default None an unset or null value reads as None.  A
     value the cast rejects is a ConfigError naming ctx.key and its kind."""
@@ -140,7 +143,7 @@ def _exponents(cfg: dict, ctx: str, keys: str = "p q") -> dict:
 def _build_grid(cfg: dict) -> GridSpec:
     g = _section(cfg, "grid")
     d, n = _param(g, "d", "grid", _integer), _param(g, "n_per_dim", "grid", _integer)
-    period = _param(g, "period", "grid", float, 1.0)
+    period = _param(g, "period", "grid", _number, 1.0)
     try:
         return GridSpec(d, n, period)
     except ValueError as exc:
@@ -240,10 +243,10 @@ def _build_function(spec: dict, grid: GridSpec, seed: int) -> GridFunction:
                               spec.get("amplitude", 1.0), dim)
     if kind == "spike":
         return tf.spike(grid, _function_int(spec, "cell", 0, 0, grid.n_nodes - 1),
-                        _param(spec, "l1_mass", "function", float, 1.0), dim)
+                        _param(spec, "l1_mass", "function", _number, 1.0), dim)
     if kind == "plateau":
-        return tf.plateau(grid, _param(spec, "fraction", "function", float, 0.25),
-                          _param(spec, "height", "function", float, 1.0), dim)
+        return tf.plateau(grid, _param(spec, "fraction", "function", _number, 0.25),
+                          _param(spec, "height", "function", _number, 1.0), dim)
     if kind == "random_band_limited":
         part = build_partition(grid)
         if "annulus" in spec:
@@ -329,7 +332,7 @@ def _op_besov_norm(cfg, ctx):
     _refuse_tolerance(ctx, "besov-norm", _INFORMATIONAL)
     f = _build_function(_require(cfg, "function", "besov-norm"), ctx["grid"], ctx["seed"])
     part = _partition(cfg, ctx, "besov-norm")
-    params = BesovParams(_param(cfg, "s", "besov-norm", float, 0.0),
+    params = BesovParams(_param(cfg, "s", "besov-norm", _number, 0.0),
                          _param(cfg, "p", "besov-norm", _exponent, 2.0),
                          _param(cfg, "v", "besov-norm", _exponent, 2.0))
     space = _space(ctx, "domain", f.value_dim)
@@ -386,7 +389,7 @@ def _op_mihlin(cfg, ctx):
         rho=_param(cfg, "rho", "mihlin", _exponent, 2.0),
         n=_param(cfg, "n", "mihlin", _integer, None),
         mode=cfg.get("mode", "oracle"),
-        h=_param(cfg, "h", "mihlin", float, None),
+        h=_param(cfg, "h", "mihlin", _number, None),
         adjoint=_param(cfg, "adjoint", "mihlin", _flag, False),
     )
     return (
@@ -403,8 +406,8 @@ def _op_cz(cfg, ctx):
     l1 = lp_norm(f, 1.0, space)
     if l1 > 0:
         f = f * (1.0 / l1)
-    res = cz_decompose(f, _param(cfg, "alpha", "cz"), _param(cfg, "a", "cz", float, 1.0),
-                       _param(cfg, "B", "cz", float, 1.0), space)
+    res = cz_decompose(f, _param(cfg, "alpha", "cz"), _param(cfg, "a", "cz", _number, 1.0),
+                       _param(cfg, "B", "cz", _number, 1.0), space)
     recon = res.good.samples.copy()
     recon_view = recon.reshape(ctx["grid"].spatial_shape() + (f.value_dim,))
     worst_mean = 0.0
@@ -473,7 +476,7 @@ def _op_sweep(cfg, ctx):
         budget=ctx["budget"],
         sampler=ctx["sampler"],
     )
-    spread_cap = _param(cfg, "spread_cap", "sweep", float, None)
+    spread_cap = _param(cfg, "spread_cap", "sweep", _number, None)
     report = VerificationReport.build(
         measured=max(v["spread"] for v in rep.stability.values()), bound=1.0,
         tolerance=(spread_cap - 1.0) if spread_cap else np.inf,
@@ -489,7 +492,7 @@ def _op_sharpness(cfg, ctx):
                             grids)
     growth = probe["per_level_growth"]
     worst = max(abs(g / probe["expected_growth"] - 1.0) for g in growth) if growth else 0.0
-    cap = _param(cfg, "growth_tolerance", "sharpness", float, 0.10)
+    cap = _param(cfg, "growth_tolerance", "sharpness", _number, 0.10)
     report = VerificationReport.build(
         measured=1.0 + worst, bound=1.0, tolerance=cap,
         metadata={"quantity": "sharpness_growth_deviation", **{
@@ -510,7 +513,8 @@ def _op_prop43(cfg, ctx):
 def _op_besov_scale(verify, which, cfg, ctx):
     m = _build_symbol(ctx["raw"], ctx["grid"])
     rep = verify(
-        m, s=_param(cfg, "s", which, float, 0.0), sigma=_param(cfg, "sigma", which, float, 0.0),
+        m, s=_param(cfg, "s", which, _number, 0.0),
+        sigma=_param(cfg, "sigma", which, _number, 0.0),
         **_exponents(cfg, which, "u p v q w"), part=_partition(cfg, ctx, which),
         **ctx["tolerance"], **_operator_kwargs(ctx, m),
     )
@@ -522,7 +526,7 @@ def _op_thm46(cfg, ctx):
     m = _build_symbol(ctx["raw"], ctx["grid"])
     rep = verify_thm46(
         m, **_exponents(cfg, "thm46"), part=_partition(cfg, ctx, "thm46"),
-        c_cap=_param(cfg, "c_cap", "thm46", float, None), **_operator_kwargs(ctx, m),
+        c_cap=_param(cfg, "c_cap", "thm46", _number, None), **_operator_kwargs(ctx, m),
     )
     return [rep], {}
 
@@ -530,7 +534,7 @@ def _op_thm46(cfg, ctx):
 def _op_prop34(cfg, ctx):
     m = _build_symbol(ctx["raw"], ctx["grid"])
     rep = verify_prop34(
-        m, s=_param(cfg, "s", "prop34", float, 0.0), **_exponents(cfg, "prop34", "r u p v q w"),
+        m, s=_param(cfg, "s", "prop34", _number, 0.0), **_exponents(cfg, "prop34", "r u p v q w"),
         part=_partition(cfg, ctx, "prop34"), **ctx["tolerance"],
         **_operator_kwargs(ctx, m),
     )
@@ -618,7 +622,7 @@ def run_scenario(path, seed_override=None, tolerance_override=None,
         grid = _build_grid(raw)
         sampler = GaussianSampler(seed, _param(raw, "n_samples", "scenario", _integer, 20000))
         tolerance = (tolerance_override if tolerance_override is not None
-                     else _param(raw, "tolerance", "scenario", float, None))
+                     else _param(raw, "tolerance", "scenario", _number, None))
         ctx = {
             "raw": raw,
             "grid": grid,

@@ -22,6 +22,7 @@ import numpy as np
 
 from .reports import VerificationReport
 from .sampling import (
+    _INV_SQRT2,
     _SEARCH_BYTES_CAP,
     GaussianSampler,
     MCEstimate,
@@ -55,6 +56,14 @@ _OP_FUNCNORM = 5
 
 # float budget for one Monte-Carlo chunk (samples x vectors complex entries)
 _CHUNK_ENTRIES = 4_000_000
+
+# a chunk is streamed in blocks of max(_MIN_BLOCK_ROWS, _BLOCK_ENTRIES // K)
+# rows of K draws (2 MB of complex numbers).  The installed OpenBLAS gives
+# the rows of g[a:b] @ v the bits of those rows of g @ v over blocks of at
+# least _MIN_BLOCK_ROWS rows (a test pins it), while a product of one row
+# takes another path and may round differently
+_BLOCK_ENTRIES = 2**17
+_MIN_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -94,6 +103,51 @@ class MatrixFamily:
         return len(self.members)
 
 
+def _block_edges(c: int, K: int) -> list:
+    """Row edges of the blocks _chunked_moment streams a chunk of c rows of
+    K draws in: blocks of max(_MIN_BLOCK_ROWS, _BLOCK_ENTRIES // K) rows, a
+    tail of fewer than _MIN_BLOCK_ROWS rows joining the block before it,
+    and the whole chunk as one block when it holds at most two."""
+    rows = max(_MIN_BLOCK_ROWS, _BLOCK_ENTRIES // max(K, 1))
+    if c <= 2 * rows:
+        return [0, c]
+    edges = list(range(0, c, rows))
+    if c - edges[-1] < _MIN_BLOCK_ROWS:
+        edges.pop()
+    return edges + [c]
+
+
+def _gaussian_blocks(rng: np.random.Generator, c: int, K: int):
+    """The (c, K) complex Gaussians of one chunk, the bits
+    _fill_complex_gaussians would fill a (c, K) array with, yielded in the
+    row blocks of _block_edges.
+
+    A chunk of one block is _fill_complex_gaussians of a (c, K) array.  A
+    chunk of several is never held as complex numbers: its real parts are
+    drawn into one real (c, K) array, with one standard_normal call and
+    one in-place scale.  Each block then copies its rows' real parts into
+    one complex block buffer and draws its imaginary parts into the rows
+    they leave free, so the draws hold 8 c K bytes plus one block, against
+    16 c K for the chunk.
+    """
+    edges = _block_edges(c, K)
+    if len(edges) == 2:
+        # its scratch is freed before the block is summed, so a small chunk
+        # peaks no higher than one complex buffer and a product
+        yield _fill_complex_gaussians(rng, np.empty((c, K), dtype=np.complex128))
+        return
+    parts = rng.standard_normal((c, K))
+    parts *= _INV_SQRT2
+    g = np.empty((max(np.diff(edges)), K), dtype=np.complex128)
+    for a, b in zip(edges, edges[1:]):
+        block = g[:b - a]
+        block.real = parts[a:b]
+        rng.standard_normal(out=parts[a:b])
+        parts[a:b] *= _INV_SQRT2
+        block.imag = parts[a:b]
+        yield block
+
+
 def _chunked_moment(
     vectors: np.ndarray,
     space: ValueSpace,
@@ -102,19 +156,31 @@ def _chunked_moment(
     stream: int,
     n_samples: Optional[int] = None,
 ) -> MCEstimate:
-    """MC estimate of (E || sum_k gamma_k x_k ||^2)^(1/2) for rows x_k."""
+    """MC estimate of (E || sum_k gamma_k x_k ||^2)^(1/2) for rows x_k.
+
+    The n x K Gaussians are drawn in chunks of at most _CHUNK_ENTRIES, each
+    as _fill_complex_gaussians fills a (c, K) array: all its real parts,
+    then all its imaginary parts.  A chunk of more than two blocks
+    (_block_edges) is streamed in row blocks (_gaussian_blocks), each
+    block's rows are summed against the x_k and normed, and their squared
+    norms are summed once per chunk, so the estimate has the bits of one
+    (c, K) draw per chunk while the draws hold about 8 c K bytes plus one
+    block.  norm_rows runs once per block, so a custom norm oracle is
+    called on each block's rows: an oracle is row-wise, the norm of a row
+    depending on that row only.
+    """
     K = vectors.shape[0]
     n = n_samples if n_samples is not None else sampler.n_samples
     rng = sampler.generator(op_code, stream)
     chunk = max(1, min(n, _CHUNK_ENTRIES // max(K, 1)))
-    g = np.empty((chunk, K), dtype=np.complex128)
     s1 = 0.0
     s2 = 0.0
     done = 0
     while done < n:
         c = min(chunk, n - done)
-        sums = _fill_complex_gaussians(rng, g[:c]) @ vectors
-        r2 = space.norm_rows(sums) ** 2
+        parts = [space.norm_rows(block @ vectors) ** 2
+                 for block in _gaussian_blocks(rng, c, K)]
+        r2 = parts[0] if len(parts) == 1 else np.concatenate(parts)
         s1 += float(r2.sum())
         s2 += float((r2 * r2).sum())
         done += c

@@ -169,6 +169,11 @@ _INITIAL_STEP = 0.5
 _ANNEAL = 0.97
 
 
+# numpy divides a complex array by a real scalar as a product with its
+# reciprocal, so scaling each real piece by it gives the same bits
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
+
+
 def _fill_complex_gaussians(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
     """Fill a C-contiguous complex array with complex standard Gaussians; returns out.
 
@@ -176,17 +181,16 @@ def _fill_complex_gaussians(rng: np.random.Generator, out: np.ndarray) -> np.nda
     drawn first and im second, but written straight into out through one
     real scratch of at most _SCRATCH_ENTRIES draws (numpy's generator only
     fills contiguous arrays), so no full-size temporary is made.
+    gaussian._chunked_moment draws a larger chunk in the same order, in
+    row blocks, without holding it as complex numbers.
     """
     flat = out.reshape(-1)
     scratch = np.empty(max(1, min(flat.size, _SCRATCH_ENTRIES)))
-    # numpy divides a complex array by a real scalar as a product with its
-    # reciprocal, so scaling each real piece gives the same bits
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
     for part in (flat.real, flat.imag):
         for i in range(0, flat.size, scratch.size):
             piece = scratch[:flat.size - i]
             rng.standard_normal(out=piece)
-            np.multiply(piece, inv_sqrt2, out=part[i:i + piece.size])
+            np.multiply(piece, _INV_SQRT2, out=part[i:i + piece.size])
     return out
 
 

@@ -52,6 +52,10 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
+# the largest axis frequency N/(2L) a grid may have
+_MAX_AXIS_FREQUENCY = 2.0**60
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Sampling lattice of the torus [0, period)^d.
@@ -71,8 +75,15 @@ class GridSpec:
             raise ValueError(
                 f"n_per_dim must be a power of two >= 4, got {self.n_per_dim}"
             )
-        if not self.period > 0:
-            raise ValueError(f"period must be positive, got {self.period}")
+        if not (self.period > 0 and math.isfinite(self.period)):
+            raise ValueError(f"period must be positive and finite, got {self.period}")
+        # the partitions hold one row per dyadic scale up to N/(2L), and
+        # take base-2 logarithms of it and of 1/L
+        if not 0.0 < self.max_axis_frequency <= _MAX_AXIS_FREQUENCY:
+            raise ValueError(
+                f"period {self.period:g} puts the largest axis frequency "
+                f"N/(2L) = {self.max_axis_frequency:g} outside (0, 2^60]"
+            )
 
     @property
     def n_nodes(self) -> int:

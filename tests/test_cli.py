@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -314,7 +315,50 @@ BAD_CONFIGS = [
     ("mihlin", _with_params(MIHLIN, n=1.0), "config schema: mihlin.n must be an integer, got 1.0"),
     ("sweep", _sweep_params(grids=[32, 64.0]),
      "config schema: sweep.grids.1 must be an integer, got 64.0"),
+    # a period whose frequencies overflow, vanish or are not numbers: an
+    # OverflowError traceback from the partition, or "math domain error",
+    # before; at 1e-100 a partition of 337 rows, 331 of them empty
+    *[("multiplier", dict(BASE, grid=dict(BASE["grid"], period=period)),
+       f"config schema: bad grid: period {period:g} puts the largest axis frequency "
+       f"N/(2L) = {frequency} outside (0, 2^60]")
+      for period, frequency in [(1e-320, "inf"), (1e-300, "3.2e+301"), (1e-200, "3.2e+201"),
+                                (1e-100, "3.2e+101"), (1e-17, "3.2e+18"), (1e308, "0")]],
+    *[("multiplier", dict(BASE, grid=dict(BASE["grid"], period=period)),
+       f"config schema: bad grid: period must be positive and finite, got {period}")
+      for period in (float("inf"), float("nan"))],
+    # a number key set to a boolean or a string: float() took true and "1" as 1.0
+    ("multiplier", dict(BASE, grid=dict(BASE["grid"], period=True)),
+     "config schema: grid.period must be a number, got True"),
+    ("multiplier", dict(BASE, grid=dict(BASE["grid"], period="1")),
+     "config schema: grid.period must be a number, got '1'"),
+    ("multiplier", dict(BASE, grid=dict(BASE["grid"], period="inf")),
+     "config schema: grid.period must be a number, got 'inf'"),
+    ("cz", _with_params(CZ_SPIKE, alpha="8"), "config schema: cz.alpha must be a number, got '8'"),
+    ("besov-norm", _with_params(_besov_norm(), s=True),
+     "config schema: besov-norm.s must be a number, got True"),
+    # an exponent set to true: p = 1 before
+    ("verify thm44", dict(NULL_P, operation={"name": "verify", "target": "thm44",
+                                             "params": {"p": True, "q": 2.0}}),
+     "config schema: thm44.p must be a number or 'inf', got True"),
+    ("multiplier", dict(BASE, spaces={"domain": {"p": True}}),
+     "config schema: spaces.domain.p must be a number or 'inf', got True"),
+    ("sweep", _sweep_params(pairs=[[True, 2.0]]),
+     "config schema: sweep.pairs.0 must be a [p, q] pair of numbers or 'inf', got [True, 2.0]"),
 ]
+
+
+def test_gamma_scenario_holds_half_its_draws(tmp_path):
+    # K = 64 cells, n = 20000: one complex chunk of draws, 19.5 MB, set the
+    # traced peak at 20.5 MB; streamed in row blocks it is 12 MB
+    tracemalloc.start()
+    try:
+        code, _ = run_scenario(SCENARIOS / "gamma-band-limited.json",
+                               out_override=tmp_path / "rep.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_PASS
+    assert peak < 14 * 2**20
 
 
 @pytest.mark.parametrize("command, cfg", [case[:2] for case in BAD_CONFIGS])

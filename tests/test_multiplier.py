@@ -507,6 +507,22 @@ def test_batched_witness_proposal_matches_the_per_state_reference(n_allowed, n_i
         states, step = trials, step * 0.9
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf, 1e-310])
+def test_proposals_divide_as_the_reference_whatever_the_scales(entry):
+    # a row whose largest modulus is inf, subnormal or NaN is rescaled as
+    # the per-state reference rescales it; a NaN scale leaves it undivided
+    states = _complex_normals(np.random.default_rng(77), (5, 64, 2))
+    states[2] = 0.0
+    states[2, 10, 1] = entry
+    sampler = GaussianSampler(78)
+    rngs, ref_rngs = ([sampler.generator(_OP_WITNESS, 100 + i) for i in range(5)]
+                      for _ in range(2))
+    with np.errstate(invalid="ignore"):   # inf / inf
+        trials = _propose_witnesses(states, 0.5, rngs, [None] * 5)
+        ref = [_per_state_propose(spec, 0.5, rng) for spec, rng in zip(states, ref_rngs)]
+    assert _same_bits(trials, np.stack(ref))
+
+
 @pytest.mark.parametrize("d, shape", [(1, (1, 1)), (1, (2, 2)), (2, (2, 2))],
                          ids=["shape0", "shape1", "shape1-d2"])
 def test_witness_searches_match_the_per_state_serial_reference(d, shape):

@@ -6,7 +6,7 @@ import pytest
 
 from besovlp import GaussianSampler, MCEstimate, SearchBudget, ValueSpace
 from besovlp import gaussian
-from besovlp.gaussian import _chunked_moment
+from besovlp.gaussian import _block_edges, _chunked_moment
 from besovlp.sampling import (
     _SCRATCH_ENTRIES,
     _complex_normals,
@@ -162,22 +162,85 @@ def _old_chunked_moment(vectors, space, sampler, op_code, stream):
     return math.sqrt(mean), math.sqrt(var / n) / (2.0 * math.sqrt(mean))
 
 
-@pytest.mark.parametrize("chunk_entries", [None, 7 * 1000, 7 * 1300])
-def test_chunked_moment_equals_the_old_loop_exactly(chunk_entries, monkeypatch):
-    # 7 vectors, n = 3000: one chunk; chunks of 1000; chunks of 1300 with
-    # a short last one of 400
+def _row_norm_1_5(rows):
+    """A custom norm oracle, row-wise: the l^1.5 norm of each row."""
+    return np.sum(np.abs(rows) ** 1.5, axis=1) ** (1.0 / 1.5)
+
+
+FIVE_SPACES = [ValueSpace.lp(1.0, 3), ValueSpace.lp(np.inf, 3), ValueSpace.hilbert(2),
+               ValueSpace.lp(3.0, 5), ValueSpace.scalar()]
+
+# (K vectors, space, n samples, _CHUNK_ENTRIES or None for the module's), by
+# id; with K = 64 a block holds 2048 rows, and a chunk of more than 4096
+# rows is streamed
+CHUNKED_MOMENT_CASES = [
+    # 7 vectors, n = 3000: one chunk; chunks of 1000; chunks of 1300 with a
+    # short last one of 400; every chunk is one block
+    pytest.param(7, ValueSpace.lp(3.0, 3), 3000, None, id="None"),
+    pytest.param(7, ValueSpace.lp(3.0, 3), 3000, 7 * 1000, id="7000"),
+    pytest.param(7, ValueSpace.lp(3.0, 3), 3000, 7 * 1300, id="9100"),
+    pytest.param(64, ValueSpace.lp(3.0, 3), 4096, None, id="two-blocks-as-one"),
+    # 2048 + 2048 + 2148 rows: a tail of 100 joins the third block
+    pytest.param(64, ValueSpace.lp(3.0, 3), 6244, None, id="blocks-merged-tail"),
+    # 2048 + 2048 + 2048 + 300 rows
+    pytest.param(64, ValueSpace.lp(3.0, 3), 6444, None, id="blocks-own-tail"),
+    # chunks of 5000 rows streamed in 2048 + 2048 + 904, then a last chunk of
+    # 4000 rows taken as one block, larger than the full chunks' blocks
+    pytest.param(64, ValueSpace.lp(3.0, 3), 14000, 64 * 5000, id="chunks-of-blocks"),
+    # chunks of 3000 rows in 2048 + 952, a last one of 1000 rows
+    pytest.param(64, ValueSpace.lp(3.0, 3), 7000, 64 * 3000, id="chunks-then-short"),
+    # K = 1: blocks of 2^17 rows, a tail of 1000
+    pytest.param(1, ValueSpace.lp(3.0, 3), 2**18 + 1000, None, id="K1"),
+    # K = 1000: blocks of 256 rows, 256 + 256 + 488 (a tail of 232 joined)
+    pytest.param(1000, ValueSpace.lp(3.0, 3), 1000, None, id="K1000"),
+    *[pytest.param(64, space, 6244, None, id=f"blocks-{space.label}") for space in FIVE_SPACES],
+    pytest.param(40, ValueSpace.custom(3, _row_norm_1_5), 10000, None, id="custom-oracle"),
+]
+
+
+@pytest.mark.parametrize("K, space, n, chunk_entries", CHUNKED_MOMENT_CASES)
+def test_chunked_moment_equals_the_old_loop_exactly(K, space, n, chunk_entries, monkeypatch):
     rng = np.random.default_rng(50)
-    vectors = rng.standard_normal((7, 3)) + 1j * rng.standard_normal((7, 3))
+    vectors = rng.standard_normal((K, space.dim)) + 1j * rng.standard_normal((K, space.dim))
     if chunk_entries is not None:
         monkeypatch.setattr(gaussian, "_CHUNK_ENTRIES", chunk_entries)
-    space, sampler = ValueSpace.lp(3.0, 3), GaussianSampler(8, 3000)
+    sampler = GaussianSampler(8, n)
     est = _chunked_moment(vectors, space, sampler, 1, 4)
     assert (est.value, est.std_error) == _old_chunked_moment(vectors, space, sampler, 1, 4)
 
 
+def test_block_edges_keep_blocks_of_256_rows_or_the_whole_chunk():
+    # K = 64: blocks of 2048 rows; K = 1000: of 256 rows, not 131
+    assert _block_edges(4096, 64) == [0, 4096]
+    assert _block_edges(6244, 64) == [0, 2048, 4096, 6244]
+    assert _block_edges(6444, 64) == [0, 2048, 4096, 6144, 6444]
+    assert _block_edges(1000, 1000) == [0, 256, 512, 1000]
+    for c, K in [(20000, 8), (20000, 13), (20000, 14), (20000, 64), (4000, 1000), (700, 2**20)]:
+        edges = _block_edges(c, K)
+        sizes = np.diff(edges)
+        assert edges[0] == 0 and edges[-1] == c
+        assert len(edges) == 2 or sizes.min() >= 256
+    # at the default 20000 samples a chunk of K <= 13 vectors is one block
+    assert len(_block_edges(20000, 13)) == 2 and len(_block_edges(20000, 14)) > 2
+
+
+@pytest.mark.parametrize("K", [1, 3, 8, 14, 64, 200, 1000])
+def test_blas_gives_row_blocks_of_the_product_the_same_bits(K):
+    # _chunked_moment rests on this property of the installed BLAS: the rows
+    # of g[a:b] @ v, b - a >= 256, have the bits of those rows of g @ v
+    rng = np.random.default_rng(K)
+    g = rng.standard_normal((1500, K)) + 1j * rng.standard_normal((1500, K))
+    for cols in range(1, 6):
+        v = rng.standard_normal((K, cols)) + 1j * rng.standard_normal((K, cols))
+        whole = g @ v
+        for a, b in [(0, 256), (256, 700), (700, 1500), (1000, 1256), (0, 1500)]:
+            assert _same_bits(g[a:b] @ v, whole[a:b]), (K, cols, a, b)
+
+
 def test_chunked_moment_holds_one_draw_buffer():
-    # K = 64, n = 20000: one 19.5 MB complex chunk and a 1 MB scratch
-    # (21.5 MB traced); a real pair plus complex temporaries peaked at 39 MB
+    # K = 64, n = 20000: the real halves of the chunk (9.8 MB) and one
+    # complex block of 2048 rows (2 MB), 12.1 MB traced; one complex chunk
+    # peaked at 21.5 MB, and a real pair plus complex temporaries at 39 MB
     rng = np.random.default_rng(51)
     vectors = rng.standard_normal((64, 3)) + 1j * rng.standard_normal((64, 3))
     tracemalloc.start()
@@ -186,4 +249,4 @@ def test_chunked_moment_holds_one_draw_buffer():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 24 * 2**20
+    assert peak < 14 * 2**20

@@ -28,6 +28,19 @@ def test_grid_validation():
         GridSpec(1, 64, -1.0)
 
 
+@pytest.mark.parametrize("period", [math.inf, math.nan, 1e308, 1e-17, 1e-100, 1e-320])
+def test_grid_refuses_periods_whose_frequencies_overflow_or_vanish(period):
+    # N/(2L) must lie in (0, 2^60]: 1e308 makes it 0, 1e-320 inf
+    with pytest.raises(ValueError, match="period"):
+        GridSpec(1, 64, period)
+
+
+def test_grid_takes_periods_up_to_the_frequency_cap():
+    # N/(2L) = 2^60 exactly, and a period that makes it just under 2^-1000
+    assert GridSpec(2, 64, 2.0**-55).max_axis_frequency == 2.0**60
+    assert GridSpec(1, 4, 2.0**1002).max_axis_frequency == 2.0**-1001
+
+
 def test_frequency_lattice_range():
     g = GridSpec(1, 8, 2.0)
     freqs = sorted(g.axis_frequencies())
