@@ -27,7 +27,6 @@ from . import testfunctions as tf
 from .dyadic import BesovParams, besov_norm, build_partition, homogeneous_besov_norm
 from .extrapolation import (
     cz_decompose,
-    eta_zeta_system,
     hilbert_kernel,
     hormander_constant,
     kernel_of_symbol,
@@ -368,9 +367,7 @@ def _op_hormander(cfg, ctx):
     kernel = _build_kernel(ctx["raw"], ctx["grid"])
     if kernel is None:
         m = _build_symbol(ctx["raw"], ctx["grid"])
-        system = eta_zeta_system(ctx["grid"])
-        levels = _param(cfg, "levels", "hormander", _integer, system.j_max)
-        kernel = kernel_of_symbol(m, levels, system)
+        kernel = kernel_of_symbol(m, _param(cfg, "levels", "hormander", _integer, None))
     rep = hormander_constant(kernel, _param(cfg, "a", "hormander"))
     return (
         [_value_report("hormander_constant", rep.constant,
@@ -383,6 +380,8 @@ def _op_hormander(cfg, ctx):
 def _op_mihlin(cfg, ctx):
     _refuse_tolerance(ctx, "mihlin", _INFORMATIONAL)
     m = _build_symbol(ctx["raw"], ctx["grid"])
+    if _param(cfg, "adjoint", "mihlin", _flag, False):
+        m = m.adjoint()
     rep = mihlin_check(
         m,
         r=_param(cfg, "r", "mihlin", _exponent),
@@ -390,7 +389,6 @@ def _op_mihlin(cfg, ctx):
         n=_param(cfg, "n", "mihlin", _integer, None),
         mode=cfg.get("mode", "oracle"),
         h=_param(cfg, "h", "mihlin", _number, None),
-        adjoint=_param(cfg, "adjoint", "mihlin", _flag, False),
     )
     return (
         [_value_report("mihlin_constant", rep.constant,

@@ -11,7 +11,7 @@ truncation sum of smooth annular pieces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import product
 from typing import Callable, Optional, Sequence
 
@@ -106,7 +106,8 @@ class EtaZetaSystem:
 
 
 def eta_zeta_system(grid: GridSpec, smoothness: int = 3) -> EtaZetaSystem:
-    """Build the annular system used by the symbol-to-kernel truncation."""
+    """Build the annular system used by the symbol-to-kernel truncation;
+    its profile is smooth_cutoff's, which refuses an order outside [1, 8]."""
     mags = grid.frequency_magnitudes()
     if math.floor(math.log2(grid.max_axis_frequency)) < 2:
         raise ValueError("grid too small to host at least 3 dyadic levels")
@@ -198,15 +199,20 @@ class Kernel:
         return cls(grid, vals, obj.get("origin_convention", "finite"))
 
 
-def kernel_of_symbol(
-    m: OperatorSymbol, n_levels: int, system: Optional[EtaZetaSystem] = None
-) -> Kernel:
-    """Dyadic truncation: inverse transform of sum_{|j| <= N} zeta_hat_j . m.
+def kernel_of_symbol(m: OperatorSymbol, n_levels: Optional[int] = None) -> Kernel:
+    """Dyadic truncation: inverse transform of sum_{|j| <= N} zeta_hat_j . m,
+    with zeta_hat_j from the grid's eta_zeta_system and N = n_levels, its
+    j_max when None.
 
     Levels below the representable range contribute exactly zero and are
-    skipped; levels above it are an error.
+    skipped; levels above it, and a negative N (an empty window), are an
+    error.
     """
-    system = system or eta_zeta_system(m.grid)
+    system = eta_zeta_system(m.grid)
+    if n_levels is None:
+        n_levels = system.j_max
+    if n_levels < 0:
+        raise ValueError(f"truncation level must be >= 0, got {n_levels}")
     if n_levels > system.j_max:
         raise ValueError(
             f"truncation level {n_levels} exceeds representable levels (max {system.j_max})"
@@ -260,13 +266,7 @@ class HormanderReport:
     truncation_radius: float
 
     def to_dict(self) -> dict:
-        return {
-            "constant": self.constant,
-            "a": self.a,
-            "samples": self.samples,
-            "rejected": self.rejected,
-            "truncation_radius": self.truncation_radius,
-        }
+        return asdict(self)
 
 
 def _default_t_samples(grid: GridSpec) -> list:
@@ -323,6 +323,7 @@ def hormander_constant(
     representative of the coordinates is used; with finitely many test
     directions it is a lower envelope of the strong-operator constant.
     """
+    _check_exponent(a, "a")
     grid = kernel.grid
     spacing = grid.period / grid.n_per_dim
     coords = grid.min_image_coords()
@@ -402,15 +403,7 @@ class MihlinReport:
     shell_range: list
 
     def to_dict(self) -> dict:
-        return {
-            "constant": self.constant,
-            "order": self.order,
-            "r": self.r,
-            "rho": self.rho,
-            "mode": self.mode,
-            "samples": self.samples,
-            "shell_range": self.shell_range,
-        }
+        return asdict(self)
 
 
 def _multi_indices(d: int, max_order: int):
@@ -441,7 +434,6 @@ def mihlin_check(
     n: Optional[int] = None,
     mode: str = "oracle",
     h: Optional[float] = None,
-    adjoint: bool = False,
 ) -> MihlinReport:
     """Dyadic-shell derivative bounds with scaling weight R^(|alpha|+d/r-d/rho).
 
@@ -450,25 +442,26 @@ def mihlin_check(
     (an integer multiple of the lattice spacing).  The maximum runs over
     dyadic shells R <= |xi| < 2R in the representable range, all
     multi-indices |alpha| <= n and the unit test directions (the
-    standard basis of the domain).
+    standard basis of the domain).  The conditions on the adjoint are
+    the conditions on m.adjoint(), which keeps the oracle.
     """
     grid = m.grid
     d = grid.d
+    _check_exponent(r, "r")
     if not (1.0 <= rho < np.inf):
         raise ValueError(f"rho must lie in [1, inf), got {rho}")
     dr = 0.0 if np.isinf(r) else d / r
     if n is None:
         n = int(math.floor(d / rho - dr)) + 1
-
-    sym = m.adjoint() if adjoint else m
-    if adjoint and m.derivative_oracle is not None:
-        base_oracle = m.derivative_oracle
-        sym.derivative_oracle = lambda alpha, xi: np.conj(
-            np.swapaxes(base_oracle(alpha, xi), 1, 2)
-        )
+    if n < 0:
+        raise ValueError(f"derivative order n = {n} < 0 leaves no multi-index to check")
+    # a step of N/2 lattice cells or more wraps the central difference around
+    if h is not None and not (0.0 < h < grid.max_axis_frequency):
+        raise ValueError(f"step h must lie in (0, N/(2L)) = (0, {grid.max_axis_frequency:g}), "
+                         f"got {h}")
 
     if mode == "oracle":
-        if sym.derivative_oracle is None:
+        if m.derivative_oracle is None:
             raise ValueError("symbol has no derivative oracle; use mode='fd' with a step h")
     elif mode == "fd":
         if h is None:
@@ -476,7 +469,7 @@ def mihlin_check(
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    space = ValueSpace.lp(2.0, sym.n_out)
+    space = ValueSpace.lp(2.0, m.n_out)
 
     mags = grid.frequency_magnitudes()
     pos = mags[mags > 0]
@@ -499,17 +492,17 @@ def mihlin_check(
         if mode == "oracle":
             deriv = None  # evaluated per shell on masked coords
         else:
-            deriv_full = _lattice_fd_derivative(sym, alpha, h_cells)
+            deriv_full = _lattice_fd_derivative(m, alpha, h_cells)
         for R in shells:
             mask = (mags >= R) & (mags < 2.0 * R)
             if not np.any(mask):
                 continue
             if mode == "oracle":
-                dvals = sym.derivative_oracle(alpha, coords[mask])
+                dvals = m.derivative_oracle(alpha, coords[mask])
             else:
                 dvals = deriv_full[mask]
             weight = R ** (sum(alpha) + dr - d / rho)
-            for x in np.eye(sym.n_in, dtype=np.complex128):
+            for x in np.eye(m.n_in, dtype=np.complex128):
                 mapped = np.einsum("noi,i->no", dvals, x)
                 shell_norm = _lp_combine(space.norm_rows(mapped), rho, cell)
                 value = weight * shell_norm
@@ -633,6 +626,8 @@ def cz_decompose(
         raise ValueError("expected a physical-domain function")
     if alpha <= 0:
         raise ValueError("alpha must be positive")
+    if not (0.0 < B < np.inf):
+        raise ValueError(f"B must be positive and finite, got {B}")
     space = space or ValueSpace.lp(2.0, f.value_dim)
     if lp_norm(f, 1.0, space) > 1.0 + 1e-12:
         raise ValueError("caller must normalize ||f||_1 <= 1")
@@ -738,19 +733,21 @@ def verify_weak_type(
     """
     if symbol is None and kernel is None:
         raise ValueError("provide a symbol or a kernel")
+    _check_exponent(a, "a", allow_inf=False)
     if abs(_inv(p0) - _inv(q0) - (1.0 - 1.0 / a)) > 1e-9:
         raise ValueError(
             f"exponent identity 1/p0 - 1/q0 = 1 - 1/a violated: p0={p0}, q0={q0}, a={a}"
         )
 
     if kernel is None:
-        system = eta_zeta_system(symbol.grid)
-        kernel = kernel_of_symbol(symbol, system.j_max, system)
+        kernel = kernel_of_symbol(symbol)
     if symbol is None:
         symbol = symbol_of_kernel(kernel)
 
     domain_space = _space_for(symbol.n_in, domain_space)
     codomain_space = _space_for(symbol.n_out, codomain_space)
+    if len(f_set) == 0:
+        raise ValueError("f_set must hold at least one test function")
 
     hilbert_l2 = (
         p0 == 2.0 and q0 == 2.0

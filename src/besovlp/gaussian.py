@@ -286,6 +286,27 @@ def _moment_from_draw(vectors: np.ndarray, g: np.ndarray, space: ValueSpace) -> 
     return float(np.sqrt(r2.sum() / r2.size))
 
 
+def _moment_ratio_lower(space: ValueSpace, r: float, budget: SearchBudget,
+                        sampler: GaussianSampler, op_code: int, moment_on_top: bool) -> float:
+    """Largest ratio found between the moment (E||sum gamma_k x_k||^2)^(1/2)
+    and (sum ||x_k||^r)^(1/r) over finite families, the moment on top or
+    below; the winner is re-scored on a fresh draw.  A zero denominator
+    scores -inf in the climb, and the fresh ratio over it is 0.0.
+    """
+    def num_den(moment, norm):
+        return (moment, norm) if moment_on_top else (norm, moment)
+
+    def ratio_of(vectors, g):
+        num, den = num_den(_moment_from_draw(vectors, g, space),
+                         _lp_combine(space.norm_rows(vectors), r))
+        return -np.inf if den == 0.0 else num / den
+
+    best = _search_vector_families(space, ratio_of, budget, sampler, op_code)
+    num, den = num_den(_chunked_moment(best, space, sampler, op_code, 1).value,
+                     _lp_combine(space.norm_rows(best), r))
+    return 0.0 if den == 0.0 else num / den
+
+
 def type_constant_lower(
     space: ValueSpace,
     p: float,
@@ -299,16 +320,7 @@ def type_constant_lower(
     """
     if not (1.0 <= p <= 2.0):
         raise ValueError(f"type exponent must lie in [1, 2], got {p}")
-
-    def ratio_of(vectors, g):
-        denom = _lp_combine(space.norm_rows(vectors), p)
-        if denom == 0.0:
-            return -np.inf
-        return _moment_from_draw(vectors, g, space) / denom
-
-    best = _search_vector_families(space, ratio_of, budget, sampler, _OP_TYPE)
-    fresh = _chunked_moment(best, space, sampler, _OP_TYPE, 1)
-    return fresh.value / _lp_combine(space.norm_rows(best), p)
+    return _moment_ratio_lower(space, p, budget, sampler, _OP_TYPE, moment_on_top=True)
 
 
 def cotype_constant_lower(
@@ -320,19 +332,7 @@ def cotype_constant_lower(
     """Certified lower bound on the Gaussian cotype-q constant (q=inf uses max)."""
     if not (2.0 <= q):
         raise ValueError(f"cotype exponent must lie in [2, inf], got {q}")
-
-    def ratio_of(vectors, g):
-        num = _lp_combine(space.norm_rows(vectors), q)
-        mom = _moment_from_draw(vectors, g, space)
-        if mom == 0.0:
-            return -np.inf
-        return num / mom
-
-    best = _search_vector_families(space, ratio_of, budget, sampler, _OP_COTYPE)
-    fresh = _chunked_moment(best, space, sampler, _OP_COTYPE, 1)
-    if fresh.value == 0.0:
-        return 0.0
-    return _lp_combine(space.norm_rows(best), q) / fresh.value
+    return _moment_ratio_lower(space, q, budget, sampler, _OP_COTYPE, moment_on_top=False)
 
 
 # ---------------------------------------------------------------------------

@@ -74,7 +74,6 @@ from .spaces import (
     _idft_stack,
     _inv,
     _lp_combine,
-    _lp_norms_by_run,
     _lp_of_node_norms,
     _lp_runs,
     _node_norms,
@@ -155,11 +154,12 @@ class OperatorSymbol:
         return np.linalg.svd(self.values, compute_uv=False)[:, 0]
 
     def adjoint(self) -> "OperatorSymbol":
-        return OperatorSymbol(
-            self.grid,
-            np.conj(np.swapaxes(self.values, 1, 2)),
-            name=self.name + "*",
-        )
+        """m*: the values and the derivative oracle, if any, conjugate-transposed."""
+        base = self.derivative_oracle
+        oracle = None if base is None else (
+            lambda alpha, xi: np.conj(np.swapaxes(base(alpha, xi), 1, 2)))
+        return OperatorSymbol(self.grid, np.conj(np.swapaxes(self.values, 1, 2)), oracle,
+                              self.name + "*")
 
     def scaled(self, c: complex) -> "OperatorSymbol":
         """c m: the values and the derivative oracle, if any, times c."""
@@ -446,7 +446,8 @@ def _witness_search(
     one per lane.
 
     With one lane, score maps a stack (S, n_nodes, n_in) of spectra to
-    their S scores.  Every start climbs in lockstep, and the states are
+    their S scores; an L^p estimate hands it the joint _lp_scorer on each
+    chunk alone.  Every start climbs in lockstep, and the states are
     one array (S, n_allowed, n_in): each start's spectrum at the allowed
     nodes.  A step copies that stack once into the trials, draws every
     start's nodes and noise from its own stream in start order, adds the
@@ -565,53 +566,49 @@ def _ratios(num: list, den: list) -> list:
     return [-np.inf if d <= 0 else v / d for v, d in zip(num, den)]
 
 
-def _ratio_scorer(m: OperatorSymbol, norms: Callable, src: tuple, dst: tuple) -> Callable:
-    """Witness score ||T f|| / ||f|| of each spectrum fhat of a stack; -inf
-    where ||f|| <= 0.
+def _side_norms(m: OperatorSymbol, norms: Callable, fhats: np.ndarray, src: tuple,
+                dst: tuple) -> tuple:
+    """(norms of f, norms of T f) of a chunk of spectra fhats.
 
     norms(sides) gives, side after side, the norms of the functions whose
     spectra the stacks of sides (spectra, *side) hold; src and dst are
-    the two sides' extra arguments.  The spectra f and T f of a chunk go
-    through norms together, so the chunk pays one pass for both sides.
-    A symbol with n_out != n_in gives spectra of another width, which
-    cannot share a batch, and its two sides take one call each.
+    the two sides' extra arguments.  The spectra f and T f go through
+    norms together, so the chunk pays one pass for both sides, unless a
+    symbol with n_out != n_in gives T f another width: stacks of two
+    widths cannot share a batch, and the sides take one call each.
     """
+    n = len(fhats)
+    sides = [(fhats, *src), (_apply_to_spectrum(m, fhats), *dst)]
+    if m.n_out == m.n_in:
+        vals = norms(sides)
+        return vals[:n], vals[n:]
+    return norms(sides[:1]), norms(sides[1:])
+
+
+def _ratio_scorer(m: OperatorSymbol, norms: Callable, src: tuple, dst: tuple) -> Callable:
+    """Witness score ||T f|| / ||f|| of each spectrum fhat of a stack, from
+    the norms of _side_norms; -inf where ||f|| <= 0."""
     def score(fhats: np.ndarray) -> list:
-        n = len(fhats)
-        sides = [(fhats, *src), (_apply_to_spectrum(m, fhats), *dst)]
-        vals = norms(sides) if m.n_out == m.n_in else norms(sides[:1]) + norms(sides[1:])
-        return _ratios(vals[n:], vals[:n])
+        src_norms, dst_norms = _side_norms(m, norms, fhats, src, dst)
+        return _ratios(dst_norms, src_norms)
 
     return score
 
 
 def _lp_scorer(m: OperatorSymbol, pairs: Sequence[tuple], domain_space: ValueSpace,
                codomain_space: ValueSpace) -> Callable:
-    """||T f||_q / ||f||_p of a stack of spectra, for each (p, q) of pairs.
+    """||T f||_q / ||f||_p of stacks of spectra, for each (p, q) of pairs.
 
-    One pair scores a stack: the sides end to end, one batched idft per
-    batch of _stack_batches and one vectorized L^p reduction per run of
-    sides sharing p and the value space.  Several pairs score
-    (chunks, picks): chunks yields stacks of spectra, end to end the
-    stack S, and pair l scores the spectra S[picks[l]].  Each chunk and
-    its image take their idft and their node norms (_node_norms) once,
-    as one pair's would, and each pair then raises, sums and roots the
-    node norms of its picks, gathered into rows of their own, once for
-    all the chunks, so every norm has the bits of a lone pair's.
+    The scorer takes (chunks, picks): chunks yields stacks of spectra, end
+    to end the stack S, and pair l scores the spectra S[picks[l]].  Each
+    chunk and its image take one batched idft per batch of _stack_batches
+    and their node norms (_node_norms) once, however many pairs read
+    them.  Each pair then raises, sums and roots the node norms of its
+    picks, gathered into rows of their own, once for all the chunks, so
+    every norm has the bits of lp_norm.  One pair scores one stack as
+    score([stack], [np.arange(len(stack))])[0].
     """
     grid, measure = m.grid, m.grid.cell_volume
-    if len(pairs) == 1:
-        [(p, q)] = pairs
-
-        def norms(sides):
-            runs = _lp_runs([(len(spectra), r, space) for spectra, r, space in sides])
-            vals = []
-            for j, batch in _stack_batches([spectra for spectra, _, _ in sides]):
-                _idft_stack(batch, grid, out=batch)
-                vals += _lp_norms_by_run(batch, runs, measure, j)
-            return vals
-
-        return _ratio_scorer(m, norms, (p, domain_space), (q, codomain_space))
 
     def node_norms(sides):
         """The node norms of the spectra of sides (spectra, space), end to end."""
@@ -624,16 +621,8 @@ def _lp_scorer(m: OperatorSymbol, pairs: Sequence[tuple], domain_space: ValueSpa
         return _joined(vals)
 
     def score(chunks, picks: list) -> list:
-        src, dst = [], []
-        for fhats in chunks:
-            sides = [(fhats, domain_space), (_apply_to_spectrum(m, fhats), codomain_space)]
-            if m.n_out == m.n_in:
-                vals = node_norms(sides)
-                src.append(vals[:len(fhats)])
-                dst.append(vals[len(fhats):])
-            else:
-                src.append(node_norms(sides[:1]))
-                dst.append(node_norms(sides[1:]))
+        src, dst = zip(*(_side_norms(m, node_norms, fhats, (domain_space,), (codomain_space,))
+                         for fhats in chunks))
         src, dst = _joined(src), _joined(dst)
         return [_ratios(_lp_of_node_norms(dst[idx], q, codomain_space, measure),
                         _lp_of_node_norms(src[idx], p, domain_space, measure))
@@ -705,8 +694,12 @@ def _estimate_multiplier_norms(
     )
     if mean_zero:
         allowed[0] = False
-    score = _lp_scorer(m, pairs, domain_space, codomain_space)
-    return _witness_search(m, allowed, budget, sampler, score, len(pairs))
+    joint = _lp_scorer(m, pairs, domain_space, codomain_space)
+    if len(pairs) > 1:
+        return _witness_search(m, allowed, budget, sampler, joint, len(pairs))
+    # one lane: each chunk is scored alone
+    return _witness_search(m, allowed, budget, sampler,
+                           lambda fhats: joint([fhats], [np.arange(len(fhats))])[0])
 
 
 def besov_multiplier_norm_estimate(
@@ -816,6 +809,8 @@ def verify_prop43(
     [a, b)^d on the frequency lattice, which keeps the lattice point
     count consistent with the continuum cube volume.
     """
+    if len(cube) != 2:
+        raise ValueError(f"cube must be a pair [a, b], got {list(cube)}")
     a, b = float(cube[0]), float(cube[1])
     if not a < b:
         raise ValueError("cube must satisfy a < b")

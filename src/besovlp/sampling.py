@@ -32,7 +32,7 @@ replays exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -208,12 +208,7 @@ class MCEstimate:
             raise ValueError("std_error must be nonnegative")
 
     def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "std_error": self.std_error,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -229,14 +229,14 @@ class ValueSpace:
     """Finite-dimensional normed space, the stand-in for the Banach space.
 
     Supported kinds: the l^p_n family (``kind='lp'``) and custom norm
-    oracles.  Only the type/cotype constants that are known are given:
-    every space has type 1 and cotype infinity with constant 1, and the
-    Hilbert member l^2_n has type 2 = cotype 2 with constant 1.  Any
-    other constant is refused, and so are the operations that need it.
+    oracles (``kind='custom'``); the kind is read off norm_oracle.  Only
+    the type/cotype constants that are known are given: every space has
+    type 1 and cotype infinity with constant 1, and the Hilbert member
+    l^2_n has type 2 = cotype 2 with constant 1.  Any other constant is
+    refused, and so are the operations that need it.
     """
 
     dim: int
-    kind: str = "lp"
     p_exponent: float = 2.0
     norm_oracle: Optional[Callable[[np.ndarray], np.ndarray]] = None
     label: str = ""
@@ -248,7 +248,7 @@ class ValueSpace:
         if dim < 1:
             raise ValueError(f"dimension must be >= 1, got {dim}")
         ptxt = "inf" if np.isinf(p) else f"{p:g}"
-        return cls(dim=dim, kind="lp", p_exponent=p, label=f"l{ptxt}_{dim}")
+        return cls(dim=dim, p_exponent=p, label=f"l{ptxt}_{dim}")
 
     @classmethod
     def hilbert(cls, dim: int) -> "ValueSpace":
@@ -260,11 +260,17 @@ class ValueSpace:
 
     @classmethod
     def custom(cls, dim: int, norm_oracle, label: str = "custom") -> "ValueSpace":
-        return cls(dim=dim, kind="custom", norm_oracle=norm_oracle, label=label)
+        if not callable(norm_oracle):
+            raise ValueError(f"a custom space needs a callable norm oracle, got {norm_oracle!r}")
+        return cls(dim=dim, norm_oracle=norm_oracle, label=label)
+
+    @property
+    def kind(self) -> str:
+        return "lp" if self.norm_oracle is None else "custom"
 
     @property
     def is_hilbert(self) -> bool:
-        return self.kind == "lp" and self.p_exponent == 2.0
+        return self.norm_oracle is None and self.p_exponent == 2.0
 
     def norm_rows(self, rows: np.ndarray) -> np.ndarray:
         """Norms of the rows of an (n, dim) array.
@@ -286,7 +292,7 @@ class ValueSpace:
             raise DimensionMismatchError(
                 f"expected vectors of dimension {self.dim}, got {rows.shape[-1]}"
             )
-        if self.kind == "custom":
+        if self.norm_oracle is not None:
             return np.asarray(self.norm_oracle(rows), dtype=float)
         p = self.p_exponent
         if p == 2.0 and self.dim == 1:
@@ -528,7 +534,7 @@ def _node_norms(samples: np.ndarray, space: ValueSpace) -> np.ndarray:
 def _lp_of_node_norms(vals: np.ndarray, p: float, space: ValueSpace, measure: float) -> list:
     """The L^p norms of the members whose _node_norms in space are the rows of
     vals, the second half of _lp_norms; vals may be overwritten."""
-    if space.kind != "lp" or math.isinf(p):
+    if space.norm_oracle is not None or math.isinf(p):
         return _lp_rows(vals, p, measure)
     # the powers in place, on norm_rows' own temporary; never on a custom
     # oracle's result, which may be the oracle's own memory

@@ -199,9 +199,25 @@ def _with_params(cfg, **params):
 
 MIHLIN = dict(BASE, symbol={"constructor": "riesz", "params": {"sigma": 0.5}},
               operation={"name": "mihlin", "params": {"r": 2.0}})
+
+
+HILBERT = {"constructor": "hilbert", "params": {}}
+
+
+def _hilbert_op(name, **params):
+    """A scenario of operation name on the Hilbert symbol, with params."""
+    return dict(BASE, symbol=HILBERT, operation={"name": name, "params": params})
+
+
+def _weak_type(**params):
+    return _hilbert_op("weak-type", **dict({"a": 1.0, "p0": 2.0, "q0": 2.0}, **params))
+
+
+PROP43 = dict(BASE, operation={"name": "verify", "target": "prop43",
+                               "params": {"cube": [1.0, 9.0], "p": 2.0, "q": 2.0}})
+PARTITION = dict(BASE, symbol=None, operation={"name": "partition", "params": {}})
 CZ_SPIKE = dict(BASE, symbol=None,
                 operation={"name": "cz", "params": {"function": {"kind": "spike"}, "alpha": 8.0}})
-HILBERT = {"constructor": "hilbert", "params": {}}
 # (subcommand, switch, the scenario with the switch set to a value): every
 # switch reads only JSON true or false, and unset is false; a string
 # "false" used to be truthy and ran the homogeneous norm
@@ -344,6 +360,28 @@ BAD_CONFIGS = [
      "config schema: spaces.domain.p must be a number or 'inf', got True"),
     ("sweep", _sweep_params(pairs=[[True, 2.0]]),
      "config schema: sweep.pairs.0 must be a [p, q] pair of numbers or 'inf', got [True, 2.0]"),
+    # a ZeroDivisionError, OverflowError or IndexError traceback before
+    ("mihlin", _with_params(MIHLIN, r=0), "r must lie in [1, inf], got 0"),
+    ("mihlin", _with_params(MIHLIN, mode="fd", h=1e308),
+     "step h must lie in (0, N/(2L)) = (0, 32), got 1e+308"),
+    ("hormander", _hilbert_op("hormander", a=0), "a must lie in [1, inf], got 0"),
+    ("weak-type", _weak_type(a=0), "a must lie in [1, inf], got 0"),
+    ("cz", _with_params(CZ_SPIKE, B=0), "B must be positive and finite, got 0"),
+    ("verify prop43", _with_params(PROP43, cube=[1.0]), "cube must be a pair [a, b], got [1.0]"),
+    ("partition", _with_params(PARTITION, smoothness=10**6),
+     "smoothness must lie in [1, 8], got 1000000"),
+    # inputs that checked nothing and passed before: a negative (H)_a
+    # exponent, no multi-index, an empty truncation window, no test function
+    ("hormander", _hilbert_op("hormander", a=-1), "a must lie in [1, inf], got -1"),
+    ("mihlin", _with_params(MIHLIN, n=-1), "derivative order n = -1 < 0"),
+    ("hormander", _hilbert_op("hormander", a=1.0, levels=-3),
+     "truncation level must be >= 0, got -3"),
+    ("weak-type", _weak_type(f_count=0), "f_set must hold at least one test function"),
+    ("weak-type", _weak_type(f_count=-2), "f_set must hold at least one test function"),
+    # cutoff orders whose polynomial leaves [0, 1] by more than 1e-9
+    ("partition", _with_params(PARTITION, smoothness=9), "smoothness must lie in [1, 8], got 9"),
+    ("besov-norm", _with_params(_besov_norm(), smoothness=12),
+     "smoothness must lie in [1, 8], got 12"),
 ]
 
 
@@ -375,10 +413,11 @@ def test_bad_parameter_exits_one_with_one_line(tmp_path, capsys, command, cfg):
 def test_switches_take_true_and_false_and_unset_is_false(tmp_path, monkeypatch, command, name,
                                                          make):
     # the adjoint of a bundled (scalar or diagonal) symbol has the same
-    # Mihlin constant, so the check reports the flag it was given
+    # Mihlin constant, so the check reports whether it was handed the
+    # adjoint, whose name ends in "*"
     mihlin_check = cli.mihlin_check
     monkeypatch.setattr(cli, "mihlin_check", lambda m, **kw: dataclasses.replace(
-        mihlin_check(m, **kw), constant=float(kw["adjoint"])))
+        mihlin_check(m, **kw), constant=float(m.name.endswith("*"))))
 
     def outcome(cfg):
         code, rep = run_scenario(write(tmp_path, "s.json", cfg))

@@ -21,9 +21,29 @@ from besovlp import (
     lp_blocks,
     lp_norm,
 )
+from besovlp import dyadic
+from besovlp.dyadic import smooth_cutoff
+from besovlp.extrapolation import eta_zeta_system
 from besovlp.testfunctions import random_band_limited, single_mode
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_cutoff_orders_are_capped_where_the_cutoff_leaves_zero_one():
+    # the monomial polynomial loses precision as the order grows: order 8
+    # stays within [-1e-9, 1 + 1e-9] on a dense grid, order 9 does not
+    t = np.linspace(0.0, 2.5, 200001)
+    for order in range(1, dyadic._MAX_SMOOTHNESS + 1):
+        v = smooth_cutoff(t, order)
+        assert -1e-9 <= v.min() and v.max() <= 1.0 + 1e-9
+    u = 2.0 - t[(t > 1.0) & (t < 2.0)]
+    assert np.polyval(dyadic._bump_integral_coeffs(dyadic._MAX_SMOOTHNESS + 1), u).max() > 1 + 1e-9
+    grid = GridSpec(1, 64, 1.0)
+    for build in (lambda n: smooth_cutoff(t, n), lambda n: build_partition(grid, n),
+                  lambda n: eta_zeta_system(grid, n)):
+        for order in (0, dyadic._MAX_SMOOTHNESS + 1, 10**6):
+            with pytest.raises(ValueError, match=r"smoothness must lie in \[1, 8\]"):
+                build(order)
 
 
 def test_too_small_grid_rejected():

@@ -118,7 +118,7 @@ def test_convolution_consistency(grid128, rng):
     sys = eta_zeta_system(grid128)
     n = 4
     m = scalar_symbol(grid128, rng.standard_normal(128) + 1j * rng.standard_normal(128))
-    k = kernel_of_symbol(m, n, sys)
+    k = kernel_of_symbol(m, n)
     window = np.zeros(grid128.n_nodes)
     for j in sys.js:
         if -n <= j <= n:
@@ -133,23 +133,25 @@ def test_convolution_consistency(grid128, rng):
 @pytest.mark.parametrize("d, n_per_dim", [(1, 64), (2, 32)])
 def test_kernel_transforms_equal_the_inline_fft_expressions_exactly(d, n_per_dim):
     # the expressions kernel_of_symbol and symbol_of_kernel inlined before
-    # they went through the stack transforms of spaces
+    # they went through the stack transforms of spaces; no levels truncates
+    # at the grid's eta-zeta system's j_max
     grid = GridSpec(d, n_per_dim, 2.0)
     rng = np.random.default_rng(91)
     shape = (grid.n_nodes, 2, 2)
     m = OperatorSymbol(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     sys = eta_zeta_system(grid)
-    n = 3
-    window = np.zeros(grid.n_nodes)
-    for j in sys.js:
-        if -n <= j <= n:
-            window += sys.zeta_row(j)
     lattice = grid.spatial_shape() + (2, 2)
     axes = tuple(range(d))
-    vals = np.fft.ifftn((window[:, None, None] * m.values).reshape(lattice), axes=axes)
-    vals *= (grid.n_per_dim / grid.period) ** d
-    k = kernel_of_symbol(m, n, sys)
-    assert np.array_equal(k.values, vals.reshape(shape))
+    for levels in (3, None):
+        n = sys.j_max if levels is None else levels
+        window = np.zeros(grid.n_nodes)
+        for j in sys.js:
+            if -n <= j <= n:
+                window += sys.zeta_row(j)
+        vals = np.fft.ifftn((window[:, None, None] * m.values).reshape(lattice), axes=axes)
+        vals *= (grid.n_per_dim / grid.period) ** d
+        k = kernel_of_symbol(m, levels)
+        assert np.array_equal(k.values, vals.reshape(shape))
     for convention in ("finite", "excluded"):
         kernel = Kernel(grid, k.values, convention)
         kvals = kernel.values.copy()
@@ -316,12 +318,36 @@ def test_scaled_symbols_scale_their_derivative_oracle():
     assert tripled == pytest.approx(
         mihlin_check(m.scaled(3.0), r=2.0, rho=2.0, mode="fd", h=1.0).constant, rel=1e-9)
     c = -2.0 + 1.0j
-    adjoint = mihlin_check(m, r=2.0, rho=2.0, adjoint=True).constant
-    scaled = mihlin_check(m.scaled(c), r=2.0, rho=2.0, adjoint=True).constant
+    adjoint = mihlin_check(m.adjoint(), r=2.0, rho=2.0).constant
+    scaled = mihlin_check(m.scaled(c).adjoint(), r=2.0, rho=2.0).constant
     assert scaled == pytest.approx(abs(c) * adjoint, rel=1e-12)
-    assert scaled == pytest.approx(mihlin_check(m.scaled(c), r=2.0, rho=2.0, adjoint=True,
+    assert scaled == pytest.approx(mihlin_check(m.scaled(c).adjoint(), r=2.0, rho=2.0,
                                                 mode="fd", h=1.0).constant, rel=1e-9)
     assert scalar_symbol(grid, np.ones(256)).scaled(2.0).derivative_oracle is None
+    assert scalar_symbol(grid, np.ones(256)).adjoint().derivative_oracle is None
+
+
+def _adjoint_with_patched_oracle(m):
+    """m's adjoint as mihlin_check(m, adjoint=True) used to build it: the
+    conjugate-transposed values, and m's oracle conjugate-transposed and
+    set on it by hand."""
+    sym = OperatorSymbol(m.grid, np.conj(np.swapaxes(m.values, 1, 2)), name=m.name + "*")
+    base = m.derivative_oracle
+    sym.derivative_oracle = lambda alpha, xi: np.conj(np.swapaxes(base(alpha, xi), 1, 2))
+    return sym
+
+
+@pytest.mark.parametrize("mode, h", [("oracle", None), ("fd", 1.0)])
+@pytest.mark.parametrize("c", [None, -2.0 + 1.0j])
+def test_adjoint_symbols_keep_their_derivative_oracle(c, mode, h):
+    # m.adjoint() had no oracle, so only mihlin_check's adjoint=True could check it
+    grid = GridSpec(1, 256, 1.0)
+    m = riesz_symbol(grid, 0.5)
+    if c is not None:
+        m = m.scaled(c)
+    got = mihlin_check(m.adjoint(), r=2.0, rho=2.0, mode=mode, h=h)
+    want = mihlin_check(_adjoint_with_patched_oracle(m), r=2.0, rho=2.0, mode=mode, h=h)
+    assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
 
 
 def test_mihlin_requires_oracle_or_step(grid128):

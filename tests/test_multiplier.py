@@ -42,15 +42,19 @@ from besovlp.gaussian import _top_right_singular_vector
 from besovlp.multiplier import (
     _OP_WITNESS,
     OperatorSymbol,
+    _apply_to_spectrum,
     _besov_scorer,
     _dyadic_annulus_masks,
     _estimate_multiplier_norms,
     _lp_scorer,
     _distinct_rows,
     _propose_witnesses,
+    _ratios,
     _witness_search,
 )
+from besovlp.dyadic import _stack_batches
 from besovlp.sampling import _SEARCH_BYTES_CAP, _complex_normals
+from besovlp.spaces import _idft_stack, _lp_norms_by_run, _lp_runs
 from besovlp.testfunctions import random_band_limited, single_mode
 from test_search import _serial_hill_climb
 
@@ -269,6 +273,37 @@ def _serial_ratios(m, fhats, norm_src, norm_dst):
     return out
 
 
+def _one_pair_reference(m, p, q, x, y):
+    """The one-pair L^p scorer of a stack of spectra, as it was before the
+    joint scorer served one pair too: the sides end to end, one batched
+    idft per batch and one L^p reduction per run of sides sharing p and
+    the value space.  The joint form must equal it bit for bit."""
+    grid, measure = m.grid, m.grid.cell_volume
+
+    def norms(sides):
+        runs = _lp_runs([(len(spectra), r, space) for spectra, r, space in sides])
+        vals = []
+        for j, batch in _stack_batches([spectra for spectra, _, _ in sides]):
+            _idft_stack(batch, grid, out=batch)
+            vals += _lp_norms_by_run(batch, runs, measure, j)
+        return vals
+
+    def score(fhats):
+        n = len(fhats)
+        sides = [(fhats, p, x), (_apply_to_spectrum(m, fhats), q, y)]
+        vals = norms(sides) if m.n_out == m.n_in else norms(sides[:1]) + norms(sides[1:])
+        return _ratios(vals[n:], vals[:n])
+
+    return score
+
+
+def _one_pair(m, pair, x, y):
+    """The joint L^p scorer of one pair on one stack, as a one-lane search
+    scores each chunk."""
+    joint = _lp_scorer(m, [pair], x, y)
+    return lambda fhats: joint([fhats], [np.arange(len(fhats))])[0]
+
+
 @pytest.mark.parametrize("homogeneous", [False, True])
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, np.inf])
 @pytest.mark.parametrize("lp", [1.0, 3.0, np.inf])
@@ -321,7 +356,8 @@ def test_batched_lp_scorer_equals_the_norm_quotient_exactly(shape, lp, p):
     shape_stack = (4, grid.n_nodes, shape[1])
     fhats = rng.standard_normal(shape_stack) + 1j * rng.standard_normal(shape_stack)
     fhats[-1] = 0.0
-    got = _lp_scorer(m, [(p, 3.0)], x, y)(fhats)
+    got = _one_pair(m, (p, 3.0), x, y)(fhats)
+    assert got == _one_pair_reference(m, p, 3.0, x, y)(fhats)
     assert got == _serial_ratios(m, fhats, lambda f: lp_norm(f, p, x),
                                  lambda g: lp_norm(g, 3.0, y))
     assert all(type(r) is float for r in got) and got[-1] == -np.inf
@@ -350,8 +386,10 @@ def test_scorers_exact_when_the_sides_differ_in_p_or_space(differ, homogeneous):
     fhats = _witness_stack(grid, part, 2, 5, homogeneous, rng)
     assert _besov_scorer(m, src, dst, part, x, y, homogeneous)(fhats) == _serial_ratios(
         m, fhats, lambda f: norm(f, src, part, x), lambda g: norm(g, dst, part, y))
-    assert _lp_scorer(m, [(p, q)], x, y)(fhats) == _serial_ratios(
-        m, fhats, lambda f: lp_norm(f, p, x), lambda g: lp_norm(g, q, y))
+    got = _one_pair(m, (p, q), x, y)(fhats)
+    assert got == _one_pair_reference(m, p, q, x, y)(fhats)
+    assert got == _serial_ratios(m, fhats, lambda f: lp_norm(f, p, x),
+                                 lambda g: lp_norm(g, q, y))
 
 
 @pytest.mark.parametrize("custom", [False, True])
@@ -369,7 +407,7 @@ def test_the_joint_lp_scorer_gives_each_pair_its_lone_scores(d, n, shape, custom
     fhats[2] = 0.0
     pairs = [(1.0, np.inf), (1.5, 3.0), (2.0, 2.0), (1.5, 3.0)]
     picks = [np.arange(5), np.array([3, 0]), np.array([], dtype=int), np.array([1, 1, 2, 4])]
-    want = [_lp_scorer(m, [pair], x, y)(fhats[idx]) for pair, idx in zip(pairs, picks)]
+    want = [_one_pair_reference(m, *pair, x, y)(fhats[idx]) for pair, idx in zip(pairs, picks)]
     assert want[3][2] == -np.inf
     score = _lp_scorer(m, pairs, x, y)
     # the stack in one chunk, and in chunks of 2, 2 and 1
@@ -391,7 +429,7 @@ def test_a_scored_chunk_takes_one_pass_per_stack(shape, besov_calls, lp_calls, m
     fhats = _witness_stack(grid, part, shape[1], 15, False, rng)
     besov = _besov_scorer(m, BesovParams(0.5, 2.0, 2.0), BesovParams(0.0, 2.0, 1.0),
                           part, x, y, False)
-    lp = _lp_scorer(m, [(2.0, 3.0)], x, y)
+    lp = _one_pair(m, (2.0, 3.0), x, y)
     calls = []
     transform = spaces._transform_stack
     monkeypatch.setattr(spaces, "_transform_stack",
@@ -541,7 +579,7 @@ def test_witness_searches_match_the_per_state_serial_reference(d, shape):
                                    mean_zero=True)
     assert type(got) is float
     assert got == _per_state_witness_search(m, mean_zero, budget, sampler,
-                                            _lp_scorer(m, [(1.5, 3.0)], x, y))
+                                            _one_pair_reference(m, 1.5, 3.0, x, y))
     src, dst = BesovParams(0.5, 1.5, 2.0), BesovParams(0.0, 3.0, 1.0)
     got = besov_multiplier_norm_estimate(m, src, dst, part, x, y, budget, sampler)
     assert got == _per_state_witness_search(

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import json
 import math
 import warnings
@@ -365,6 +367,49 @@ def test_integer_rows_take_the_norms_of_the_same_rows_in_float():
         assert np.array_equal(space.norm_rows(rows), space.norm_rows(rows.astype(float)))
     scalar = ValueSpace.scalar()
     assert np.array_equal(scalar.norm_rows(rows[:, :1]), scalar.norm_rows(rows[:, :1] * 1.0))
+
+
+@dataclasses.dataclass(frozen=True)
+class _SpaceWithKind:
+    """ValueSpace's fields when kind was one of them: the reference for
+    equality, hashing and to_dict now that kind is read off norm_oracle."""
+
+    dim: int
+    kind: str = "lp"
+    p_exponent: float = 2.0
+    norm_oracle: object = None
+    label: str = ""
+
+    def to_dict(self) -> dict:
+        return {
+            "kind": self.kind,
+            "dim": self.dim,
+            "p": None if self.kind != "lp" else ("inf" if np.isinf(self.p_exponent) else self.p_exponent),
+            "label": self.label,
+        }
+
+
+def test_value_spaces_compare_hash_and_serialize_as_when_kind_was_a_field():
+    def taxi(rows):
+        return np.abs(rows).sum(axis=-1)
+
+    def peak(rows):
+        return np.abs(rows).max(axis=-1)
+
+    spaces = [ValueSpace.lp(1.0, 2), ValueSpace.lp(1.0, 2), ValueSpace.hilbert(2),
+              ValueSpace.lp(np.inf, 3), ValueSpace.scalar(), ValueSpace.lp(2.0, 1),
+              ValueSpace.custom(2, taxi), ValueSpace.custom(2, taxi), ValueSpace.custom(2, peak),
+              ValueSpace.custom(2, taxi, label="taxi"), ValueSpace.custom(3, taxi)]
+    refs = [_SpaceWithKind(s.dim, "lp" if s.norm_oracle is None else "custom", s.p_exponent,
+                           s.norm_oracle, s.label) for s in spaces]
+    for (a, ra), (b, rb) in itertools.product(zip(spaces, refs), repeat=2):
+        assert (a == b) == (ra == rb)
+        assert (hash(a) == hash(b)) == (hash(ra) == hash(rb))
+    assert len(set(spaces)) == len(set(refs)) == 8
+    assert [s.to_dict() for s in spaces] == [r.to_dict() for r in refs]
+    assert [s.kind for s in spaces] == ["lp"] * 6 + ["custom"] * 5
+    with pytest.raises(ValueError, match="callable norm oracle"):
+        ValueSpace.custom(2, None)
 
 
 def test_custom_norm_oracle_spot_checks(rng):
