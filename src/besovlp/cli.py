@@ -489,7 +489,9 @@ def _op_sharpness(cfg, ctx):
     probe = sharpness_probe(_param(cfg, "sigma", "sharpness"), _param(cfg, "r", "sharpness"),
                             grids)
     growth = probe["per_level_growth"]
-    worst = max(abs(g / probe["expected_growth"] - 1.0) for g in growth) if growth else 0.0
+    # np.max keeps a NaN growth (two grids at one probe level), so the report fails
+    worst = float(np.max(np.abs(np.asarray(growth) / probe["expected_growth"] - 1.0),
+                         initial=0.0))
     cap = _param(cfg, "growth_tolerance", "sharpness", _number, 0.10)
     report = VerificationReport.build(
         measured=1.0 + worst, bound=1.0, tolerance=cap,
@@ -632,7 +634,8 @@ def run_scenario(path, seed_override=None, tolerance_override=None,
         }
         out_spec = _section(raw, "output", default={})
         reports, extras = _OPERATIONS[key](op_params, ctx)
-    except (ValueError, KeyError, TypeError, NotImplementedError) as exc:
+    except (ValueError, KeyError, TypeError, NotImplementedError, ArithmeticError) as exc:
+        # ArithmeticError: a division by zero or an overflow an input check missed
         print(f"error: scenario {path.name}: {exc}", file=sys.stderr)
         return EXIT_USAGE, None
 

@@ -329,16 +329,12 @@ def hormander_constant(
     coords = grid.min_image_coords()
     s_mags = np.linalg.norm(coords, axis=1)
     vals = kernel.values
-    if kernel.origin_convention == "zero":
-        vals = vals.copy()
-        vals[0] = 0.0
 
     if t_samples is None:
         t_samples = _default_t_samples(grid)
     codomain_space = _space_for(kernel.n_out, codomain_space)
 
     view = vals.reshape(grid.spatial_shape() + vals.shape[1:])
-    exclude_origin = kernel.origin_convention in ("zero", "excluded")
 
     samples = []
     rejected = []
@@ -352,19 +348,9 @@ def hormander_constant(
         shifted = np.roll(view, shift=tuple(int(v) for v in t_cells),
                           axis=tuple(range(grid.d)))
         diff = (shifted - view).reshape(vals.shape)
+        # t != 0 and |s| >= 2|t| exclude s = 0 and s = t, the two nodes where
+        # K(s) or K(s - t) reads the origin, whatever its convention
         region = s_mags >= 2.0 * t_mag
-        if exclude_origin:
-            region = region & (s_mags > 0)
-        # the origin of K(s - t) lands at node index t: its value is only a
-        # convention for singular kernels, so drop that node as well
-        if exclude_origin:
-            origin_shifted = np.zeros(grid.n_nodes, dtype=bool)
-            flat_idx = np.ravel_multi_index(
-                tuple(int(v) % grid.n_per_dim for v in t_cells),
-                grid.spatial_shape(),
-            )
-            origin_shifted[flat_idx] = True
-            region = region & ~origin_shifted
         for x in np.eye(kernel.n_in, dtype=np.complex128):
             mapped = diff[region] @ x
             norms = codomain_space.norm_rows(mapped)
@@ -616,8 +602,10 @@ def cz_decompose(
     off the cubes and the cube average on them.  All properties
     (reconstruction, support, zero mean, sup bound 2^d height, total
     cube measure <= 1/height) hold exactly on the grid.  Requires
-    ||f||_1 <= 1; if the root average already exceeds the height the
-    whole domain becomes one bad part and the result is flagged.
+    ||f||_1 <= 1, alpha > 0, a in [1, inf) and B in (0, inf), and refuses
+    a height that overflows or vanishes; if the root average already
+    exceeds the height the whole domain becomes one bad part and the
+    result is flagged.
 
     Each bad part keeps only its cube's values (``CZBadPart``), so memory
     is O(nodes + sum of cube cells), not O(nodes x cubes).
@@ -626,6 +614,7 @@ def cz_decompose(
         raise ValueError("expected a physical-domain function")
     if alpha <= 0:
         raise ValueError("alpha must be positive")
+    _check_exponent(a, "a", allow_inf=False)
     if not (0.0 < B < np.inf):
         raise ValueError(f"B must be positive and finite, got {B}")
     space = space or ValueSpace.lp(2.0, f.value_dim)
@@ -634,8 +623,14 @@ def cz_decompose(
 
     grid = f.grid
     d, N = grid.d, grid.n_per_dim
-    gamma = B ** (-a) * 2.0 ** (-(d + a))
-    height = gamma * alpha**a
+    try:
+        gamma = B ** (-a) * 2.0 ** (-(d + a))
+        height = gamma * alpha**a
+    except OverflowError:
+        height = math.inf
+    if not 0.0 < height < math.inf:
+        raise ValueError(f"height B^-a 2^-(d+a) alpha^a must be positive and finite, got "
+                         f"{height:g} (alpha = {alpha:g}, a = {a:g}, B = {B:g})")
 
     norms = space.norm_rows(f.samples).reshape(grid.spatial_shape())
     samples_view = f.samples.reshape(grid.spatial_shape() + (f.value_dim,))
@@ -734,7 +729,7 @@ def verify_weak_type(
     if symbol is None and kernel is None:
         raise ValueError("provide a symbol or a kernel")
     _check_exponent(a, "a", allow_inf=False)
-    if abs(_inv(p0) - _inv(q0) - (1.0 - 1.0 / a)) > 1e-9:
+    if abs(_inv(p0, "p0") - _inv(q0, "q0") - (1.0 - 1.0 / a)) > 1e-9:
         raise ValueError(
             f"exponent identity 1/p0 - 1/q0 = 1 - 1/a violated: p0={p0}, q0={q0}, a={a}"
         )
@@ -856,16 +851,12 @@ def extrapolation_sweep(
     """
     _require_nonempty(pq_list, "pq_list")
     _require_nonempty(grid_list, "grid_list")
-    _check_exponent(r, "r")
-    for p, q in pq_list:
-        _check_exponent(p, "p")
-        _check_exponent(q, "q")
     # sub-critical pairs (1/p - 1/q < 1/r) are admissible on the finite-measure
     # torus and are flagged; pairs demanding more smoothing than r provides
     # are rejected
     off_line = {}
     for p, q in pq_list:
-        gap = _inv(p) - _inv(q) - _inv(r)
+        gap = _inv(p, "p") - _inv(q, "q") - _inv(r, "r")
         if gap > 1e-9:
             raise ValueError(f"pair (p={p}, q={q}) is off the line 1/p - 1/q = 1/{r}")
         off_line[(p, q)] = gap < -1e-9
@@ -928,11 +919,21 @@ def sharpness_probe(
     2^(d/r - sigma) per added dyadic level; at sigma = d/r it is flat,
     above it shrinks.  Uses the deterministic smooth-annulus packet
     witness, evaluated at p = 2r/(r+1), q = 2r/(r-1), so nothing is
-    drawn at random.  An empty grid_list is refused.
+    drawn at random.  An empty grid_list is refused, and so are a sigma
+    whose expected growth is 0 or overflows and a probe ratio that is 0
+    or not finite, which leave no growth to compare.
     """
     if not (1.0 < r < np.inf):
         raise ValueError("probe needs a finite r > 1")
     _require_nonempty(grid_list, "grid_list")
+    d = grid_list[0].d
+    try:
+        expected = 2.0 ** (d / r - sigma)
+    except OverflowError:
+        expected = math.inf
+    if not 0.0 < expected < math.inf:
+        raise ValueError(f"sigma = {sigma:g} puts the expected growth 2^(d/r - sigma) "
+                         f"at {expected:g}, outside (0, inf)")
     p = 2.0 * r / (r + 1.0)
     q = 2.0 * r / (r - 1.0)
 
@@ -945,6 +946,9 @@ def sharpness_probe(
         f = idft(GridFunction(grid, spec, "frequency"))
         tf = apply_multiplier(m, f)
         ratio = lp_norm(tf, q) / lp_norm(f, p)
+        if not 0.0 < ratio < math.inf:
+            raise ValueError(f"probe ratio {ratio:g} at N = {grid.n_per_dim}: riesz({sigma:g}) "
+                             f"leaves no growth to measure")
         rows.append(
             {"n_per_dim": grid.n_per_dim, "k_probe": k_probe, "ratio": ratio}
         )
@@ -953,7 +957,6 @@ def sharpness_probe(
     for prev, cur in zip(rows, rows[1:]):
         lv = cur["k_probe"] - prev["k_probe"]
         growth.append((cur["ratio"] / prev["ratio"]) ** (1.0 / lv) if lv else np.nan)
-    d = grid_list[0].d
     return {
         "sigma": sigma,
         "r": r,
@@ -961,5 +964,5 @@ def sharpness_probe(
         "q": q,
         "rows": rows,
         "per_level_growth": growth,
-        "expected_growth": 2.0 ** (d / r - sigma),
+        "expected_growth": expected,
     }

@@ -3,11 +3,13 @@ gamma-radonifying norms.
 
 Exact gamma-bounds are intractable outside the Hilbert case, so the
 estimators here return certified lower bounds found by randomized
-search (structured and random starts plus coordinate hill-climbing on
-the prefix-stable schedule of ``sampling._hill_climb``), while
-``gamma_bound_hilbert`` supplies the exact value between Hilbert
-spaces, where the gamma-bound collapses to the uniform operator-norm
-bound.  Searches climb against a frozen Gaussian draw and the winning
+search: the type, cotype and gamma searches share one climb over finite
+vector families (``_family_climb``: structured and random starts plus
+one-vector moves on the prefix-stable schedule of
+``sampling._hill_climb``).  Between Hilbert spaces the gamma-bound
+collapses to the uniform operator-norm bound, the largest spectral
+norm; ``_gamma_bound`` is the one place that picks that exact value or
+the search.  Searches climb against a frozen Gaussian draw and the winning
 witness is re-scored on a fresh, larger draw, so reported values carry
 plain Monte-Carlo error and no selection bias.
 """
@@ -229,53 +231,55 @@ def _frozen_draw(sampler: GaussianSampler, budget: SearchBudget, op_code: int) -
 
 
 # ---------------------------------------------------------------------------
-# type / cotype searches
+# the family climb: type, cotype and gamma searches
 # ---------------------------------------------------------------------------
 
 
-def _search_vector_families(
-    space: ValueSpace,
-    ratio_of: "callable",
-    budget: SearchBudget,
-    sampler: GaussianSampler,
-    op_code: int,
-):
-    """Generic maximizer over finite vector families.
+def _family_climb(X: ValueSpace, n_members: int, moment, starts, score, n_starts: int,
+                  budget: SearchBudget, sampler: GaussianSampler, op_code: int) -> tuple:
+    """Best state of a _hill_climb over finite families of vectors in X,
+    each vector assigned one of n_members members.
 
-    ratio_of(vectors, gauss_draws) -> float is evaluated against one
-    frozen draw during the climb.  Returns the best witness found.  The
-    three structured starts count inside budget.restarts, which must be >= 1.
+    A state is (assignment, vectors, moment(vectors)): a member index per
+    vector, the (K, X.dim) vectors, and the moment the state carries.
+    Start i is starts(i, rng) or, where that is None, a random family: K
+    in 1..budget.max_vectors, K uniform member indices and complex normal
+    vectors.  A move picks one vector; with several members it reassigns
+    that vector's member with probability 0.2, keeping the vectors and
+    their moment, and otherwise adds step times complex normals to the
+    vector, rescales the family by its largest norm in X and recomputes
+    the moment.  With one member the assignment draws nothing, so a
+    one-member family draws as a bare vector family.  score(state) is
+    the climbed value.
     """
-    if budget.restarts < 1:
-        raise ValueError(f"type/cotype searches need restarts >= 1, got {budget.restarts}")
-    dim = space.dim
-    Kmax = budget.max_vectors
-    g_all = _frozen_draw(sampler, budget, op_code)
+    def start(i, rng):
+        state = starts(i, rng)
+        if state is None:
+            K = int(rng.integers(1, budget.max_vectors + 1))
+            assignment = rng.integers(0, n_members, size=K)
+            vectors = _complex_normals(rng, (K, X.dim))
+            state = assignment, vectors, moment(vectors)
+        return state
 
-    def start_one(i, rng):
-        if i < 3:  # a single vector, aligned copies, the coordinate family
-            v = _complex_normals(rng, dim)
-            v = v / np.linalg.norm(v)
-            return (v[None, :], np.tile(v, (min(Kmax, 4), 1)),
-                    np.eye(dim, dtype=np.complex128)[: min(Kmax, dim)])[i]
-        K = int(rng.integers(1, Kmax + 1))
-        return _complex_normals(rng, (K, dim))
-
-    def move(vecs, step, rng):
-        trial = vecs.copy()
-        idx = int(rng.integers(0, trial.shape[0]))
-        trial[idx] = trial[idx] + step * _complex_normals(rng, dim)
-        scale = np.max(space.norm_rows(trial))
-        return trial / scale if scale > 0 else trial
-
-    def score(vecs):
-        return ratio_of(vecs, g_all[:, : vecs.shape[0]])
+    def move(state, step, rng):
+        assignment, vectors, carried = state
+        idx = int(rng.integers(0, vectors.shape[0]))
+        if n_members > 1 and rng.random() < 0.2:
+            trial_a = assignment.copy()
+            trial_a[idx] = rng.integers(0, n_members)
+            return trial_a, vectors, carried
+        trial_v = vectors.copy()
+        trial_v[idx] = trial_v[idx] + step * _complex_normals(rng, X.dim)
+        scale = np.max(X.norm_rows(trial_v))
+        if scale > 0:
+            trial_v = trial_v / scale
+        return assignment, trial_v, moment(trial_v)
 
     [(_, best)] = _hill_climb(
-        sampler, op_code, budget.restarts,
-        lambda rngs: [start_one(i, rng) for i, rng in enumerate(rngs)],
-        lambda states, step, rngs: [move(v, step, rng) for v, rng in zip(states, rngs)],
-        lambda states: [score(v) for v in states], budget,
+        sampler, op_code, n_starts,
+        lambda rngs: [start(i, rng) for i, rng in enumerate(rngs)],
+        lambda states, step, rngs: [move(s, step, rng) for s, rng in zip(states, rngs)],
+        lambda states: [score(s) for s in states], budget,
     )
     return best
 
@@ -290,21 +294,38 @@ def _moment_ratio_lower(space: ValueSpace, r: float, budget: SearchBudget,
                         sampler: GaussianSampler, op_code: int, moment_on_top: bool) -> float:
     """Largest ratio found between the moment (E||sum gamma_k x_k||^2)^(1/2)
     and (sum ||x_k||^r)^(1/r) over finite families, the moment on top or
-    below; the winner is re-scored on a fresh draw.  A zero denominator
-    scores -inf in the climb, and the fresh ratio over it is 0.0.
+    below; the winner is re-scored on a fresh draw.  The families are
+    one-member families of the family climb, whose states carry their
+    moment on the frozen draw.  The three structured starts (a single
+    vector, aligned copies, the coordinate family) count inside
+    budget.restarts, which must be >= 1.  A zero denominator scores -inf
+    in the climb, and the fresh ratio over it is 0.0.
     """
-    def num_den(moment, norm):
-        return (moment, norm) if moment_on_top else (norm, moment)
+    if budget.restarts < 1:
+        raise ValueError(f"type/cotype searches need restarts >= 1, got {budget.restarts}")
+    dim, Kmax = space.dim, budget.max_vectors
+    g_all = _frozen_draw(sampler, budget, op_code)
 
-    def ratio_of(vectors, g):
-        num, den = num_den(_moment_from_draw(vectors, g, space),
-                         _lp_combine(space.norm_rows(vectors), r))
-        return -np.inf if den == 0.0 else num / den
+    def moment(vectors):
+        return _moment_from_draw(vectors, g_all[:, : vectors.shape[0]], space)
 
-    best = _search_vector_families(space, ratio_of, budget, sampler, op_code)
-    num, den = num_den(_chunked_moment(best, space, sampler, op_code, 1).value,
-                     _lp_combine(space.norm_rows(best), r))
-    return 0.0 if den == 0.0 else num / den
+    def starts(i, rng):
+        if i >= 3:
+            return None
+        v = _complex_normals(rng, dim)
+        v = v / np.linalg.norm(v)
+        vectors = (v[None, :], np.tile(v, (min(Kmax, 4), 1)),
+                   np.eye(dim, dtype=np.complex128)[: min(Kmax, dim)])[i]
+        return np.zeros(len(vectors), dtype=int), vectors, moment(vectors)
+
+    def ratio(moment_value, vectors, zero):
+        norm = _lp_combine(space.norm_rows(vectors), r)
+        num, den = (moment_value, norm) if moment_on_top else (norm, moment_value)
+        return zero if den == 0.0 else num / den
+
+    _, best, _ = _family_climb(space, 1, moment, starts, lambda s: ratio(s[2], s[1], -np.inf),
+                               budget.restarts, budget, sampler, op_code)
+    return ratio(_chunked_moment(best, space, sampler, op_code, 1).value, best, 0.0)
 
 
 def type_constant_lower(
@@ -349,11 +370,19 @@ class GammaSearchResult:
     vectors: np.ndarray     # (K, n_in)
 
 
+def _spectral_norms(values: np.ndarray) -> np.ndarray:
+    """The spectral norm of each matrix of a (n, n_out, n_in) stack: |z| of
+    a 1x1 matrix, else its largest singular value."""
+    if values.shape[1:] == (1, 1):
+        return np.abs(values[:, 0, 0])
+    return np.linalg.svd(values, compute_uv=False)[:, 0]
+
+
 def gamma_bound_hilbert(family: MatrixFamily) -> float:
     """Exact gamma-bound between Hilbert spaces: max spectral norm."""
     if not (family.domain_space.is_hilbert and family.codomain_space.is_hilbert):
         raise ValueError("gamma_bound_hilbert is exact only between Hilbert spaces")
-    return max(float(np.linalg.norm(m, 2)) for m in family.members)
+    return float(_spectral_norms(np.stack(family.members)).max())
 
 
 def _top_right_singular_vector(m: np.ndarray) -> np.ndarray:
@@ -431,35 +460,9 @@ def gamma_bound_search(
         vectors = np.array(warm_start.vectors, dtype=np.complex128)
         configs.append((warm_start.assignment.copy(), vectors, den_of(vectors)))
 
-    def start_one(i, rng):
-        if i < len(configs):
-            return configs[i]
-        K = int(rng.integers(1, Kmax + 1))
-        assignment = rng.integers(0, n_members, size=K)
-        vectors = _complex_normals(rng, (K, n_in))
-        return assignment, vectors, den_of(vectors)
-
-    def move(state, step, rng):
-        # an assignment-only move keeps the vectors, and with them den
-        assignment, vectors, den = state
-        idx = int(rng.integers(0, vectors.shape[0]))
-        if n_members > 1 and rng.random() < 0.2:
-            trial_a = assignment.copy()
-            trial_a[idx] = rng.integers(0, n_members)
-            return trial_a, vectors, den
-        trial_v = vectors.copy()
-        trial_v[idx] = trial_v[idx] + step * _complex_normals(rng, n_in)
-        scale = np.max(X.norm_rows(trial_v))
-        if scale > 0:
-            trial_v = trial_v / scale
-        return assignment, trial_v, den_of(trial_v)
-
-    [(_, best)] = _hill_climb(
-        sampler, _OP_GAMMA, len(configs) + budget.restarts,
-        lambda rngs: [start_one(i, rng) for i, rng in enumerate(rngs)],
-        lambda states, step, rngs: [move(s, step, rng) for s, rng in zip(states, rngs)],
-        lambda states: [ratio_of(s) for s in states], budget,
-    )
+    best = _family_climb(X, n_members, den_of,
+                         lambda i, rng: configs[i] if i < len(configs) else None, ratio_of,
+                         len(configs) + budget.restarts, budget, sampler, _OP_GAMMA)
 
     # fresh-draw scoring; the warm start is rescored alongside the search
     # winner so the estimate never drops when the family grows
@@ -486,15 +489,18 @@ def gamma_bound_lower(
     return gamma_bound_search(family, budget, sampler, warm_start).value
 
 
-def gamma_bound_estimate(
-    family: MatrixFamily,
-    budget: SearchBudget,
-    sampler: GaussianSampler,
-) -> tuple:
-    """(gamma_hat, exact_flag): exact in the Hilbert case, else the search lower bound."""
-    if family.domain_space.is_hilbert and family.codomain_space.is_hilbert:
-        return gamma_bound_hilbert(family), True
-    return gamma_bound_lower(family, budget, sampler), False
+def _gamma_bound(values: np.ndarray, X: ValueSpace, Y: ValueSpace, budget: SearchBudget,
+                 sampler: GaussianSampler) -> tuple:
+    """(gamma_hat, exact) of the family of matrices X -> Y in a (n, n_out,
+    n_in) stack: between Hilbert spaces the exact gamma-bound, the largest
+    spectral norm, else the search lower bound of gamma_bound_lower.  An
+    empty stack has gamma-bound 0."""
+    exact = X.is_hilbert and Y.is_hilbert
+    if not len(values):
+        return 0.0, exact
+    if exact:
+        return float(_spectral_norms(values).max()), True
+    return gamma_bound_lower(MatrixFamily(tuple(values), X, Y), budget, sampler), False
 
 
 # ---------------------------------------------------------------------------
@@ -553,8 +559,7 @@ def check_gamma_multiplier(
     mapped = GridFunction(
         f.grid, np.einsum("noi,ni->no", field, f.samples), f.domain_tag
     )
-    family = MatrixFamily(tuple(field), domain_space, codomain_space)
-    gamma_hat, exact = gamma_bound_estimate(family, budget, sampler)
+    gamma_hat, exact = _gamma_bound(field, domain_space, codomain_space, budget, sampler)
 
     lhs = gamma_function_norm(mapped, codomain_space, sampler, stream=10)
     rhs = gamma_function_norm(f, domain_space, sampler, stream=11)

@@ -53,7 +53,7 @@ from .dyadic import (
     _require_physical,
     _stack_batches,
 )
-from .gaussian import MatrixFamily, gamma_bound_lower, _top_right_singular_vector
+from .gaussian import _gamma_bound, _spectral_norms, _top_right_singular_vector
 from .reports import VerificationReport
 from .sampling import (
     _SEARCH_BYTES_CAP,
@@ -149,9 +149,7 @@ class OperatorSymbol:
 
     def opnorms(self) -> np.ndarray:
         """Per-node spectral norms."""
-        if self.is_scalar:
-            return np.abs(self.values[:, 0, 0])
-        return np.linalg.svd(self.values, compute_uv=False)[:, 0]
+        return _spectral_norms(self.values)
 
     def adjoint(self) -> "OperatorSymbol":
         """m*: the values and the derivative oracle, if any, conjugate-transposed."""
@@ -257,7 +255,17 @@ def riesz_symbol(grid: GridSpec, sigma: float, dim: int = 1) -> OperatorSymbol:
 
 
 def annulus_indicator_symbol(grid: GridSpec, k: int, dim: int = 1) -> OperatorSymbol:
-    mask = _annulus_mask(grid.frequency_magnitudes(), k)
+    """The indicator of the dyadic annulus I_k (the ball |xi| <= 2 for k = 0)
+    times the identity; k must be a non-negative integer whose annulus
+    holds a lattice node."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 0:
+        raise ValueError(f"annulus index k must be a non-negative integer, got {k!r}")
+    mags = grid.frequency_magnitudes()
+    # past log2(max |xi|) + 1 the annulus lies beyond every node, and 2^k may overflow
+    mask = (_annulus_mask(mags, k) if k <= math.log2(mags.max()) + 1
+            else np.zeros(mags.shape, dtype=bool))
+    if not np.any(mask):
+        raise ValueError(f"annulus I_{k} holds no lattice node of the grid")
     vals = mask.astype(np.complex128)[:, None, None] * np.eye(dim)[None, :, :]
     return OperatorSymbol(grid, vals, name=f"annulus({k})")
 
@@ -739,7 +747,7 @@ def besov_multiplier_norm_estimate(
 
 def _holder_r(p: float, q: float) -> float:
     """r with 1/r = 1/p - 1/q (inf when p = q)."""
-    inv = _inv(p) - _inv(q)
+    inv = _inv(p, "p") - _inv(q, "q")
     if inv < -1e-12:
         raise ValueError(f"need p <= q, got p={p}, q={q}")
     if inv <= 1e-15:
@@ -768,9 +776,9 @@ def _gamma_bound_terms(
 
     Returns (r, d/r, tau_p, c_q, gammas, exact): the Hoelder exponent
     with 1/r = 1/p - 1/q, d/r (0 when r = inf), the type and cotype
-    constants, and the gamma-bound of the symbol on each mask (0 on an
-    empty one), exact (max opnorm) in the Hilbert case and a search
-    lower bound otherwise.
+    constants, and the gamma-bound of the symbol on each mask
+    (gaussian._gamma_bound: 0 on an empty one, exact in the Hilbert case
+    and a search lower bound otherwise).
     """
     _check_type_cotype_pair(p, q)
     r = _holder_r(p, q)
@@ -778,18 +786,9 @@ def _gamma_bound_terms(
     tau = domain_space.type_constant(p)
     c = codomain_space.cotype_constant(q)
 
-    exact = domain_space.is_hilbert and codomain_space.is_hilbert
-    opn = m.opnorms() if exact else None
-    gammas = []
-    for mask in masks:
-        if not np.any(mask):
-            gammas.append(0.0)
-        elif exact:
-            gammas.append(float(opn[mask].max()))
-        else:
-            family = MatrixFamily(tuple(m.values[mask]), domain_space, codomain_space)
-            gammas.append(gamma_bound_lower(family, budget, sampler))
-    return r, dr, tau, c, np.asarray(gammas), exact
+    bounds = [_gamma_bound(m.values[mask], domain_space, codomain_space, budget, sampler)
+              for mask in masks]
+    return r, dr, tau, c, np.asarray([g for g, _ in bounds]), bounds[0][1]
 
 
 def verify_prop43(
@@ -846,7 +845,7 @@ def verify_prop43(
 
 
 def _check_uvw(u: float, v: float, w: float) -> None:
-    if _inv(w) > _inv(u) + _inv(v) + 1e-12:
+    if _inv(w, "w") > _inv(u, "u") + _inv(v, "v") + 1e-12:
         raise ValueError(
             f"inadmissible summation exponents: need 1/w <= 1/u + 1/v, "
             f"got u={u}, v={v}, w={w}"
@@ -1045,7 +1044,7 @@ def verify_prop34(
         )
     _check_uvw(u, v, w)
     expected_r = _holder_r(p, q)
-    if not np.isclose(_inv(r), _inv(expected_r), atol=1e-9):
+    if not np.isclose(_inv(r, "r"), _inv(expected_r, "r"), atol=1e-9):
         raise ValueError(f"need 1/r = 1/p - 1/q; got r={r}, p={p}, q={q}")
     _check_type_cotype_pair(p, q)
 

@@ -14,7 +14,8 @@ through three batched hooks: start(rngs) gives every start's state,
 propose(states, step, rngs) every start's trial, and
 score_batch(states) every score, each in start order.  The states are
 whatever the search keeps them in: the gamma and type/cotype searches
-hold a list of per-state tuples or arrays and propose over it with a
+share one family climb (``gaussian._family_climb``), which holds a list
+of (assignment, vectors, moment) tuples and proposes over it with a
 list comprehension, while the multiplier witness search holds one
 (S, n_allowed, n_in) array, so its noise, rescaling and scoring run
 once per step over the whole stack.  Acceptance is one mask over the

@@ -205,8 +205,11 @@ def _scaled_l2_rows(a: np.ndarray) -> np.ndarray:
     return m * np.sqrt(_fold_columns(np.add, r * r))
 
 
-def _inv(x: float) -> float:
-    """1/x, with 1/inf = 0."""
+def _inv(x: float, name: str = "p") -> float:
+    """1/x of an exponent x in [1, inf], with 1/inf = 0.  The one gate of the
+    exponents that are only inverted: anything else is refused with
+    _check_exponent's message naming the exponent."""
+    _check_exponent(x, name)
     return 0.0 if np.isinf(x) else 1.0 / x
 
 

@@ -61,7 +61,12 @@ def spike(grid: GridSpec, cell_index: int = 0, l1_mass: float = 1.0, dim: int = 
 
 
 def plateau(grid: GridSpec, fraction: float = 0.25, height: float = 1.0, dim: int = 1) -> GridFunction:
-    """Indicator-style block of the given measure fraction along the first axis."""
+    """Indicator-style block of the given measure fraction along the first axis.
+
+    fraction must lie in (0, 1]; the block is at least one cell wide.
+    """
+    if not 0.0 < fraction <= 1.0:
+        raise ValueError(f"plateau fraction must lie in (0, 1], got {fraction}")
     view = np.zeros(grid.spatial_shape() + (dim,), dtype=np.complex128)
     n_cells = max(1, int(round(fraction * grid.n_per_dim)))
     view[(slice(0, n_cells),) + (slice(None),) * (grid.d - 1) + (0,)] = height

@@ -231,6 +231,58 @@ SWITCHES = [
 ]
 
 
+THM44 = dict(BASE, operation={"name": "verify", "target": "thm44",
+                              "params": {"s": 0.0, "sigma": 0.0, "u": "inf", "p": 2.0,
+                                         "v": 2.0, "q": 2.0, "w": 2.0}})
+PROP34 = dict(BASE, operation={"name": "verify", "target": "prop34",
+                               "params": {"r": "inf", "u": "inf", "s": 0.0, "p": 2.0,
+                                          "v": 2.0, "q": 2.0, "w": 2.0}})
+SHARPNESS = dict(EMPTY_GRIDS_PROBE, operation={"name": "sharpness", "params": {
+    "sigma": 0.25, "r": 2.0, "grids": [64, 128]}})
+
+
+def _annulus(k):
+    """A multiplier scenario on N = 64 of the annulus indicator I_k."""
+    return dict(BASE, symbol={"constructor": "annulus_indicator", "params": {"k": k}})
+
+
+# one leaf of a scenario set out of range: each was a traceback or a pass
+MUTATED_INPUTS = [
+    # an exponent that is only inverted, checked where it is: 0 was a
+    # ZeroDivisionError traceback, 1e-308 an OverflowError, and 0.5 and
+    # -1e308 passed
+    *[("verify thm44", _with_params(THM44, **{key: 0}), f"{key} must lie in [1, inf], got 0")
+      for key in "uvw"],
+    *[("verify prop34", _with_params(PROP34, **{key: 0}), f"{key} must lie in [1, inf], got 0")
+      for key in "rupvqw"],
+    *[("weak-type", _weak_type(**{key: 0}), f"{key} must lie in [1, inf], got 0")
+      for key in ("p0", "q0")],
+    *[(command, _with_params(cfg, u=u), f"u must lie in [1, inf], got {u}")
+      for command, cfg in (("verify thm44", THM44), ("verify prop34", PROP34))
+      for u in (1e-308, 0.5, -1e308)],
+    ("verify prop34", _with_params(PROP34, r=-1e308), "r must lie in [1, inf], got -1e+308"),
+    # cz's weak-type exponent: 0, -1 and 0.5 passed, and +-1e308 was an
+    # OverflowError traceback; at a = 1e308 the height alpha^a overflows
+    *[("cz", _with_params(CZ_SPIKE, a=a), f"a must lie in [1, inf], got {a}")
+      for a in (0, -1, 0.5, -1e308)],
+    ("cz", _with_params(CZ_SPIKE, a=1e308),
+     "height B^-a 2^-(d+a) alpha^a must be positive and finite, got inf"),
+    # a plateau fraction outside (0, 1]: +-1e308 was a traceback, and 0, -1
+    # and 2.5 built a one-cell or a whole-axis plateau
+    *[("cz", _with_params(CZ_SPIKE, function={"kind": "plateau", "fraction": fraction}),
+       f"plateau fraction must lie in (0, 1], got {fraction}")
+      for fraction in (1e308, -1e308, 0, -1, 2.5)],
+    # an annulus index that is no non-negative integer (1e308 was a
+    # traceback, -1, 0.5 and true passed), or whose annulus is empty
+    *[("multiplier", _annulus(k), f"annulus index k must be a non-negative integer, got {k!r}")
+      for k in (1e308, -1, 0.5, True)],
+    ("multiplier", _annulus(12), "annulus I_12 holds no lattice node of the grid"),
+    # the expected growth 2^(d/r - sigma) underflows to 0: a ZeroDivisionError
+    ("sharpness", _with_params(SHARPNESS, sigma=1e308),
+     "sigma = 1e+308 puts the expected growth 2^(d/r - sigma) at 0, outside (0, inf)"),
+]
+
+
 # (command, config, what the message names: the offending key, or the
 # order the oracle covers)
 BAD_CONFIGS = [
@@ -382,6 +434,7 @@ BAD_CONFIGS = [
     ("partition", _with_params(PARTITION, smoothness=9), "smoothness must lie in [1, 8], got 9"),
     ("besov-norm", _with_params(_besov_norm(), smoothness=12),
      "smoothness must lie in [1, 8], got 12"),
+    *MUTATED_INPUTS,
 ]
 
 
@@ -499,11 +552,12 @@ def test_operations_without_a_tolerance_refuse_one(tmp_path, capsys, command, sc
 
 
 def test_sweep_of_a_zero_symbol_writes_strict_json(tmp_path):
-    # every estimate is 0, so each stability spread is infinite
+    # every estimate is 0, so each stability spread is infinite: at period
+    # 1/2 every nonzero |xi| is >= 2, and |xi|^(-1e308) underflows to 0
     cfg = dict(
         BASE,
-        grid={"d": 1, "n_per_dim": 32, "period": 1.0},
-        symbol={"constructor": "annulus_indicator", "params": {"k": 12}},
+        grid={"d": 1, "n_per_dim": 32, "period": 0.5},
+        symbol={"constructor": "riesz", "params": {"sigma": 1e308}},
         operation={"name": "sweep", "params": {"r": 2.0, "pairs": [[2.0, 2.0]],
                                                "grids": [32, 64]}},
     )
@@ -515,6 +569,51 @@ def test_sweep_of_a_zero_symbol_writes_strict_json(tmp_path):
 
     rep = json.loads(out.read_text(), parse_constant=reject)
     assert rep["extras"]["sweep"]["stability"]["p=2,q=2"]["spread"] == "inf"
+
+
+@pytest.mark.parametrize("command, cfg", [case[:2] for case in MUTATED_INPUTS])
+def test_suite_runs_the_rest_past_a_mutated_input(tmp_path, capsys, command, cfg):
+    write(tmp_path, "a-bad.json", cfg)
+    write(tmp_path, "b-ok.json", BASE)
+    out = tmp_path / "agg.json"
+    assert main(["suite", str(tmp_path), "--out", str(out)]) == EXIT_USAGE
+    assert json.loads(out.read_text())["suite"] == {"a-bad.json": "error", "b-ok.json": "pass"}
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exc", [ZeroDivisionError("float division by zero"),
+                                 OverflowError("(34, 'Numerical result out of range')")])
+def test_an_arithmetic_error_ends_a_scenario_in_one_line(tmp_path, monkeypatch, capsys, exc):
+    def fail(cfg, ctx):
+        raise exc
+
+    monkeypatch.setitem(cli._OPERATIONS, ("multiplier", None), fail)
+    path = write(tmp_path, "a-bad.json", BASE)
+    assert main(["multiplier", "--config", str(path)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: scenario a-bad.json: {exc}\n"
+    write(tmp_path, "b-ok.json", _besov_norm())
+    assert run_suite(tmp_path) == EXIT_USAGE
+    assert "[suite] b-ok.json: pass" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("grids", [[64, 64, 128], [64, 128, 128]])
+def test_sharpness_fails_on_a_nan_growth_wherever_it_stands(tmp_path, grids):
+    # two grids at one probe level give a NaN growth; a plain max kept it
+    # in front of the other growth and dropped it behind it
+    code, rep = run_scenario(write(tmp_path, "s.json", _with_params(SHARPNESS, grids=grids)))
+    assert code == EXIT_FAIL
+    assert rep["reports"][0]["measured"] == "nan"
+    assert "nan" in rep["reports"][0]["metadata"]["per_level_growth"]
+
+
+def test_constant_function_kind(tmp_path):
+    # the gamma norm of the constant 2 on the unit torus is 2
+    cfg = dict(BASE, operation={"name": "gamma",
+                                "params": {"function": {"kind": "constant", "value": 2.0}}})
+    code, rep = run_scenario(write(tmp_path, "c.json", cfg))
+    assert code == EXIT_PASS
+    est = rep["extras"]["estimate"]
+    assert abs(est["value"] - 2.0) <= 3.0 * est["std_error"]
 
 
 def test_suite_records_errors_and_keeps_going(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from besovlp import (
 from besovlp import hilbert_symbol
 from besovlp.cli import run_scenario
 from besovlp.extrapolation import CubeInfo, _eta_profile
-from besovlp.testfunctions import adversarial_l1_family, spike
+from besovlp.testfunctions import adversarial_l1_family, plateau, spike
 
 BUDGET = SearchBudget(restarts=6, steps=30, search_samples=2000)
 SAMPLER = GaussianSampler(777, 20000)
@@ -258,6 +259,20 @@ def test_hormander_rejects_oversized_t(grid128):
     assert rep.rejected[0]["reason"] == "outside (0, L/8]"
 
 
+@pytest.mark.parametrize("convention", ["finite", "zero", "excluded"])
+def test_hormander_constant_ignores_the_value_stored_at_the_origin(convention):
+    # t != 0 and |s| >= 2|t| exclude s = 0 and s = t, the only nodes where
+    # K(s) or K(s - t) is read at the origin
+    for grid in (GridSpec(1, 128, 1.0), GridSpec(2, 64, 1.0)):
+        vals = np.random.default_rng(3).standard_normal((grid.n_nodes, 2, 2)) + 0j
+        reps = []
+        for origin in (0.0, 5.0, np.inf):
+            vals[0] = origin
+            reps.append(hormander_constant(Kernel(grid, vals.copy(), convention), 1.5))
+        assert reps[0].samples and reps[0].constant > 0
+        assert all(rep.samples == reps[0].samples for rep in reps[1:])
+
+
 # -- Mihlin conditions -------------------------------------------------------
 
 
@@ -392,6 +407,36 @@ def _assert_part_on_its_cube(bp, info):
 
 def _bad_mean(bp):
     return abs(bp.values.reshape(-1, bp.values.shape[-1]).sum(axis=0)).max() * bp.grid.cell_volume
+
+
+@pytest.mark.parametrize("a", [0.0, -1.0, 0.5, np.inf, np.nan, -1e308])
+def test_cz_refuses_a_weak_type_exponent_outside_one_to_inf(a):
+    f = spike(GridSpec(1, 8, 1.0), 0, 1.0)
+    with pytest.raises(ValueError, match="^a "):
+        cz_decompose(f, alpha=2.0, a=a, B=1.0)
+
+
+@pytest.mark.parametrize("alpha, a, B, height", [
+    (8.0, 1e308, 1.0, "inf"),     # alpha^a overflows
+    (2.0, 2.0, 1e-300, "inf"),    # B^-a overflows
+    (1e-200, 2.0, 1.0, "0"),      # alpha^a underflows
+])
+def test_cz_refuses_a_height_that_overflows_or_vanishes(alpha, a, B, height):
+    f = spike(GridSpec(1, 8, 1.0), 0, 1.0)
+    with pytest.raises(ValueError, match=f"must be positive and finite, got {height} "):
+        cz_decompose(f, alpha=alpha, a=a, B=B)
+
+
+@pytest.mark.parametrize("fraction", [0.0, -1.0, 2.5, 1e308, -1e308, np.nan])
+def test_plateau_refuses_a_fraction_outside_zero_to_one(fraction):
+    with pytest.raises(ValueError, match=r"^plateau fraction must lie in \(0, 1\]"):
+        plateau(GridSpec(1, 64, 1.0), fraction)
+
+
+def test_plateau_fractions_at_the_ends_of_their_range():
+    grid = GridSpec(1, 64, 1.0)
+    assert np.count_nonzero(plateau(grid, 1.0).samples) == 64
+    assert np.count_nonzero(plateau(grid, 1e-9).samples) == 1
 
 
 def test_cz_constant_below_height_has_no_cubes():
@@ -663,6 +708,32 @@ def test_weak_type_scaling_invariance(grid128):
     assert r1.ratio == pytest.approx(r2.ratio, rel=1e-12)
 
 
+def test_weak_type_searches_B_outside_l2_between_hilbert_spaces(grid128):
+    # p0 = q0 = 4, or a non-Hilbert value space at p0 = 2: B is the
+    # witness-search estimate of the L^p0 -> L^q0 norm, flagged
+    fs = adversarial_l1_family(grid128, 4, seed=7)
+    m = hilbert_symbol(grid128)
+    budget = SearchBudget(restarts=2, steps=4, search_samples=1000)
+    for p0, space in ((4.0, None), (2.0, ValueSpace.lp(1.0, 1))):
+        rep = verify_weak_type(a=1.0, p0=p0, q0=p0, f_set=fs, symbol=m, domain_space=space,
+                               codomain_space=space, sampler=SAMPLER, budget=budget)
+        assert rep.metadata["B_exact"] is False
+        assert rep.metadata["B"] == estimate_multiplier_norm(m, p0, p0, space, space, budget,
+                                                             SAMPLER)
+        assert rep.metadata["B"] > 0
+
+
+def test_weak_type_derives_the_symbol_of_a_lone_kernel(grid128):
+    fs = adversarial_l1_family(grid128, 4, seed=8)
+    k = hilbert_kernel(grid128)
+    alone = verify_weak_type(a=1.0, p0=2.0, q0=2.0, f_set=fs, kernel=k, sampler=SAMPLER,
+                             budget=BUDGET)
+    both = verify_weak_type(a=1.0, p0=2.0, q0=2.0, f_set=fs, symbol=symbol_of_kernel(k),
+                            kernel=k, sampler=SAMPLER, budget=BUDGET)
+    assert alone.to_dict() == both.to_dict()
+    assert alone.metadata["B"] == float(np.max(symbol_of_kernel(k).opnorms()))
+
+
 def test_weak_type_rejects_bad_exponents(grid128):
     with pytest.raises(ValueError):
         verify_weak_type(a=2.0, p0=2.0, q0=2.0, f_set=[],
@@ -805,6 +876,17 @@ def test_sweep_refuses_bad_exponents_before_building_a_symbol(r, pairs, message)
     with pytest.raises(ValueError, match=message):
         extrapolation_sweep(factory, r, pairs, [GridSpec(1, 32, 1.0)], budget=BUDGET,
                             sampler=SAMPLER)
+
+
+def test_sharpness_refuses_a_probe_without_growth():
+    grids = [GridSpec(1, n, 1.0) for n in (64, 128)]
+    for sigma, expected in ((1e308, "0"), (-1e308, "inf")):
+        message = f"sigma = {sigma:g} puts the expected growth 2^(d/r - sigma) at {expected},"
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            sharpness_probe(sigma, 2.0, grids)
+    # at period 1/4 every nonzero |xi| is >= 4, and |xi|^-1000 underflows to 0
+    with pytest.raises(ValueError, match=r"^probe ratio 0 at N = 64: riesz\(1000\)"):
+        sharpness_probe(1000.0, 2.0, [GridSpec(1, n, 0.25) for n in (64, 128)])
 
 
 def test_sharpness_borderline_sigma_is_flat():

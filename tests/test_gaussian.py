@@ -32,6 +32,7 @@ from besovlp.gaussian import (
     _top_right_singular_vector,
 )
 from besovlp.sampling import _complex_normals, _hill_climb
+from besovlp.spaces import _lp_combine
 from besovlp.testfunctions import random_band_limited, single_mode
 
 BUDGET = SearchBudget(restarts=16, steps=60, max_vectors=8, search_samples=3000)
@@ -140,7 +141,93 @@ def test_exponent_validation(sampler):
         cotype_constant_lower(ValueSpace.scalar(), 1.5, BUDGET, sampler)
 
 
+def _vector_family_reference(space, r, budget, sampler, op_code, moment_on_top):
+    """The type/cotype search before it ran on the family climb: its own
+    random start and move over bare vector stacks, each scored in full."""
+    dim, Kmax = space.dim, budget.max_vectors
+    g_all = gaussian._frozen_draw(sampler, budget, op_code)
+
+    def ratio(vecs, moment):
+        norm = _lp_combine(space.norm_rows(vecs), r)
+        num, den = (moment, norm) if moment_on_top else (norm, moment)
+        return den, num / den if den else None
+
+    def start_one(i, rng):
+        if i < 3:
+            v = _complex_normals(rng, dim)
+            v = v / np.linalg.norm(v)
+            return (v[None, :], np.tile(v, (min(Kmax, 4), 1)),
+                    np.eye(dim, dtype=np.complex128)[: min(Kmax, dim)])[i]
+        return _complex_normals(rng, (int(rng.integers(1, Kmax + 1)), dim))
+
+    def move(vecs, step, rng):
+        trial = vecs.copy()
+        idx = int(rng.integers(0, trial.shape[0]))
+        trial[idx] = trial[idx] + step * _complex_normals(rng, dim)
+        scale = np.max(space.norm_rows(trial))
+        return trial / scale if scale > 0 else trial
+
+    def score(vecs):
+        den, value = ratio(vecs, _moment_from_draw(vecs, g_all[:, : vecs.shape[0]], space))
+        return -np.inf if den == 0.0 else value
+
+    [(_, best)] = _hill_climb(
+        sampler, op_code, budget.restarts,
+        lambda rngs: [start_one(i, rng) for i, rng in enumerate(rngs)],
+        lambda states, step, rngs: [move(v, step, rng) for v, rng in zip(states, rngs)],
+        lambda states: [score(v) for v in states], budget,
+    )
+    den, value = ratio(best, _chunked_moment(best, space, sampler, op_code, 1).value)
+    return 0.0 if den == 0.0 else value
+
+
+@pytest.mark.parametrize("restarts", [1, 2, 7])
+def test_type_and_cotype_climb_as_the_bare_vector_family_search(restarts):
+    # a one-member family draws no assignment word and never reassigns, so
+    # the family climb takes the bare vector-family search's steps bit for bit
+    budget = SearchBudget(restarts=restarts, steps=12, max_vectors=5, search_samples=1000)
+    sampler = GaussianSampler(31, 1000)
+    for space, r, on_top, lower in (
+        (ValueSpace.lp(1.0, 3), 2.0, True, type_constant_lower),
+        (ValueSpace.lp(3.0, 2), 1.5, True, type_constant_lower),
+        (ValueSpace.lp(np.inf, 3), 2.0, False, cotype_constant_lower),
+        (ValueSpace.lp(1.5, 4), np.inf, False, cotype_constant_lower),
+    ):
+        op_code = gaussian._OP_TYPE if on_top else gaussian._OP_COTYPE
+        got = lower(space, r, budget, sampler)
+        want = _vector_family_reference(space, r, budget, sampler, op_code, on_top)
+        assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64)
+
+
 # -- gamma bounds ------------------------------------------------------------
+
+
+def test_spectral_norms_of_a_stack(rng):
+    # 3x3: the top singular value, bit for bit the per-member norm(m, 2);
+    # 1x1: |z|, at most two ulps from LAPACK's 1x1 singular value
+    mats = rng.standard_normal((200, 3, 3)) + 1j * rng.standard_normal((200, 3, 3))
+    per_member = np.array([np.linalg.norm(m, 2) for m in mats])
+    assert np.array_equal(gaussian._spectral_norms(mats), per_member)
+    scalars = mats[:, :1, :1]
+    lapack = np.array([np.linalg.norm(m, 2) for m in scalars])
+    got = gaussian._spectral_norms(scalars)
+    assert np.array_equal(got, np.abs(scalars[:, 0, 0]))
+    assert np.abs(got.view(np.int64) - lapack.view(np.int64)).max() <= 2
+
+
+def test_gamma_bound_is_exact_between_hilbert_spaces_and_searched_otherwise(sampler, rng):
+    mats = rng.standard_normal((5, 2, 2)) + 1j * rng.standard_normal((5, 2, 2))
+    h, l1, l4 = ValueSpace.hilbert(2), ValueSpace.lp(1.0, 2), ValueSpace.lp(4.0, 2)
+    budget = SearchBudget(restarts=3, steps=5, search_samples=1000)
+    assert gaussian._gamma_bound(mats, h, h, budget, sampler) == (
+        gamma_bound_hilbert(MatrixFamily(tuple(mats), h, h)), True)
+    for X, Y in ((l1, l4), (h, l4), (l1, h)):
+        assert gaussian._gamma_bound(mats, X, Y, budget, sampler) == (
+            gamma_bound_lower(MatrixFamily(tuple(mats), X, Y), budget, sampler), False)
+        assert gaussian._gamma_bound(mats[:0], X, Y, budget, sampler) == (0.0, False)
+    assert gaussian._gamma_bound(mats[:0], h, h, budget, sampler) == (0.0, True)
+
+
 
 
 def test_gamma_bound_scalar_multiple_of_identity(sampler):

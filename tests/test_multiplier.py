@@ -187,6 +187,23 @@ def test_norm_annulus_indicator_matches_plancherel_oracle(grid128):
     assert multiplier_norm_l2_exact(m) == pytest.approx(oracle)
 
 
+@pytest.mark.parametrize("k", [-1, 0.5, 2.0, True, 1e308])
+def test_annulus_indicator_refuses_an_index_that_is_no_natural_number(grid128, k):
+    with pytest.raises(ValueError, match="^annulus index k must be a non-negative integer"):
+        annulus_indicator_symbol(grid128, k)
+
+
+def test_annulus_indicator_refuses_an_empty_annulus(grid128):
+    # I_7 = [64, 256] still holds |xi| = 64 on N = 128; I_8 and beyond are
+    # empty, and so is I_1 = [1, 4] where the lattice spacing is 1000
+    assert annulus_indicator_symbol(grid128, 7).values.any()
+    fine = GridSpec(1, 128, 1e-3)
+    assert annulus_indicator_symbol(fine, 0).values.any()
+    for grid, k in ((grid128, 8), (grid128, np.int64(60)), (grid128, 10**400), (fine, 1)):
+        with pytest.raises(ValueError, match=f"^annulus I_{k} holds no lattice node"):
+            annulus_indicator_symbol(grid, k)
+
+
 def test_norm_estimate_monotone_in_budget(grid64, rng):
     m = scalar_symbol(grid64, rng.standard_normal(64) + 1j * rng.standard_normal(64))
     small = SearchBudget(restarts=4, steps=20, search_samples=2000)

@@ -2,10 +2,17 @@
 
 Run from the repository root:
 
-    python3 tools/bench.py LABEL [BASE_LABEL=CHECKOUT]
+    python3 tools/bench.py LABEL[=CHECKOUT] [BASE_LABEL=CHECKOUT]
 
-LABEL names this checkout; BASE_LABEL=CHECKOUT adds another one to compare
-against, e.g. a ``git clone`` of the parent commit.  For each workload of
+LABEL names the checkout to measure, this one unless =CHECKOUT names
+another; BASE_LABEL=CHECKOUT adds a second one to compare against, e.g. a
+``git clone`` of the parent commit.  To compare a change with its parent,
+put both checkouts side by side in one directory:
+
+    python3 tools/bench.py 22=<dir>/change 21=<dir>/parent
+
+since a checkout in the repository's own directory has read 0.5-2.4%
+slower than a copy of the same files elsewhere.  For each workload of
 BENCHMARK.json and each seed 0-9 (the seeds with a reference checksum),
 each checkout's ``perfbench/run.py --trace 0`` runs once for BENCHMARK.json's
 run_seconds.  With two checkouts their runs alternate, and which goes first
@@ -40,7 +47,8 @@ SEEDS = list(range(10))
 RUN_SECONDS = BENCHMARK["run_seconds"]
 OUT_DIR = ROOT
 RUN_TIMEOUT_S = 300   # perfbench/run.py ends itself within 180 s
-USAGE = "usage: python3 tools/bench.py LABEL [BASE_LABEL=CHECKOUT]"
+USAGE = ("usage: python3 tools/bench.py LABEL[=CHECKOUT] [BASE_LABEL=CHECKOUT]\n"
+         "  e.g. python3 tools/bench.py 22=<dir>/change 21=<dir>/parent")
 
 
 def _target(text: str, default: Path = None) -> tuple:
