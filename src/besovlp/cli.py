@@ -92,8 +92,18 @@ def _integer(value):
     raise TypeError(f"not an integer: {value!r}")
 
 
+def _numbers(value, cast=_number):
+    """A vector: a JSON array of numbers only, or of what cast reads."""
+    if isinstance(value, list):
+        return [cast(v) for v in value]
+    raise TypeError(f"not a list: {value!r}")
+
+
+_integers = partial(_numbers, cast=_integer)
+
 _KINDS = {_integer: "an integer", _number: "a number", _exponent: "a number or 'inf'",
-          _exponent_pair: "a [p, q] pair of numbers or 'inf'", _flag: "true or false"}
+          _exponent_pair: "a [p, q] pair of numbers or 'inf'", _flag: "true or false",
+          _numbers: "a list of numbers", _integers: "a list of integers"}
 _REQUIRED = object()
 _EXPONENT_DEFAULTS = {"u": "inf", "v": 2.0, "w": 2.0}
 
@@ -182,6 +192,10 @@ def _build_symbol(cfg: dict, grid: GridSpec):
             f"(known: {sorted(SYMBOL_CONSTRUCTORS)})"
         )
     params = dict(spec.get("params", {}))
+    # the number keys of the constructors' params: riesz's sigma, modulation's shift
+    for key, cast in (("sigma", _number), ("shift", _numbers)):
+        if key in params:
+            params[key] = _param(params, key, "symbol.params", cast)
     if name == "diagonal":
         entry_specs = params.pop("entries", [])
         entries = []
@@ -236,10 +250,15 @@ def _build_function(spec: dict, grid: GridSpec, seed: int) -> GridFunction:
     rng = np.random.default_rng(seed)
     dim = _function_int(spec, "dim", 1, 1)
     if kind == "constant":
-        return tf.constant_function(grid, spec.get("value", 1.0))
+        return tf.constant_function(grid, _param(spec, "value", "function", _number, 1.0))
     if kind == "single_mode":
-        return tf.single_mode(grid, spec.get("mode", [1] + [0] * (grid.d - 1)),
-                              spec.get("amplitude", 1.0), dim)
+        mode = _param(spec, "mode", "function", _integers, [1] + [0] * (grid.d - 1))
+        low, high = -(grid.n_per_dim // 2), (grid.n_per_dim - 1) // 2
+        if not all(low <= j <= high for j in mode):
+            raise ConfigError(f"config schema: function.mode entries must lie in "
+                              f"[-N/2, N/2) = [{low}, {high}], got {mode!r}")
+        return tf.single_mode(grid, mode, _param(spec, "amplitude", "function", _number, 1.0),
+                              dim)
     if kind == "spike":
         return tf.spike(grid, _function_int(spec, "cell", 0, 0, grid.n_nodes - 1),
                         _param(spec, "l1_mass", "function", _number, 1.0), dim)
@@ -504,7 +523,7 @@ def _op_sharpness(cfg, ctx):
 def _op_prop43(cfg, ctx):
     m = _build_symbol(ctx["raw"], ctx["grid"])
     rep = verify_prop43(
-        m, tuple(_require(cfg, "cube", "prop43")), **_exponents(cfg, "prop43"),
+        m, tuple(_param(cfg, "cube", "prop43", _numbers)), **_exponents(cfg, "prop43"),
         **ctx["tolerance"], **_operator_kwargs(ctx, m),
     )
     return [rep], {}

@@ -118,6 +118,26 @@ def _psi_hat_profile(t: np.ndarray, smoothness: int) -> np.ndarray:
     return smooth_cutoff(t, smoothness) - smooth_cutoff(2.0 * t, smoothness)
 
 
+def _difference_rows(cutoff, mags: np.ndarray, k_high: int) -> tuple:
+    """(ks, rows): the rows cutoff(2^-k |xi|) - cutoff(2 2^-k |xi|) on the
+    magnitudes mags, for every k <= k_high whose row has a nonzero sample.
+
+    The scan starts at the level where 2^-k |xi| >= 2 at every nonzero
+    node, so it skips only rows that vanish for a cutoff that is 0 on
+    [2, inf), as the partition and eta profiles are.  The factor 2 scales
+    exactly, so a row equals cutoff(2^-k |xi|) - cutoff(2^-(k-1) |xi|)
+    bit for bit.
+    """
+    ks, rows = [], []
+    for k in range(math.floor(math.log2(mags[mags > 0].min())) - 1, k_high + 1):
+        t = mags * 2.0**-k
+        row = cutoff(t) - cutoff(2.0 * t)
+        if np.any(row != 0.0):
+            ks.append(k)
+            rows.append(row)
+    return tuple(ks), np.asarray(rows)
+
+
 def _annulus_mask(mags: np.ndarray, k: int, homogeneous: bool = False) -> np.ndarray:
     """Mask of |xi| in [2^(k-1), 2^(k+1)]; inhomogeneous I_0 is the ball |xi| <= 2."""
     if k == 0 and not homogeneous:
@@ -169,21 +189,11 @@ class DyadicPartition:
         self.phi_extents = _slab_extents(phi, grid)
 
         # homogeneous side: keep every k (<= k_max) with a nonzero sample
-        psi_rows = []
-        ks = []
-        pos = mags[mags > 0]
-        k_low_guess = int(math.floor(math.log2(pos.min()))) - 1 if pos.size else 0
-        for k in range(k_low_guess, k_max + 1):
-            row = _psi_hat_profile(mags * 2.0**-k, smoothness)
-            if np.any(row != 0.0):
-                ks.append(k)
-                psi_rows.append(row)
-        self.k_min_hom = ks[0]
-        psi = np.asarray(psi_rows)
+        self.hom_ks, psi = _difference_rows(lambda t: smooth_cutoff(t, smoothness), mags, k_max)
+        self.k_min_hom = self.hom_ks[0]
         psi.setflags(write=False)
         self.psi_hat = psi
         self.psi_extents = _slab_extents(psi, grid)
-        self.hom_ks = tuple(ks)
 
         self.partition_sum = phi.sum(axis=0)
         self.partition_sum.setflags(write=False)

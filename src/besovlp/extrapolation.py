@@ -17,13 +17,14 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .dyadic import build_partition, smooth_cutoff
+from .dyadic import _difference_rows, build_partition, smooth_cutoff
 from .multiplier import (
     OperatorSymbol,
     apply_multiplier,
     estimate_multiplier_norm,
     multiplier_norm_l2_exact,
     riesz_symbol,
+    _NodeMatrices,
     _estimate_multiplier_norms,
 )
 from .reports import VerificationReport
@@ -41,9 +42,7 @@ from .spaces import (
     _idft_stack,
     _inv,
     _lp_combine,
-    _pack_complex,
     _space_for,
-    _unpack_complex,
 )
 
 __all__ = [
@@ -112,22 +111,9 @@ def eta_zeta_system(grid: GridSpec, smoothness: int = 3) -> EtaZetaSystem:
     if math.floor(math.log2(grid.max_axis_frequency)) < 2:
         raise ValueError("grid too small to host at least 3 dyadic levels")
     eta = _eta_profile(mags, smoothness)
-
-    def zeta_j(j: int) -> np.ndarray:
-        return _eta_profile(mags * 2.0**-j, smoothness) - _eta_profile(
-            mags * 2.0 ** (-j + 1), smoothness
-        )
-
-    pos = mags[mags > 0]
-    j_low = int(math.floor(math.log2(pos.min()))) - 1 if pos.size else 0
-    j_high = int(math.ceil(math.log2(mags.max()))) + 1
-    js, rows = [], []
-    for j in range(j_low, j_high + 1):
-        row = zeta_j(j)
-        if np.any(row != 0.0):
-            js.append(j)
-            rows.append(row)
-    return EtaZetaSystem(grid, smoothness, eta, tuple(js), np.asarray(rows))
+    js, rows = _difference_rows(lambda t: _eta_profile(t, smoothness), mags,
+                                int(math.ceil(math.log2(mags.max()))) + 1)
+    return EtaZetaSystem(grid, smoothness, eta, js, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -135,68 +121,17 @@ def eta_zeta_system(grid: GridSpec, smoothness: int = 3) -> EtaZetaSystem:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Kernel:
+class Kernel(_NodeMatrices):
     """Matrix-valued kernel sampled on the physical nodes of the torus.
 
-    origin_convention: 'finite' (a genuine stored value, the case for
-    band-limited kernels from symbol truncation), 'zero' (singular
-    formula with the origin zeroed out) or 'excluded' (origin skipped
-    in quadratures).
+    Every sample is finite, the origin included: a singular kernel stores
+    a finite stand-in at its origin, as hilbert_kernel stores 0.
+    hormander_constant never reads that sample, and symbol_of_kernel
+    transforms it as stored.
     """
 
-    grid: GridSpec
-    values: np.ndarray
-    origin_convention: str = "finite"
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.complex128)
-        if self.values.ndim == 1:
-            self.values = self.values[:, None, None]
-        if self.values.ndim != 3 or self.values.shape[0] != self.grid.n_nodes:
-            raise ValueError("kernel values must have shape (n_nodes, n_out, n_in)")
-        if self.origin_convention not in ("finite", "zero", "excluded"):
-            raise ValueError(f"unknown origin convention {self.origin_convention!r}")
-        off_origin = self.values[1:]
-        if not np.all(np.isfinite(off_origin)):
-            raise ValueError("kernel must be finite off the origin")
-
-    @property
-    def n_out(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def n_in(self) -> int:
-        return self.values.shape[2]
-
-    def adjoint(self) -> "Kernel":
-        return Kernel(self.grid, np.conj(np.swapaxes(self.values, 1, 2)),
-                      self.origin_convention)
-
-    def rolled(self, shift: Sequence[int]) -> "Kernel":
-        """Kernel translated by a lattice vector (torus convention)."""
-        view = self.values.reshape(self.grid.spatial_shape() + self.values.shape[1:])
-        rolled = np.roll(view, shift, axis=tuple(range(self.grid.d)))
-        return Kernel(self.grid, rolled.reshape(self.values.shape), self.origin_convention)
-
-    # kernel files share the symbol file format, tagged physical
-    def to_json_obj(self) -> dict:
-        return {
-            "d": self.grid.d,
-            "n_per_dim": self.grid.n_per_dim,
-            "period": self.grid.period,
-            "n_out": self.n_out,
-            "n_in": self.n_in,
-            "domain_tag": "physical",
-            "origin_convention": self.origin_convention,
-            "data": _pack_complex(self.values),
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "Kernel":
-        grid = GridSpec(obj["d"], obj["n_per_dim"], obj["period"])
-        vals = _unpack_complex(obj["data"], (-1, obj["n_out"], obj["n_in"]))
-        return cls(grid, vals, obj.get("origin_convention", "finite"))
+    domain_tag = "physical"
+    noun = "kernel"
 
 
 def kernel_of_symbol(m: OperatorSymbol, n_levels: Optional[int] = None) -> Kernel:
@@ -223,16 +158,14 @@ def kernel_of_symbol(m: OperatorSymbol, n_levels: Optional[int] = None) -> Kerne
             window += system.zeta_row(j)
     truncated = window[:, None, None] * m.values
     vals = _idft_stack(truncated.reshape(1, m.grid.n_nodes, -1), m.grid)
-    return Kernel(m.grid, vals.reshape(truncated.shape), "finite")
+    return Kernel(m.grid, vals.reshape(truncated.shape))
 
 
 def symbol_of_kernel(kernel: Kernel) -> OperatorSymbol:
-    """Forward transform of the kernel: the symbol of convolution by it."""
-    vals = kernel.values.copy()
-    if kernel.origin_convention == "excluded":
-        vals[0] = 0.0
-    out = _dft_stack(vals.reshape(1, kernel.grid.n_nodes, -1), kernel.grid)
-    return OperatorSymbol(kernel.grid, out.reshape(vals.shape), name="kernel-symbol")
+    """Forward transform of the kernel, its origin sample as stored: the
+    symbol of convolution by it."""
+    out = _dft_stack(kernel.values.reshape(1, kernel.grid.n_nodes, -1), kernel.grid)
+    return OperatorSymbol(kernel.grid, out.reshape(kernel.values.shape), name="kernel-symbol")
 
 
 def kernel_convolve(kernel: Kernel, f: GridFunction) -> GridFunction:
@@ -247,7 +180,7 @@ def hilbert_kernel(grid: GridSpec) -> Kernel:
     x = grid.min_image_coords()[:, 0]
     vals = np.zeros(grid.n_nodes, dtype=np.complex128)
     vals[x != 0] = 1.0 / (np.pi * x[x != 0])
-    return Kernel(grid, vals[:, None, None], "zero")
+    return Kernel(grid, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +282,7 @@ def hormander_constant(
                           axis=tuple(range(grid.d)))
         diff = (shifted - view).reshape(vals.shape)
         # t != 0 and |s| >= 2|t| exclude s = 0 and s = t, the two nodes where
-        # K(s) or K(s - t) reads the origin, whatever its convention
+        # K(s) or K(s - t) reads the origin, whatever is stored there
         region = s_mags >= 2.0 * t_mag
         for x in np.eye(kernel.n_in, dtype=np.complex128):
             mapped = diff[region] @ x

@@ -37,7 +37,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -109,20 +109,16 @@ _OP_WITNESS = 20
 
 
 @dataclass
-class OperatorSymbol:
-    """Matrix-valued symbol sampled on the frequency lattice.
+class _NodeMatrices:
+    """An (n_nodes, n_out, n_in) complex array of finite matrices at the
+    nodes of a grid, in FFT node order: the storage, checks and file codec
+    that symbols and kernels share.  A file carries the class's
+    domain_tag, and reading a file with another tag is refused."""
 
-    values: (n_nodes, n_out, n_in) in FFT node order.  Homogeneous
-    symbols store the zero matrix at xi = 0 (the mode is annihilated for
-    mean-zero inputs); inhomogeneous symbols must be finite everywhere.
-    On a finite grid every symbol has moderate growth at zero and at
-    infinity, so there is nothing to assert or check about it.
-    """
-
+    domain_tag: ClassVar[str]
+    noun: ClassVar[str]
     grid: GridSpec
     values: np.ndarray
-    derivative_oracle: Optional[Callable[[tuple, np.ndarray], np.ndarray]] = None
-    name: str = ""
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.complex128)
@@ -133,7 +129,7 @@ class OperatorSymbol:
                 f"values must have shape (n_nodes, n_out, n_in), got {self.values.shape}"
             )
         if not np.all(np.isfinite(self.values)):
-            raise ValueError("symbol values must be finite on the grid")
+            raise ValueError(f"{self.noun} values must be finite on the grid")
 
     @property
     def n_out(self) -> int:
@@ -142,6 +138,45 @@ class OperatorSymbol:
     @property
     def n_in(self) -> int:
         return self.values.shape[2]
+
+    def to_json_obj(self) -> dict:
+        return {
+            "d": self.grid.d,
+            "n_per_dim": self.grid.n_per_dim,
+            "period": self.grid.period,
+            "n_out": self.n_out,
+            "n_in": self.n_in,
+            "domain_tag": self.domain_tag,
+            "data": _pack_complex(self.values),
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_obj(), sort_keys=True)
+
+    @classmethod
+    def from_json_obj(cls, obj: dict):
+        if obj.get("domain_tag") != cls.domain_tag:
+            raise ValueError(f"a {cls.noun} file has domain_tag {cls.domain_tag!r}, "
+                             f"got {obj.get('domain_tag')!r}")
+        grid = GridSpec(obj["d"], obj["n_per_dim"], obj["period"])
+        return cls(grid, _unpack_complex(obj["data"], (-1, obj["n_out"], obj["n_in"])))
+
+
+@dataclass
+class OperatorSymbol(_NodeMatrices):
+    """Matrix-valued symbol sampled on the frequency lattice.
+
+    values: (n_nodes, n_out, n_in) in FFT node order.  Homogeneous
+    symbols store the zero matrix at xi = 0 (the mode is annihilated for
+    mean-zero inputs); inhomogeneous symbols must be finite everywhere.
+    On a finite grid every symbol has moderate growth at zero and at
+    infinity, so there is nothing to assert or check about it.
+    """
+
+    domain_tag = "frequency"
+    noun = "symbol"
+    derivative_oracle: Optional[Callable[[tuple, np.ndarray], np.ndarray]] = None
+    name: str = ""
 
     @property
     def is_scalar(self) -> bool:
@@ -171,25 +206,6 @@ class OperatorSymbol:
             raise DimensionMismatchError("symbols do not compose")
         vals = np.einsum("nij,njk->nik", self.values, other.values)
         return OperatorSymbol(self.grid, vals, name=f"{self.name}.{other.name}")
-
-    def to_json_obj(self) -> dict:
-        return {
-            "d": self.grid.d,
-            "n_per_dim": self.grid.n_per_dim,
-            "period": self.grid.period,
-            "n_out": self.n_out,
-            "n_in": self.n_in,
-            "domain_tag": "frequency",
-            "data": _pack_complex(self.values),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True)
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "OperatorSymbol":
-        grid = GridSpec(obj["d"], obj["n_per_dim"], obj["period"])
-        return cls(grid, _unpack_complex(obj["data"], (-1, obj["n_out"], obj["n_in"])))
 
 
 # ---------------------------------------------------------------------------

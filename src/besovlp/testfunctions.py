@@ -54,9 +54,13 @@ def random_band_limited(
 
 
 def spike(grid: GridSpec, cell_index: int = 0, l1_mass: float = 1.0, dim: int = 1) -> GridFunction:
-    """All the L^1 mass on a single cell."""
+    """All the L^1 mass on a single cell, whose sample l1_mass / cell volume
+    must be finite."""
+    height = l1_mass / grid.cell_volume
+    if not np.isfinite(height):
+        raise ValueError(f"spike sample l1_mass / cell volume must be finite, got {height}")
     samples = np.zeros((grid.n_nodes, dim), dtype=np.complex128)
-    samples[cell_index, 0] = l1_mass / grid.cell_volume
+    samples[cell_index, 0] = height
     return GridFunction(grid, samples, "physical")
 
 

@@ -241,6 +241,12 @@ SHARPNESS = dict(EMPTY_GRIDS_PROBE, operation={"name": "sharpness", "params": {
     "sigma": 0.25, "r": 2.0, "grids": [64, 128]}})
 
 
+def _gamma(function):
+    """A gamma scenario on N = 64 of the function spec."""
+    return dict(BASE, n_samples=1000, operation={"name": "gamma",
+                                                 "params": {"function": function}})
+
+
 def _annulus(k):
     """A multiplier scenario on N = 64 of the annulus indicator I_k."""
     return dict(BASE, symbol={"constructor": "annulus_indicator", "params": {"k": k}})
@@ -280,6 +286,32 @@ MUTATED_INPUTS = [
     # the expected growth 2^(d/r - sigma) underflows to 0: a ZeroDivisionError
     ("sharpness", _with_params(SHARPNESS, sigma=1e308),
      "sigma = 1e+308 puts the expected growth 2^(d/r - sigma) at 0, outside (0, inf)"),
+    # number keys read without their typed readers: true and strings ran
+    # as 1.0 or their number, a mode 1.5 ran off the lattice and a mode
+    # outside [-N/2, N/2) ran as its alias
+    ("besov-norm", _besov_norm("single_mode", amplitude=True),
+     "config schema: function.amplitude must be a number, got True"),
+    *[("gamma", _gamma({"kind": "single_mode", "mode": mode}),
+       f"config schema: function.mode must be a list of integers, got {mode!r}")
+      for mode in ([True], [1.5])],
+    *[("gamma", _gamma({"kind": "single_mode", "mode": [j]}),
+       f"config schema: function.mode entries must lie in [-N/2, N/2) = [-32, 31], got [{j}]")
+      for j in (32, 40, -33)],
+    ("gamma", _gamma({"kind": "constant", "value": True}),
+     "config schema: function.value must be a number, got True"),
+    ("multiplier", dict(BASE, symbol={"constructor": "riesz", "params": {"sigma": True}}),
+     "config schema: symbol.params.sigma must be a number, got True"),
+    *[("multiplier", dict(BASE, symbol={"constructor": "modulation", "params": {"shift": shift}}),
+       f"config schema: symbol.params.shift must be a list of numbers, got {shift!r}")
+      for shift in (["0.25"], [True])],
+    ("verify prop43", _with_params(PROP43, cube=["1", 9.0]),
+     "config schema: prop43.cube must be a list of numbers, got ['1', 9.0]"),
+    # a spike whose one sample overflows: numpy RuntimeWarnings and a
+    # NaN function, which cz failed on and besov-norm measured as nan
+    *[(command, cfg, "spike sample l1_mass / cell volume must be finite, got inf")
+      for command, cfg in (
+          ("cz", _with_params(CZ_SPIKE, function={"kind": "spike", "l1_mass": 1e308})),
+          ("besov-norm", _besov_norm("spike", l1_mass=1e308)))],
 ]
 
 

@@ -101,6 +101,36 @@ def test_psi_supports():
         assert np.all(part.psi_row(k)[outside] == 0.0)
 
 
+def _old_difference_scan(profile, mags, k_high):
+    # the psi_hat and zeta_hat scans as each was written before they shared
+    # one builder: profile(2^-k |xi|) - profile(2^-(k-1) |xi|), nonzero rows only
+    pos = mags[mags > 0]
+    ks, rows = [], []
+    for k in range(int(math.floor(math.log2(pos.min()))) - 1, k_high + 1):
+        row = profile(mags * 2.0**-k) - profile(mags * 2.0 ** (-k + 1))
+        if np.any(row != 0.0):
+            ks.append(k)
+            rows.append(row)
+    return tuple(ks), np.asarray(rows)
+
+
+@pytest.mark.parametrize("d, n, period", [(1, 64, 0.125), (1, 256, 0.5), (1, 128, 1.0),
+                                          (2, 32, 1.0), (2, 64, 3.0), (3, 32, 2.0)])
+@pytest.mark.parametrize("smoothness", [1, 3, 8])
+def test_difference_rows_keep_the_bits_of_the_separate_scans(d, n, period, smoothness):
+    grid = GridSpec(d, n, period)
+    mags = grid.frequency_magnitudes()
+    part = build_partition(grid, smoothness)
+    ks, rows = _old_difference_scan(lambda t: smooth_cutoff(t, smoothness), mags, part.k_max)
+    assert part.hom_ks == ks and part.k_min_hom == ks[0]
+    assert np.array_equal(part.psi_hat, rows)
+    system = eta_zeta_system(grid, smoothness)
+    ks, rows = _old_difference_scan(lambda t: smooth_cutoff(2.0 * t - 1.0, smoothness), mags,
+                                    int(math.ceil(math.log2(mags.max()))) + 1)
+    assert system.js == ks
+    assert np.array_equal(system.zeta_hat, rows)
+
+
 def test_blocks_vanish_off_adjacent_annuli(grid128, rng):
     part = build_partition(grid128)
     n = 3

@@ -153,13 +153,14 @@ def test_kernel_transforms_equal_the_inline_fft_expressions_exactly(d, n_per_dim
         vals *= (grid.n_per_dim / grid.period) ** d
         k = kernel_of_symbol(m, levels)
         assert np.array_equal(k.values, vals.reshape(shape))
-    for convention in ("finite", "excluded"):
-        kernel = Kernel(grid, k.values, convention)
-        kvals = kernel.values.copy()
-        if convention == "excluded":
-            kvals[0] = 0.0
+    # the origin sample is transformed as stored: storing 0 there gives the
+    # symbol that skipped the origin
+    zeroed = k.values.copy()
+    zeroed[0] = 0.0
+    for kvals in (k.values, zeroed):
         expected = np.fft.fftn(kvals.reshape(lattice), axes=axes) * grid.cell_volume
-        assert np.array_equal(symbol_of_kernel(kernel).values, expected.reshape(shape))
+        assert np.array_equal(symbol_of_kernel(Kernel(grid, kvals)).values,
+                              expected.reshape(shape))
 
 
 def test_truncation_level_beyond_grid_rejected(grid128):
@@ -169,10 +170,14 @@ def test_truncation_level_beyond_grid_rejected(grid128):
 
 def test_kernel_json_roundtrip(grid64, rng):
     vals = rng.standard_normal((64, 1, 1)) + 1j * rng.standard_normal((64, 1, 1))
-    k = Kernel(grid64, vals, "finite")
+    k = Kernel(grid64, vals)
     back = Kernel.from_json_obj(k.to_json_obj())
     np.testing.assert_array_equal(back.values, k.values)
     assert back.to_json_obj()["domain_tag"] == "physical"
+    # a symbol file is not read as a kernel
+    with pytest.raises(ValueError, match="a kernel file has domain_tag 'physical', "
+                                         "got 'frequency'"):
+        Kernel.from_json_obj(scalar_symbol(grid64, vals[:, 0, 0]).to_json_obj())
 
 
 # -- Hoermander condition ----------------------------------------------------
@@ -239,7 +244,7 @@ def test_hormander_representative_invariance():
     grid = GridSpec(1, 256, 1.0)
     k = hilbert_kernel(grid)
     a = hormander_constant(k, 1.0).constant
-    b = hormander_constant(k.rolled((grid.n_per_dim,)), 1.0).constant
+    b = hormander_constant(Kernel(grid, np.roll(k.values, grid.n_per_dim, axis=0)), 1.0).constant
     assert abs(a - b) < 1e-10
 
 
@@ -259,18 +264,28 @@ def test_hormander_rejects_oversized_t(grid128):
     assert rep.rejected[0]["reason"] == "outside (0, L/8]"
 
 
-@pytest.mark.parametrize("convention", ["finite", "zero", "excluded"])
-def test_hormander_constant_ignores_the_value_stored_at_the_origin(convention):
+def test_hormander_constant_ignores_the_value_stored_at_the_origin():
     # t != 0 and |s| >= 2|t| exclude s = 0 and s = t, the only nodes where
     # K(s) or K(s - t) is read at the origin
     for grid in (GridSpec(1, 128, 1.0), GridSpec(2, 64, 1.0)):
         vals = np.random.default_rng(3).standard_normal((grid.n_nodes, 2, 2)) + 0j
         reps = []
-        for origin in (0.0, 5.0, np.inf):
+        for origin in (0.0, 5.0):
             vals[0] = origin
-            reps.append(hormander_constant(Kernel(grid, vals.copy(), convention), 1.5))
+            reps.append(hormander_constant(Kernel(grid, vals.copy()), 1.5))
         assert reps[0].samples and reps[0].constant > 0
         assert all(rep.samples == reps[0].samples for rep in reps[1:])
+
+
+@pytest.mark.parametrize("node", [0, 5])
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_a_kernel_refuses_a_sample_that_is_not_finite(node, value):
+    # a singular kernel stores a finite stand-in at its origin; an inf
+    # origin used to be accepted and fail later, in symbol_of_kernel
+    vals = np.ones(64, dtype=complex)
+    vals[node] = value
+    with pytest.raises(ValueError, match="kernel values must be finite on the grid"):
+        Kernel(GridSpec(1, 64, 1.0), vals)
 
 
 # -- Mihlin conditions -------------------------------------------------------
@@ -437,6 +452,14 @@ def test_plateau_fractions_at_the_ends_of_their_range():
     grid = GridSpec(1, 64, 1.0)
     assert np.count_nonzero(plateau(grid, 1.0).samples) == 64
     assert np.count_nonzero(plateau(grid, 1e-9).samples) == 1
+
+
+@pytest.mark.parametrize("l1_mass", [1e308, np.inf, np.nan])
+def test_spike_refuses_a_sample_that_is_not_finite(l1_mass):
+    # at N = 64 the cell sample is 64 l1_mass, which overflows at 1e308
+    with pytest.raises(ValueError, match="^spike sample l1_mass / cell volume must be finite"):
+        spike(GridSpec(1, 64, 1.0), 0, l1_mass)
+    assert spike(GridSpec(1, 64, 1.0), 0, 1e306).samples[0, 0] == 64e306
 
 
 def test_cz_constant_below_height_has_no_cubes():

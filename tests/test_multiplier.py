@@ -14,6 +14,7 @@ from besovlp import (
     DimensionMismatchError,
     GridFunction,
     GridSpec,
+    Kernel,
     SearchBudget,
     SpectralTruncationError,
     ValueSpace,
@@ -1097,6 +1098,10 @@ def test_symbol_json_roundtrip(grid64, rng):
     m = scalar_symbol(grid64, rng.standard_normal(64) + 1j * rng.standard_normal(64))
     back = OperatorSymbol.from_json_obj(__import__("json").loads(m.to_json()))
     np.testing.assert_array_equal(back.values, m.values)
+    # a kernel file is not read as a symbol, nor a symbol file as a kernel
+    with pytest.raises(ValueError, match="a symbol file has domain_tag 'frequency', "
+                                         "got 'physical'"):
+        OperatorSymbol.from_json_obj(Kernel(grid64, m.values).to_json_obj())
 
 
 def test_symbol_rejects_nonfinite(grid64):
