@@ -250,9 +250,12 @@ def _build_function(spec: dict, grid: GridSpec, seed: int) -> GridFunction:
     rng = np.random.default_rng(seed)
     dim = _function_int(spec, "dim", 1, 1)
     if kind == "constant":
-        return tf.constant_function(grid, _param(spec, "value", "function", _number, 1.0))
+        return tf.constant_function(grid, _param(spec, "value", "function", _number, 1.0), dim)
     if kind == "single_mode":
         mode = _param(spec, "mode", "function", _integers, [1] + [0] * (grid.d - 1))
+        if len(mode) != grid.d:
+            raise ConfigError(f"config schema: function.mode must hold d = {grid.d} integers, "
+                              f"got {mode!r}")
         low, high = -(grid.n_per_dim // 2), (grid.n_per_dim - 1) // 2
         if not all(low <= j <= high for j in mode):
             raise ConfigError(f"config schema: function.mode entries must lie in "

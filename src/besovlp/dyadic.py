@@ -415,9 +415,15 @@ def _block_norms(
 
 def _besov_weights(part: DyadicPartition, params: BesovParams, homogeneous: bool) -> np.ndarray:
     """The block weights of a Besov norm: 2^(ks) over k = 0..k_max as one
-    array power, or over hom_ks as scalar powers."""
+    array power, or over hom_ks as scalar powers.  A smoothness s that is
+    not finite, or puts a weight at inf or 0, is refused: 2^x is finite
+    and nonzero for -1075 < x < 1024."""
+    ks = part.hom_ks if homogeneous else range(part.k_max + 1)
+    if not (math.isfinite(params.s) and all(-1075.0 < k * params.s < 1024.0 for k in ks)):
+        raise ValueError(f"Besov smoothness s must be finite and keep every weight 2^(ks), "
+                         f"k = {ks[0]}..{ks[-1]}, in (0, inf), got {params.s:g}")
     if homogeneous:
-        return np.asarray([2.0 ** (k * params.s) for k in part.hom_ks])
+        return np.asarray([2.0 ** (k * params.s) for k in ks])
     return 2.0 ** (np.arange(part.k_max + 1) * params.s)
 
 

@@ -202,7 +202,7 @@ class HormanderReport:
         return asdict(self)
 
 
-def _default_t_samples(grid: GridSpec) -> list:
+def _hormander_ts(grid: GridSpec) -> list:
     """Lattice difference vectors at dyadic magnitudes up to L/8, per axis.
 
     Magnitudes stay at >= 8 cells so the difference region |s| >= 2|t|
@@ -240,13 +240,12 @@ def _default_t_samples(grid: GridSpec) -> list:
 def hormander_constant(
     kernel: Kernel,
     a: float,
-    t_samples: Optional[Sequence[np.ndarray]] = None,
     codomain_space: Optional[ValueSpace] = None,
 ) -> HormanderReport:
     """Grid estimate of the (H)_a constant of a kernel.
 
-    For lattice difference vectors t and the unit test directions x (the
-    standard basis of the domain), computes
+    For the lattice difference vectors t of _hormander_ts and the
+    unit test directions x (the standard basis of the domain), computes
     ( cell * sum_{|s| >= 2|t|} ||K(s-t)x - K(s)x||^a )^(1/a)
     with torus min-image coordinates; the integral is truncated at the
     half period, and t-samples beyond L/8 are rejected (recorded), so
@@ -263,8 +262,6 @@ def hormander_constant(
     s_mags = np.linalg.norm(coords, axis=1)
     vals = kernel.values
 
-    if t_samples is None:
-        t_samples = _default_t_samples(grid)
     codomain_space = _space_for(kernel.n_out, codomain_space)
 
     view = vals.reshape(grid.spatial_shape() + vals.shape[1:])
@@ -272,7 +269,7 @@ def hormander_constant(
     samples = []
     rejected = []
     best = 0.0
-    for t_cells in t_samples:
+    for t_cells in _hormander_ts(grid):
         t_vec = np.asarray(t_cells, dtype=float) * spacing
         t_mag = float(np.linalg.norm(t_vec))
         if t_mag > grid.period / 8.0 + 1e-12 or t_mag == 0.0:
@@ -844,7 +841,6 @@ def sharpness_probe(
     sigma: float,
     r: float,
     grid_list: Sequence[GridSpec],
-    smoothness: int = 3,
 ) -> dict:
     """Growth of the power-symbol norm on top-annulus wave packets.
 
@@ -872,7 +868,7 @@ def sharpness_probe(
 
     rows = []
     for grid in grid_list:
-        part = build_partition(grid, smoothness)
+        part = build_partition(grid)
         k_probe = part.k_max - 1
         m = riesz_symbol(grid, sigma)
         spec = part.psi_row(k_probe).astype(np.complex128)[:, None]

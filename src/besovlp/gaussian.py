@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -156,7 +156,6 @@ def _chunked_moment(
     sampler: GaussianSampler,
     op_code: int,
     stream: int,
-    n_samples: Optional[int] = None,
 ) -> MCEstimate:
     """MC estimate of (E || sum_k gamma_k x_k ||^2)^(1/2) for rows x_k.
 
@@ -172,7 +171,7 @@ def _chunked_moment(
     depending on that row only.
     """
     K = vectors.shape[0]
-    n = n_samples if n_samples is not None else sampler.n_samples
+    n = sampler.n_samples
     rng = sampler.generator(op_code, stream)
     chunk = max(1, min(n, _CHUNK_ENTRIES // max(K, 1)))
     s1 = 0.0
@@ -397,7 +396,6 @@ def gamma_bound_search(
     family: MatrixFamily,
     budget: SearchBudget = SearchBudget(),
     sampler: GaussianSampler = GaussianSampler(0),
-    warm_start: Optional[GammaSearchResult] = None,
 ) -> GammaSearchResult:
     """Randomized maximizer of the gamma-boundedness ratio.
 
@@ -405,24 +403,17 @@ def gamma_bound_search(
     one frozen Gaussian draw; numerator and denominator share the draw,
     so the ratio is exactly 1-homogeneous in the family.  The denominator
     depends on the vectors only, so each state carries it: it is computed
-    once per distinct structured vector stack, once per restart and warm
-    start, and once per vector move, while an assignment-only move keeps
-    its state's vectors and denominator and is scored by its numerator
-    alone.  The final value is the fresh-draw score of the best
-    configuration (warm starts from a sub-family are rescored here too,
-    which makes the estimate monotone under family growth).  A warm start
-    holds at most budget.max_vectors vectors.  A frozen draw of more than
-    _SEARCH_BYTES_CAP (1 GiB) is refused before it is allocated.
+    once per distinct structured vector stack, once per restart, and once
+    per vector move, while an assignment-only move keeps its state's
+    vectors and denominator and is scored by its numerator alone.  The
+    final value is the fresh-draw score of the best configuration.  A
+    frozen draw of more than _SEARCH_BYTES_CAP (1 GiB) is refused before
+    it is allocated.
     """
     X, Y = family.domain_space, family.codomain_space
     n_in = family.n_in
     n_members = len(family)
     Kmax = budget.max_vectors
-    if warm_start is not None and len(warm_start.vectors) > Kmax:
-        raise ValueError(
-            f"warm start holds {len(warm_start.vectors)} vectors, more than "
-            f"budget.max_vectors = {Kmax}"
-        )
     g_all = _frozen_draw(sampler, budget, _OP_GAMMA)
 
     members = np.stack(family.members)  # (M, n_out, n_in)
@@ -456,37 +447,24 @@ def gamma_bound_search(
             for j in range(min(n_members, 4)):
                 for vectors, den in stacks:
                     configs.append((np.array([i, j]), vectors, den))
-    if warm_start is not None:
-        vectors = np.array(warm_start.vectors, dtype=np.complex128)
-        configs.append((warm_start.assignment.copy(), vectors, den_of(vectors)))
 
-    best = _family_climb(X, n_members, den_of,
-                         lambda i, rng: configs[i] if i < len(configs) else None, ratio_of,
-                         len(configs) + budget.restarts, budget, sampler, _OP_GAMMA)
-
-    # fresh-draw scoring; the warm start is rescored alongside the search
-    # winner so the estimate never drops when the family grows
-    finalists = [best[:2]]
-    if warm_start is not None:
-        finalists.append((warm_start.assignment, warm_start.vectors))
-    scored = []
-    for assignment, vecs in finalists:
-        den = _chunked_moment(vecs, X, sampler, _OP_GAMMA, 1)
-        mapped = np.einsum("koi,ki->ko", members[assignment], vecs)
-        num = _chunked_moment(mapped, Y, sampler, _OP_GAMMA, 2)
-        value = num.value / den.value if den.value > 0 else 0.0
-        scored.append(GammaSearchResult(value=value, assignment=assignment, vectors=vecs))
-    return max(scored, key=lambda r: r.value)
+    assignment, vectors, _ = _family_climb(
+        X, n_members, den_of, lambda i, rng: configs[i] if i < len(configs) else None,
+        ratio_of, len(configs) + budget.restarts, budget, sampler, _OP_GAMMA)
+    den = _chunked_moment(vectors, X, sampler, _OP_GAMMA, 1)
+    mapped = np.einsum("koi,ki->ko", members[assignment], vectors)
+    num = _chunked_moment(mapped, Y, sampler, _OP_GAMMA, 2)
+    value = num.value / den.value if den.value > 0 else 0.0
+    return GammaSearchResult(value=value, assignment=assignment, vectors=vectors)
 
 
 def gamma_bound_lower(
     family: MatrixFamily,
     budget: SearchBudget = SearchBudget(),
     sampler: GaussianSampler = GaussianSampler(0),
-    warm_start: Optional[GammaSearchResult] = None,
 ) -> float:
     """Lower bound on the gamma-bound of the family (exactness only in Hilbert)."""
-    return gamma_bound_search(family, budget, sampler, warm_start).value
+    return gamma_bound_search(family, budget, sampler).value
 
 
 def _gamma_bound(values: np.ndarray, X: ValueSpace, Y: ValueSpace, budget: SearchBudget,
@@ -537,14 +515,14 @@ def check_gamma_multiplier(
     codomain_space: ValueSpace,
     sampler: GaussianSampler,
     budget: SearchBudget = SearchBudget(),
-    tolerance: Optional[float] = None,
 ) -> VerificationReport:
     """Pointwise-multiplier bound ||m f||_gamma <= gamma({m(x)}) ||f||_gamma.
 
     multiplier_field: (n_nodes, n_out, n_in) matrices over physical nodes,
     (n_nodes,) scalars, or a symbol-like object exposing .values.  gamma
     is exact in the Hilbert case, else the search lower bound (flagged
-    in the metadata).
+    in the metadata).  The tolerance is three Monte-Carlo standard errors
+    of the two gamma norms, relative, plus 1e-9.
     """
     if hasattr(multiplier_field, "values") and not isinstance(multiplier_field, np.ndarray):
         multiplier_field = multiplier_field.values
@@ -564,17 +542,15 @@ def check_gamma_multiplier(
     lhs = gamma_function_norm(mapped, codomain_space, sampler, stream=10)
     rhs = gamma_function_norm(f, domain_space, sampler, stream=11)
     bound = gamma_hat * rhs.value
-    if tolerance is None:
-        rel = 0.0
-        if lhs.value > 0:
-            rel += lhs.std_error / lhs.value
-        if rhs.value > 0:
-            rel += rhs.std_error / rhs.value
-        tolerance = 3.0 * rel + 1e-9
+    rel = 0.0
+    if lhs.value > 0:
+        rel += lhs.std_error / lhs.value
+    if rhs.value > 0:
+        rel += rhs.std_error / rhs.value
     return VerificationReport.build(
         measured=lhs.value,
         bound=bound,
-        tolerance=tolerance,
+        tolerance=3.0 * rel + 1e-9,
         metadata={
             "gamma_hat": gamma_hat,
             "gamma_exact": exact,
@@ -592,15 +568,16 @@ def check_lemma42(
     q: float,
     space: ValueSpace,
     sampler: GaussianSampler,
-    tolerance: Optional[float] = None,
 ) -> VerificationReport:
     """Two-sided band-limited comparison of L^p, gamma and L^q norms.
 
     For fhat supported in a cube of side (b-a):
       (1) ||f||_gamma <= tau_p (b-a)^(d(1/p-1/2)) ||f||_p
       (2) ||f||_q    <= c_q   (b-a)^(d(1/2-1/q)) ||f||_gamma
-    The report carries the worse of the two ratios.  Inputs whose
-    spectrum does not fit in a cube of the declared side are rejected.
+    The report carries the worse of the two ratios, with a tolerance of
+    three relative Monte-Carlo standard errors of the gamma norm plus
+    1e-9.  Inputs whose spectrum does not fit in a cube of the declared
+    side are rejected.
     """
     if f.domain_tag != "physical":
         raise ValueError("expected a physical-domain function")
@@ -630,16 +607,12 @@ def check_lemma42(
     ratio1 = gnorm.value / bound1 if bound1 > 0 else np.inf
     ratio2 = qnorm / bound2 if bound2 > 0 else np.inf
 
-    if tolerance is None:
-        rel = gnorm.std_error / gnorm.value if gnorm.value > 0 else 0.0
-        tolerance = 3.0 * rel + 1e-9
-
-    worse = max(ratio1, ratio2)
+    rel = gnorm.std_error / gnorm.value if gnorm.value > 0 else 0.0
     measured, bound = (gnorm.value, bound1) if ratio1 >= ratio2 else (qnorm, bound2)
     return VerificationReport.build(
         measured=measured,
         bound=bound,
-        tolerance=tolerance,
+        tolerance=3.0 * rel + 1e-9,
         metadata={
             "ratio_gamma_vs_lp": float(ratio1),
             "ratio_lq_vs_gamma": float(ratio2),

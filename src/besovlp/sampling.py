@@ -33,7 +33,7 @@ replays exactly.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -234,13 +234,6 @@ class SearchBudget:
                           ("search_samples", 1)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
-
-    def scaled(self, factor: float) -> "SearchBudget":
-        return replace(
-            self,
-            restarts=max(1, int(round(self.restarts * factor))),
-            steps=max(1, int(round(self.steps * factor))),
-        )
 
 
 def _hill_climb(sampler: GaussianSampler, op_code: int, n_starts: int, start: Callable,

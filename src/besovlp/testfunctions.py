@@ -20,9 +20,10 @@ __all__ = [
 ]
 
 
-def constant_function(grid: GridSpec, value=1.0) -> GridFunction:
-    vec = np.atleast_1d(np.asarray(value, dtype=np.complex128))
-    samples = np.tile(vec, (grid.n_nodes, 1))
+def constant_function(grid: GridSpec, value=1.0, dim: int = 1) -> GridFunction:
+    """value in the first component."""
+    samples = np.zeros((grid.n_nodes, dim), dtype=np.complex128)
+    samples[:, 0] = value
     return GridFunction(grid, samples, "physical")
 
 

@@ -297,6 +297,9 @@ MUTATED_INPUTS = [
     *[("gamma", _gamma({"kind": "single_mode", "mode": [j]}),
        f"config schema: function.mode entries must lie in [-N/2, N/2) = [-32, 31], got [{j}]")
       for j in (32, 40, -33)],
+    # a mode of the wrong length ended in numpy's matmul mismatch message
+    ("gamma", _gamma({"kind": "single_mode", "mode": [1, 0]}),
+     "config schema: function.mode must hold d = 1 integers, got [1, 0]"),
     ("gamma", _gamma({"kind": "constant", "value": True}),
      "config schema: function.value must be a number, got True"),
     ("multiplier", dict(BASE, symbol={"constructor": "riesz", "params": {"sigma": True}}),
@@ -312,6 +315,13 @@ MUTATED_INPUTS = [
       for command, cfg in (
           ("cz", _with_params(CZ_SPIKE, function={"kind": "spike", "l1_mass": 1e308})),
           ("besov-norm", _besov_norm("spike", l1_mass=1e308)))],
+    # a smoothness whose weights 2^(ks) overflow or underflow: numpy
+    # RuntimeWarnings, and 1e308 measured nan while -1e308 passed
+    *[("besov-norm", _with_params(_besov_norm(mean_zero=homogeneous), s=s,
+                                  homogeneous=homogeneous),
+       f"Besov smoothness s must be finite and keep every weight 2^(ks), k = 0..4, "
+       f"in (0, inf), got {s:g}")
+      for s in (1e308, -1e308, float("nan")) for homogeneous in (False, True)],
 ]
 
 
@@ -484,6 +494,7 @@ def test_gamma_scenario_holds_half_its_draws(tmp_path):
     assert peak < 14 * 2**20
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command, cfg", [case[:2] for case in BAD_CONFIGS])
 def test_bad_parameter_exits_one_with_one_line(tmp_path, capsys, command, cfg):
     path = write(tmp_path, "bad.json", cfg)
@@ -639,13 +650,16 @@ def test_sharpness_fails_on_a_nan_growth_wherever_it_stands(tmp_path, grids):
 
 
 def test_constant_function_kind(tmp_path):
-    # the gamma norm of the constant 2 on the unit torus is 2
-    cfg = dict(BASE, operation={"name": "gamma",
-                                "params": {"function": {"kind": "constant", "value": 2.0}}})
-    code, rep = run_scenario(write(tmp_path, "c.json", cfg))
-    assert code == EXIT_PASS
-    est = rep["extras"]["estimate"]
-    assert abs(est["value"] - 2.0) <= 3.0 * est["std_error"]
+    # the gamma norm of the constant 2 on the unit torus is 2, in l^2_dim
+    # with the value in the first component
+    for dim in (1, 3):
+        function = {"kind": "constant", "value": 2.0, "dim": dim}
+        cfg = dict(BASE, operation={"name": "gamma", "params": {"function": function}},
+                   spaces={"domain": {"dim": dim}})
+        code, rep = run_scenario(write(tmp_path, "c.json", cfg))
+        assert code == EXIT_PASS
+        est = rep["extras"]["estimate"]
+        assert abs(est["value"] - 2.0) <= 3.0 * est["std_error"]
 
 
 def test_suite_records_errors_and_keeps_going(tmp_path, capsys):
@@ -684,9 +698,12 @@ def test_suite_times_each_scenario_on_stderr_only(tmp_path, capsys):
     assert " s\n" not in captured.out
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_suite_reports_match_golden_checksums(tmp_path, capsys):
+    # a numpy RuntimeWarning raised as an error fails the scenario it comes from
     golden = json.loads((GOLDEN / "suite_reports.json").read_text())
     assert run_suite(SCENARIOS, report_dir=tmp_path) == EXIT_PASS
+    assert capsys.readouterr().out.count(": pass\n") == len(golden) == 13
     got = {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(tmp_path.glob("*.json"))

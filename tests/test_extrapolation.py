@@ -257,11 +257,11 @@ def test_hormander_a_inf_is_the_sup_over_the_region():
     assert 0.98 * sup <= near <= sup
 
 
-def test_hormander_rejects_oversized_t(grid128):
-    k = hilbert_kernel(grid128)
-    rep = hormander_constant(k, 1.0, t_samples=[np.array([60]), np.array([4])])
-    assert len(rep.rejected) == 1
-    assert rep.rejected[0]["reason"] == "outside (0, L/8]"
+def test_hormander_rejects_oversized_t():
+    # at d = 2, N = 64 the default diagonal sample [6, 6] has |t| > L/8
+    k = kernel_of_symbol(riesz_symbol(GridSpec(2, 64), 0.5))
+    rep = hormander_constant(k, 1.0)
+    assert rep.rejected == [{"t_cells": [6, 6], "reason": "outside (0, L/8]"}]
 
 
 def test_hormander_constant_ignores_the_value_stored_at_the_origin():

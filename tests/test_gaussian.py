@@ -302,23 +302,10 @@ def test_gamma_lower_never_exceeds_hilbert_exact(sampler, rng):
     assert gamma_bound_lower(fam, BUDGET, sampler) <= gamma_bound_hilbert(fam) * 1.02
 
 
-def test_gamma_monotone_under_family_growth(sampler, rng):
-    l4 = ValueSpace.lp(4.0, 2)
-    l1 = ValueSpace.lp(1.0, 2)
-    small = tuple(rng.standard_normal((2, 2)) for _ in range(2))
-    extra = tuple(rng.standard_normal((2, 2)) for _ in range(2))
-    fam_small = MatrixFamily(small, l1, l4)
-    fam_big = MatrixFamily(small + extra, l1, l4)
-    budget = SearchBudget(restarts=6, steps=30, search_samples=2000)
-    r_small = gamma_bound_search(fam_small, budget, sampler)
-    r_big = gamma_bound_search(fam_big, budget, sampler, warm_start=r_small)
-    assert r_big.value >= r_small.value - 1e-12
-
-
 # -- the search state carries its denominator --------------------------------
 
 
-def _reference_gamma_search(family, budget, sampler, warm_start=None):
+def _reference_gamma_search(family, budget, sampler):
     """gamma_bound_search as it was before states carried their denominator:
     ratio_of recomputes the X-space moment of every state it scores."""
     X, Y = family.domain_space, family.codomain_space
@@ -348,9 +335,6 @@ def _reference_gamma_search(family, budget, sampler, warm_start=None):
             for j in range(min(n_members, 4)):
                 for va, vb in pairs:
                     configs.append((np.array([i, j]), np.stack([va, vb])))
-    if warm_start is not None:
-        configs.append((warm_start.assignment.copy(),
-                        np.array(warm_start.vectors, dtype=np.complex128)))
 
     def start_one(i, rng):
         if i < len(configs):
@@ -377,17 +361,12 @@ def _reference_gamma_search(family, budget, sampler, warm_start=None):
         lambda states, step, rngs: [move(st, step, rng) for st, rng in zip(states, rngs)],
         lambda states: [ratio_of(st) for st in states], budget,
     )
-    finalists = [best]
-    if warm_start is not None:
-        finalists.append((warm_start.assignment, warm_start.vectors))
-    scored = []
-    for assignment, vecs in finalists:
-        den = _chunked_moment(vecs, X, sampler, _OP_GAMMA, 1)
-        mapped = np.einsum("koi,ki->ko", members[assignment], vecs)
-        num = _chunked_moment(mapped, Y, sampler, _OP_GAMMA, 2)
-        value = num.value / den.value if den.value > 0 else 0.0
-        scored.append(GammaSearchResult(value=value, assignment=assignment, vectors=vecs))
-    return max(scored, key=lambda r: r.value)
+    assignment, vecs = best
+    den = _chunked_moment(vecs, X, sampler, _OP_GAMMA, 1)
+    mapped = np.einsum("koi,ki->ko", members[assignment], vecs)
+    num = _chunked_moment(mapped, Y, sampler, _OP_GAMMA, 2)
+    value = num.value / den.value if den.value > 0 else 0.0
+    return GammaSearchResult(value=value, assignment=assignment, vectors=vecs)
 
 
 def _assert_same_bits(got, want):
@@ -426,28 +405,23 @@ def test_carried_denominator_matches_the_reference_over_budgets(restarts, steps)
                       _reference_gamma_search(fam, budget, SMALL_SAMPLER))
 
 
-@pytest.mark.parametrize("case", ["one member", "n_in = 1", "max_vectors = 1", "warm start"])
+@pytest.mark.parametrize("case", ["one member", "n_in = 1", "max_vectors = 1"])
 def test_carried_denominator_matches_the_reference(case):
     rng = np.random.default_rng(5)
     budget = SearchBudget(restarts=4, steps=12, search_samples=500)
-    warm = None
     if case == "one member":
         fam = MatrixFamily((rng.standard_normal((2, 2)),), L1_2, L4_2)
     elif case == "n_in = 1":
         fam = MatrixFamily(tuple(rng.standard_normal((2, 1)) for _ in range(5)),
                            ValueSpace.lp(1.0, 1), L4_2)
-    elif case == "max_vectors = 1":
+    else:
         fam = MatrixFamily(tuple(rng.standard_normal((2, 2)) for _ in range(5)), L1_2, L4_2)
         budget = SearchBudget(restarts=4, steps=12, max_vectors=1, search_samples=500)
-    else:
-        mats = tuple(rng.standard_normal((2, 2)) for _ in range(6))
-        warm = gamma_bound_search(MatrixFamily(mats[:3], L1_2, L4_2), budget, SMALL_SAMPLER)
-        fam = MatrixFamily(mats, L1_2, L4_2)
-    _assert_same_bits(gamma_bound_search(fam, budget, SMALL_SAMPLER, warm),
-                      _reference_gamma_search(fam, budget, SMALL_SAMPLER, warm))
+    _assert_same_bits(gamma_bound_search(fam, budget, SMALL_SAMPLER),
+                      _reference_gamma_search(fam, budget, SMALL_SAMPLER))
 
 
-def _count_moments(monkeypatch, family, budget, sampler, warm_start=None):
+def _count_moments(monkeypatch, family, budget, sampler):
     """(X-space moments, Y-space moments, random vector draws) of one search."""
     counts = {"X": 0, "Y": 0, "draws": 0}
 
@@ -461,7 +435,7 @@ def _count_moments(monkeypatch, family, budget, sampler, warm_start=None):
 
     monkeypatch.setattr(gaussian, "_moment_from_draw", moment)
     monkeypatch.setattr(gaussian, "_complex_normals", normals)
-    gamma_bound_search(family, budget, sampler, warm_start)
+    gamma_bound_search(family, budget, sampler)
     monkeypatch.undo()
     return counts["X"], counts["Y"], counts["draws"]
 
@@ -478,21 +452,17 @@ def test_benchmark_search_computes_756_moments_instead_of_888(monkeypatch):
         assert n_x == 8 + 4 + draws
 
 
-@pytest.mark.parametrize("warm", [False, True])
-def test_only_distinct_stacks_restarts_and_vector_moves_compute_a_denominator(
-        monkeypatch, warm):
+def test_only_distinct_stacks_restarts_and_vector_moves_compute_a_denominator(monkeypatch):
     rng = np.random.default_rng(11)
     mats = tuple(rng.standard_normal((2, 2)) for _ in range(6))
     budget = SearchBudget(restarts=3, steps=15, search_samples=500)
-    warm_start = (gamma_bound_search(MatrixFamily(mats[:2], L1_2, L4_2), budget, SMALL_SAMPLER)
-                  if warm else None)
     fam = MatrixFamily(mats, L1_2, L4_2)
-    n_x, n_y, draws = _count_moments(monkeypatch, fam, budget, SMALL_SAMPLER, warm_start)
-    n_starts = 6 + 4 * 4 * 4 + warm + 3
+    n_x, n_y, draws = _count_moments(monkeypatch, fam, budget, SMALL_SAMPLER)
+    n_starts = 6 + 4 * 4 * 4 + 3
     assert n_y == n_starts * (budget.steps + 1)
     # draws counts the restart starts and the vector moves; the
     # assignment-only moves, about a fifth of all, add no X-space moment
-    assert n_x == 6 + 4 + warm + draws
+    assert n_x == 6 + 4 + draws
     assert n_x < n_y - n_starts * budget.steps // 10
 
 

@@ -209,7 +209,8 @@ def test_norm_estimate_monotone_in_budget(grid64, rng):
     m = scalar_symbol(grid64, rng.standard_normal(64) + 1j * rng.standard_normal(64))
     small = SearchBudget(restarts=4, steps=20, search_samples=2000)
     est1 = estimate_multiplier_norm(m, 1.5, 3.0, budget=small, sampler=SAMPLER)
-    est2 = estimate_multiplier_norm(m, 1.5, 3.0, budget=small.scaled(2.0), sampler=SAMPLER)
+    large = SearchBudget(restarts=8, steps=40, search_samples=2000)
+    est2 = estimate_multiplier_norm(m, 1.5, 3.0, budget=large, sampler=SAMPLER)
     assert est2 >= est1 - 1e-12
 
 

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from besovlp import GaussianSampler, MCEstimate, SearchBudget, ValueSpace
+from besovlp import GaussianSampler, MCEstimate, ValueSpace
 from besovlp import gaussian
 from besovlp.gaussian import _block_edges, _chunked_moment
 from besovlp.sampling import (
@@ -64,13 +64,6 @@ def test_mc_estimate_validates():
     assert est.to_dict() == {
         "value": 2.0, "std_error": 0.1, "n_samples": 100, "seed": 5,
     }
-
-
-def test_budget_scaling_is_prefix_stable():
-    b = SearchBudget(restarts=10, steps=20)
-    b2 = b.scaled(2.0)
-    assert (b2.restarts, b2.steps) == (20, 40)
-    assert b2.max_vectors == b.max_vectors
 
 
 @pytest.mark.parametrize("shape", [(0,), (1,), (4, 3), (_SCRATCH_ENTRIES,),

@@ -16,7 +16,6 @@ from besovlp import (
     gamma_bound_search,
     type_constant_lower,
 )
-from besovlp.gaussian import GammaSearchResult
 from besovlp.sampling import _ANNEAL, _INITIAL_STEP, _hill_climb
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -210,10 +209,3 @@ def test_gamma_search_with_one_vector_skips_the_pair_starts():
     budget = SearchBudget(restarts=1, steps=2, max_vectors=1, search_samples=1000)
     res = gamma_bound_search(_gamma_family(), budget, GaussianSampler(1, 1000))
     assert res.vectors.shape == (1, 3) and res.value > 0
-
-
-def test_gamma_search_rejects_a_warm_start_longer_than_the_budget():
-    warm = GammaSearchResult(1.0, np.zeros(4, dtype=int), np.ones((4, 3), dtype=complex))
-    budget = SearchBudget(restarts=1, steps=2, max_vectors=2, search_samples=1000)
-    with pytest.raises(ValueError, match="4 vectors.*max_vectors = 2"):
-        gamma_bound_search(_gamma_family(), budget, GaussianSampler(1, 1000), warm_start=warm)

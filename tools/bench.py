@@ -12,7 +12,11 @@ put both checkouts side by side in one directory:
     python3 tools/bench.py 22=<dir>/change 21=<dir>/parent
 
 since a checkout in the repository's own directory has read 0.5-2.4%
-slower than a copy of the same files elsewhere.  For each workload of
+slower than a copy of the same files elsewhere.  A checkout whose
+src/besovlp/__pycache__ holds bytecode is refused: identical sources ran
+thm44-grid 20-25% slower on their own cached .pyc files than on freshly
+compiled code, so every run sets PYTHONDONTWRITEBYTECODE=1 and compiles
+the sources it loads.  For each workload of
 BENCHMARK.json and each seed 0-9 (the seeds with a reference checksum),
 each checkout's ``perfbench/run.py --trace 0`` runs once for BENCHMARK.json's
 run_seconds.  With two checkouts their runs alternate, and which goes first
@@ -35,6 +39,7 @@ a bad argument.
 
 import hashlib
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -71,6 +76,11 @@ def program_sha256(checkout: Path) -> str:
     return digest.hexdigest()
 
 
+def _bytecode(checkout: Path):
+    """The first bytecode file in checkout's src/besovlp/__pycache__, or None."""
+    return next((checkout / "src" / "besovlp" / "__pycache__").glob("*.pyc"), None)
+
+
 def _revision(checkout: Path):
     proc = subprocess.run(["git", "-C", str(checkout), "describe", "--always", "--dirty"],
                           capture_output=True, text=True)
@@ -85,6 +95,7 @@ def run_once(checkout: Path, workload: str, seed: int) -> dict:
             [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload,
              "--seed", str(seed), "--seconds", str(RUN_SECONDS), "--trace", "0"],
             cwd=checkout, capture_output=True, text=True, timeout=RUN_TIMEOUT_S,
+            env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
         )
     except subprocess.TimeoutExpired:
         run.update(returncode=None, error=[f"timed out after {RUN_TIMEOUT_S} s"])
@@ -152,6 +163,11 @@ def main(argv: list) -> int:
     if not 1 <= len(targets) <= 2 or None in targets or len({t[0] for t in targets}) != len(targets):
         print(f"{USAGE}\n(two different labels at most; CHECKOUT must hold perfbench/run.py)",
               file=sys.stderr)
+        return 2
+    cached = [pyc for pyc in (_bytecode(path) for _, path in targets) if pyc]
+    if cached:
+        print(f"{cached[0].parent} holds bytecode, which runs the benchmark slower; "
+              f"remove it", file=sys.stderr)
         return 2
     taken = [OUT_DIR / f"BENCH_{label}.json" for label, _ in targets]
     taken = [path for path in taken if path.exists()]

@@ -188,7 +188,6 @@ def search_results() -> dict:
     mats = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
     linf_3, l1_3 = ValueSpace.lp(np.inf, 3), ValueSpace.lp(1.0, 3)
     family = MatrixFamily(tuple(mats), linf_3, l1_3)
-    pair = MatrixFamily(tuple(mats[:2]), linf_3, l1_3)
     single = MatrixFamily(tuple(mats[:1]), linf_3, l1_3)
     for restarts, steps in SEARCH_BUDGETS:
         budget = _budget(restarts, steps)
@@ -197,9 +196,6 @@ def search_results() -> dict:
             gamma_bound_search(family, budget, sampler))
         out[f"gamma 1 x (3x3) linf->l1 {tag}"] = _gamma_entry(
             gamma_bound_search(single, budget, sampler))
-        warm = gamma_bound_search(pair, budget, sampler)
-        out[f"gamma 4 x (3x3) linf->l1 warm-started from 2 members {tag}"] = _gamma_entry(
-            gamma_bound_search(family, budget, sampler, warm_start=warm))
 
     grid = GridSpec(1, 32, 1.0)
     part = build_partition(grid)
