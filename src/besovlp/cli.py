@@ -149,14 +149,30 @@ def _exponents(cfg: dict, ctx: str, keys: str = "p q") -> dict:
             for k in keys.split()}
 
 
+# the most nodes a scenario grid may hold: at d = 1 this grid gives the
+# partition 21 rows of doubles, 672 MB, under the 1 GiB search cap
+_MAX_GRID_NODES = 2**22
+
+
+def _small_grid(grid: GridSpec, where: str) -> GridSpec:
+    """grid, refused when it holds more than _MAX_GRID_NODES nodes.  The
+    count is compared in base-2 exponents (n_per_dim is a power of two), so
+    a huge d is refused without computing n_per_dim^d."""
+    if grid.d * (grid.n_per_dim.bit_length() - 1) > _MAX_GRID_NODES.bit_length() - 1:
+        raise ConfigError(f"config schema: {where} of {grid.n_per_dim}^{grid.d} nodes is "
+                          f"over the {_MAX_GRID_NODES}-node cap")
+    return grid
+
+
 def _build_grid(cfg: dict) -> GridSpec:
     g = _section(cfg, "grid")
     d, n = _param(g, "d", "grid", _integer), _param(g, "n_per_dim", "grid", _integer)
     period = _param(g, "period", "grid", _number, 1.0)
     try:
-        return GridSpec(d, n, period)
+        grid = GridSpec(d, n, period)
     except ValueError as exc:
         raise ConfigError(f"config schema: bad grid: {exc}") from exc
+    return _small_grid(grid, "grid")
 
 
 def _space(ctx: dict, role: str, default_dim: int) -> ValueSpace:
@@ -304,13 +320,8 @@ def _nonempty_list(cfg: dict, key: str, op: str) -> dict:
 def _grids(cfg: dict, ctx: dict, op: str) -> list:
     """The grids of a sweep: the scenario grid refined to each listed n_per_dim."""
     grid, ns = ctx["grid"], _nonempty_list(cfg, "grids", op)
-    return [GridSpec(grid.d, _param(ns, i, f"{op}.grids", _integer), grid.period) for i in ns]
-
-
-def _refuse_tolerance(ctx: dict, command: str, reason: str) -> None:
-    """An operation whose verdict has no tolerance to set refuses one."""
-    if ctx["tolerance"]:
-        raise ConfigError(f"config schema: {command} takes no tolerance; {reason}")
+    return [_small_grid(GridSpec(grid.d, _param(ns, i, f"{op}.grids", _integer), grid.period),
+                        f"{op}.grids.{i}") for i in ns]
 
 
 _INFORMATIONAL = "it reports a value and always passes"
@@ -331,7 +342,6 @@ def _value_report(name: str, value: float, metadata: dict) -> VerificationReport
 
 
 def _op_partition(cfg, ctx):
-    _refuse_tolerance(ctx, "partition", _EXACT)
     part = _partition(cfg, ctx, "partition")
     mags = ctx["grid"].frequency_magnitudes()
     inside = mags <= 2.0**part.k_max
@@ -350,7 +360,6 @@ def _op_partition(cfg, ctx):
 
 
 def _op_besov_norm(cfg, ctx):
-    _refuse_tolerance(ctx, "besov-norm", _INFORMATIONAL)
     f = _build_function(_require(cfg, "function", "besov-norm"), ctx["grid"], ctx["seed"])
     part = _partition(cfg, ctx, "besov-norm")
     params = BesovParams(_param(cfg, "s", "besov-norm", _number, 0.0),
@@ -365,7 +374,6 @@ def _op_besov_norm(cfg, ctx):
 
 
 def _op_multiplier(cfg, ctx):
-    _refuse_tolerance(ctx, "multiplier", _INFORMATIONAL)
     m = _build_symbol(ctx["raw"], ctx["grid"])
     value = estimate_multiplier_norm(
         m, **_exponents(cfg, "multiplier"), **_operator_kwargs(ctx, m),
@@ -375,7 +383,6 @@ def _op_multiplier(cfg, ctx):
 
 
 def _op_gamma(cfg, ctx):
-    _refuse_tolerance(ctx, "gamma", _INFORMATIONAL)
     f = _build_function(_require(cfg, "function", "gamma"), ctx["grid"], ctx["seed"])
     est = gamma_function_norm(f, _space(ctx, "domain", f.value_dim), ctx["sampler"])
     return (
@@ -385,7 +392,6 @@ def _op_gamma(cfg, ctx):
 
 
 def _op_hormander(cfg, ctx):
-    _refuse_tolerance(ctx, "hormander", _INFORMATIONAL)
     kernel = _build_kernel(ctx["raw"], ctx["grid"])
     if kernel is None:
         m = _build_symbol(ctx["raw"], ctx["grid"])
@@ -400,7 +406,6 @@ def _op_hormander(cfg, ctx):
 
 
 def _op_mihlin(cfg, ctx):
-    _refuse_tolerance(ctx, "mihlin", _INFORMATIONAL)
     m = _build_symbol(ctx["raw"], ctx["grid"])
     if _param(cfg, "adjoint", "mihlin", _flag, False):
         m = m.adjoint()
@@ -420,7 +425,6 @@ def _op_mihlin(cfg, ctx):
 
 
 def _op_cz(cfg, ctx):
-    _refuse_tolerance(ctx, "cz", _EXACT)
     f = _build_function(_require(cfg, "function", "cz"), ctx["grid"], ctx["seed"])
     space = _space(ctx, "domain", f.value_dim)
     l1 = lp_norm(f, 1.0, space)
@@ -478,7 +482,6 @@ def _op_weak_type(cfg, ctx):
 
 
 def _op_sweep(cfg, ctx):
-    _refuse_tolerance(ctx, "sweep", "its verdict comes from sweep.spread_cap")
     grids = _grids(cfg, ctx, "sweep")
     spec = ctx["raw"].get("symbol")
     if spec is None:
@@ -506,7 +509,6 @@ def _op_sweep(cfg, ctx):
 
 
 def _op_sharpness(cfg, ctx):
-    _refuse_tolerance(ctx, "sharpness", "its verdict comes from sharpness.growth_tolerance")
     grids = _grids(cfg, ctx, "sharpness")
     probe = sharpness_probe(_param(cfg, "sigma", "sharpness"), _param(cfg, "r", "sharpness"),
                             grids)
@@ -544,7 +546,6 @@ def _op_besov_scale(verify, which, cfg, ctx):
 
 
 def _op_thm46(cfg, ctx):
-    _refuse_tolerance(ctx, "verify thm46", "its verdict comes from thm46.c_cap")
     m = _build_symbol(ctx["raw"], ctx["grid"])
     rep = verify_thm46(
         m, **_exponents(cfg, "thm46"), part=_partition(cfg, ctx, "thm46"),
@@ -564,8 +565,6 @@ def _op_prop34(cfg, ctx):
 
 
 def _op_lemma42(cfg, ctx):
-    _refuse_tolerance(ctx, "verify lemma42",
-                      "its tolerance is three Monte-Carlo standard errors of the gamma norm")
     f = _build_function(_require(cfg, "function", "lemma42"), ctx["grid"], ctx["seed"])
     rep = check_lemma42(
         f, _param(cfg, "cube_side", "lemma42"), **_exponents(cfg, "lemma42"),
@@ -574,24 +573,27 @@ def _op_lemma42(cfg, ctx):
     return [rep], {}
 
 
-# (subcommand, verify target) -> runner; the CLI's subcommands come from here
+# (subcommand, verify target) -> (runner, reason); the CLI's subcommands
+# come from here.  An operation whose reason is not None takes no
+# tolerance, and a scenario that sets one is refused with the reason
 _OPERATIONS = {
-    ("partition", None): _op_partition,
-    ("besov-norm", None): _op_besov_norm,
-    ("multiplier", None): _op_multiplier,
-    ("gamma", None): _op_gamma,
-    ("hormander", None): _op_hormander,
-    ("mihlin", None): _op_mihlin,
-    ("cz", None): _op_cz,
-    ("weak-type", None): _op_weak_type,
-    ("sweep", None): _op_sweep,
-    ("sharpness", None): _op_sharpness,
-    ("verify", "thm44"): partial(_op_besov_scale, verify_thm44, "thm44"),
-    ("verify", "thm45"): partial(_op_besov_scale, verify_thm45, "thm45"),
-    ("verify", "thm46"): _op_thm46,
-    ("verify", "prop34"): _op_prop34,
-    ("verify", "prop43"): _op_prop43,
-    ("verify", "lemma42"): _op_lemma42,
+    ("partition", None): (_op_partition, _EXACT),
+    ("besov-norm", None): (_op_besov_norm, _INFORMATIONAL),
+    ("multiplier", None): (_op_multiplier, _INFORMATIONAL),
+    ("gamma", None): (_op_gamma, _INFORMATIONAL),
+    ("hormander", None): (_op_hormander, _INFORMATIONAL),
+    ("mihlin", None): (_op_mihlin, _INFORMATIONAL),
+    ("cz", None): (_op_cz, _EXACT),
+    ("weak-type", None): (_op_weak_type, None),
+    ("sweep", None): (_op_sweep, "its verdict comes from sweep.spread_cap"),
+    ("sharpness", None): (_op_sharpness, "its verdict comes from sharpness.growth_tolerance"),
+    ("verify", "thm44"): (partial(_op_besov_scale, verify_thm44, "thm44"), None),
+    ("verify", "thm45"): (partial(_op_besov_scale, verify_thm45, "thm45"), None),
+    ("verify", "thm46"): (_op_thm46, "its verdict comes from thm46.c_cap"),
+    ("verify", "prop34"): (_op_prop34, None),
+    ("verify", "prop43"): (_op_prop43, None),
+    ("verify", "lemma42"): (
+        _op_lemma42, "its tolerance is three Monte-Carlo standard errors of the gamma norm"),
 }
 
 
@@ -655,9 +657,14 @@ def run_scenario(path, seed_override=None, tolerance_override=None,
             "tolerance": {} if tolerance is None else {"tolerance": tolerance},
         }
         out_spec = _section(raw, "output", default={})
-        reports, extras = _OPERATIONS[key](op_params, ctx)
-    except (ValueError, KeyError, TypeError, NotImplementedError, ArithmeticError) as exc:
-        # ArithmeticError: a division by zero or an overflow an input check missed
+        runner, reason = _OPERATIONS[key]
+        if reason is not None and tolerance is not None:
+            raise ConfigError(f"config schema: {label} takes no tolerance; {reason}")
+        reports, extras = runner(op_params, ctx)
+    except (ValueError, KeyError, TypeError, NotImplementedError, ArithmeticError,
+            MemoryError) as exc:
+        # ArithmeticError: a division by zero or an overflow an input check
+        # missed; MemoryError: an allocation no input check bounded
         print(f"error: scenario {path.name}: {exc}", file=sys.stderr)
         return EXIT_USAGE, None
 

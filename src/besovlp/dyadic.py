@@ -41,7 +41,6 @@ from .spaces import (
     _fold_columns,
     _idft_scale,
     _idft_stack,
-    _lp_combine,
     _lp_norms_by_run,
     _lp_rows,
     _lp_runs,
@@ -427,6 +426,20 @@ def _besov_weights(part: DyadicPartition, params: BesovParams, homogeneous: bool
     return 2.0 ** (np.arange(part.k_max + 1) * params.s)
 
 
+def _weighted_lv(block_norms: np.ndarray, weights: np.ndarray, params: BesovParams) -> list:
+    """The l^v norm of each row of weights * block_norms, (S, n_rows) -> S floats.
+
+    Run it under np.errstate(over="ignore"): a row of finite block norms
+    whose weighted norms, or their l^v sum, overflow is refused here, with
+    no numpy warning, as a ValueError naming s and v.
+    """
+    norms = _lp_rows(weights * block_norms, params.v)
+    if math.inf in norms and np.isfinite(block_norms[np.isinf(norms)]).all(axis=1).any():
+        raise ValueError(f"Besov norm overflows at s = {params.s:g}, v = {params.v:g}: a weighted "
+                         f"block norm 2^(ks) ||block_k||_p or their l^v sum passes the float range")
+    return norms
+
+
 def lp_blocks(f: GridFunction, part: DyadicPartition) -> np.ndarray:
     """All blocks at once: array (k_max+1, n_nodes, value_dim), physical domain."""
     _require_physical(f, part)
@@ -448,7 +461,8 @@ def besov_norm(
     _require_band_limited(part, _node_power(dft(f).samples))
     weights = _besov_weights(part, params, homogeneous=False)
     norms = np.array(_block_norms(f, lp_blocks(f, part), params.p, space))
-    return _lp_combine(weights * norms, params.v)
+    with np.errstate(over="ignore"):
+        return _weighted_lv(norms[None], weights, params)[0]
 
 
 def homogeneous_besov_norm(
@@ -471,7 +485,8 @@ def homogeneous_besov_norm(
     weights = _besov_weights(part, params, homogeneous=True)
     blocks = _blocks(fhat, part.psi_hat, part.grid, part.psi_extents)
     norms = np.array(_block_norms(f, blocks, params.p, space))
-    return _lp_combine(weights * norms, params.v)
+    with np.errstate(over="ignore"):
+        return _weighted_lv(norms[None], weights, params)[0]
 
 
 def _stack_batches(stacks: list):
@@ -538,8 +553,9 @@ def _besov_norms(sides: list, part: DyadicPartition, homogeneous: bool) -> list:
         del batch
     block_norms = np.array(block_norms).reshape(-1, n_rows)
     norms, lo = [], 0
-    for spectra, params, _, weights in sides:
-        hi = lo + len(spectra)
-        norms += _lp_rows(weights * block_norms[lo:hi], params.v)
-        lo = hi
+    with np.errstate(over="ignore"):
+        for spectra, params, _, weights in sides:
+            hi = lo + len(spectra)
+            norms += _weighted_lv(block_norms[lo:hi], weights, params)
+            lo = hi
     return norms

@@ -24,13 +24,12 @@ import numpy as np
 
 from .reports import VerificationReport
 from .sampling import (
-    _INV_SQRT2,
-    _SEARCH_BYTES_CAP,
     GaussianSampler,
     MCEstimate,
     SearchBudget,
+    _check_search_bytes,
     _complex_normals,
-    _fill_complex_gaussians,
+    _gaussian_blocks,
     _hill_climb,
 )
 from .spaces import DimensionMismatchError, GridFunction, ValueSpace, dft, lp_norm, _lp_combine
@@ -119,37 +118,6 @@ def _block_edges(c: int, K: int) -> list:
     return edges + [c]
 
 
-def _gaussian_blocks(rng: np.random.Generator, c: int, K: int):
-    """The (c, K) complex Gaussians of one chunk, the bits
-    _fill_complex_gaussians would fill a (c, K) array with, yielded in the
-    row blocks of _block_edges.
-
-    A chunk of one block is _fill_complex_gaussians of a (c, K) array.  A
-    chunk of several is never held as complex numbers: its real parts are
-    drawn into one real (c, K) array, with one standard_normal call and
-    one in-place scale.  Each block then copies its rows' real parts into
-    one complex block buffer and draws its imaginary parts into the rows
-    they leave free, so the draws hold 8 c K bytes plus one block, against
-    16 c K for the chunk.
-    """
-    edges = _block_edges(c, K)
-    if len(edges) == 2:
-        # its scratch is freed before the block is summed, so a small chunk
-        # peaks no higher than one complex buffer and a product
-        yield _fill_complex_gaussians(rng, np.empty((c, K), dtype=np.complex128))
-        return
-    parts = rng.standard_normal((c, K))
-    parts *= _INV_SQRT2
-    g = np.empty((max(np.diff(edges)), K), dtype=np.complex128)
-    for a, b in zip(edges, edges[1:]):
-        block = g[:b - a]
-        block.real = parts[a:b]
-        rng.standard_normal(out=parts[a:b])
-        parts[a:b] *= _INV_SQRT2
-        block.imag = parts[a:b]
-        yield block
-
-
 def _chunked_moment(
     vectors: np.ndarray,
     space: ValueSpace,
@@ -160,15 +128,14 @@ def _chunked_moment(
     """MC estimate of (E || sum_k gamma_k x_k ||^2)^(1/2) for rows x_k.
 
     The n x K Gaussians are drawn in chunks of at most _CHUNK_ENTRIES, each
-    as _fill_complex_gaussians fills a (c, K) array: all its real parts,
-    then all its imaginary parts.  A chunk of more than two blocks
-    (_block_edges) is streamed in row blocks (_gaussian_blocks), each
-    block's rows are summed against the x_k and normed, and their squared
-    norms are summed once per chunk, so the estimate has the bits of one
-    (c, K) draw per chunk while the draws hold about 8 c K bytes plus one
-    block.  norm_rows runs once per block, so a custom norm oracle is
-    called on each block's rows: an oracle is row-wise, the norm of a row
-    depending on that row only.
+    the (c, K) draw of sampling._gaussian_blocks: all its real parts, then
+    all its imaginary parts, streamed in the row blocks of _block_edges.
+    Each block's rows are summed against the x_k and normed, and their
+    squared norms are summed once per chunk, so the estimate has the bits
+    of one (c, K) draw per chunk while a chunk of several blocks holds
+    about 8 c K bytes plus one block.  norm_rows runs once per block, so
+    a custom norm oracle is called on each block's rows: an oracle is
+    row-wise, the norm of a row depending on that row only.
     """
     K = vectors.shape[0]
     n = sampler.n_samples
@@ -180,7 +147,7 @@ def _chunked_moment(
     while done < n:
         c = min(chunk, n - done)
         parts = [space.norm_rows(block @ vectors) ** 2
-                 for block in _gaussian_blocks(rng, c, K)]
+                 for block in _gaussian_blocks(rng, (c, K), _block_edges(c, K))]
         r2 = parts[0] if len(parts) == 1 else np.concatenate(parts)
         s1 += float(r2.sum())
         s2 += float((r2 * r2).sum())
@@ -219,13 +186,11 @@ def _frozen_draw(sampler: GaussianSampler, budget: SearchBudget, op_code: int) -
     A draw over _SEARCH_BYTES_CAP is refused before it is allocated.
     """
     shape = (min(budget.search_samples, sampler.n_samples), budget.max_vectors)
-    draw_bytes = shape[0] * shape[1] * 16
-    if draw_bytes > _SEARCH_BYTES_CAP:
-        raise ValueError(
-            f"Gaussian search too large: its frozen draw of {shape[0]} samples x {shape[1]} "
-            f"vectors needs {draw_bytes / 2**20:.0f} MB, over the {_SEARCH_BYTES_CAP // 2**20} "
-            f"MB cap; lower budget.search_samples or budget.max_vectors"
-        )
+    # 24 bytes an entry: the draw holds its real parts beside the complex
+    # array while it draws the imaginary parts
+    _check_search_bytes(shape[0] * shape[1] * 24, "Gaussian search",
+                        f"{shape[0]} samples x {shape[1]} vectors", "frozen draw",
+                        "budget.search_samples or budget.max_vectors")
     return sampler.complex_gaussians(shape, op_code, 0)
 
 

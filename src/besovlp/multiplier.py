@@ -56,9 +56,9 @@ from .dyadic import (
 from .gaussian import _gamma_bound, _spectral_norms, _top_right_singular_vector
 from .reports import VerificationReport
 from .sampling import (
-    _SEARCH_BYTES_CAP,
     GaussianSampler,
     SearchBudget,
+    _check_search_bytes,
     _complex_normals,
     _hill_climb,
     _pick_nodes,
@@ -509,14 +509,10 @@ def _witness_search(
         raise ValueError("empty witness support")
     # at most 5 single modes, the flat spectrum and one per annulus, then the restarts
     max_starts = min(5, n_allowed) + 1 + _n_dyadic_annuli(grid) + budget.restarts
-    stack_bytes = 2 * lanes * max_starts * n_allowed * n_in * 16
-    if stack_bytes > _SEARCH_BYTES_CAP:
-        estimates = f"{lanes} estimates x " if lanes > 1 else ""
-        raise ValueError(
-            f"witness search too large: {estimates}{max_starts} starts x {n_allowed} nodes x "
-            f"{n_in} components need {stack_bytes / 2**20:.0f} MB of search state, over the "
-            f"{_SEARCH_BYTES_CAP // 2**20} MB cap; lower budget.restarts or the grid size"
-        )
+    estimates = f"{lanes} estimates x " if lanes > 1 else ""
+    _check_search_bytes(2 * lanes * max_starts * n_allowed * n_in * 16, "witness search",
+                        f"{estimates}{max_starts} starts x {n_allowed} nodes x {n_in} components",
+                        "search state", "budget.restarts or the grid size")
     allowed_idx = np.flatnonzero(allowed)
 
     # the scorers take a chunk's spectra and their images under m in one

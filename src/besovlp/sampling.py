@@ -63,8 +63,8 @@ class GaussianSampler:
     def complex_gaussians(
         self, shape: tuple, op_code: int = 0, stream: int = 0
     ) -> np.ndarray:
-        rng = self.generator(op_code, stream)
-        return _fill_complex_gaussians(rng, np.empty(shape, dtype=np.complex128))
+        draw, = _gaussian_blocks(self.generator(op_code, stream), shape, [0, shape[0]])
+        return draw
 
 
 def _complex_normals(rng: np.random.Generator, shape) -> np.ndarray:
@@ -161,9 +161,6 @@ _SEARCH_BYTES_CAP = 2**30
 # rounded up (tracemalloc measures 0.9-1.6 KB a generator)
 _GENERATOR_BYTES = 2**11
 
-# real draws per scratch fill in _fill_complex_gaussians (1 MB)
-_SCRATCH_ENTRIES = 2**17
-
 # the step schedule of _hill_climb: the first proposal's step size, and the
 # factor applied to it after every step
 _INITIAL_STEP = 0.5
@@ -175,24 +172,35 @@ _ANNEAL = 0.97
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
-def _fill_complex_gaussians(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-    """Fill a C-contiguous complex array with complex standard Gaussians; returns out.
+def _gaussian_blocks(rng: np.random.Generator, shape: tuple, edges: list):
+    """Complex standard Gaussians of the given shape, yielded in the blocks
+    [a, b) of its first axis between consecutive edges (0 first, shape[0]
+    last).
 
-    Bit for bit (re + 1j * im) / sqrt(2) with re = rng.standard_normal(out.shape)
-    drawn first and im second, but written straight into out through one
-    real scratch of at most _SCRATCH_ENTRIES draws (numpy's generator only
-    fills contiguous arrays), so no full-size temporary is made.
-    gaussian._chunked_moment draws a larger chunk in the same order, in
-    row blocks, without holding it as complex numbers.
+    Bit for bit (re + 1j * im) / sqrt(2) with re = rng.standard_normal(shape)
+    drawn first and im second, never held whole as complex numbers unless
+    it is one block: every real part is drawn into one real array, with
+    one standard_normal call and one in-place scale.  Each block then
+    copies its rows' real parts into one complex buffer, reused by every
+    block, and draws its imaginary parts into the rows it just copied out
+    (numpy's generator fills only contiguous arrays, which those rows
+    are).  The draws hold 8 bytes per entry plus one complex block; the
+    real array is released before the last block is yielded, so a draw of
+    one block ends holding that block alone.  A yielded block is valid
+    until the next one.
     """
-    flat = out.reshape(-1)
-    scratch = np.empty(max(1, min(flat.size, _SCRATCH_ENTRIES)))
-    for part in (flat.real, flat.imag):
-        for i in range(0, flat.size, scratch.size):
-            piece = scratch[:flat.size - i]
-            rng.standard_normal(out=piece)
-            np.multiply(piece, _INV_SQRT2, out=part[i:i + piece.size])
-    return out
+    parts = rng.standard_normal(shape)
+    parts *= _INV_SQRT2
+    g = np.empty((max(np.diff(edges)),) + tuple(shape[1:]), dtype=np.complex128)
+    for a, b in zip(edges, edges[1:]):
+        block = g[:b - a]
+        block.real = parts[a:b]
+        rng.standard_normal(out=parts[a:b])
+        parts[a:b] *= _INV_SQRT2
+        block.imag = parts[a:b]
+        if b == edges[-1]:
+            del parts
+        yield block
 
 
 @dataclass(frozen=True)
@@ -236,6 +244,15 @@ class SearchBudget:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
 
+def _check_search_bytes(n_bytes: int, search: str, sizes: str, held: str, lower: str) -> None:
+    """Refuse, in one line, a search whose sizes need n_bytes of what it
+    holds, when that is over _SEARCH_BYTES_CAP; lower names the settings
+    that shrink it."""
+    if n_bytes > _SEARCH_BYTES_CAP:
+        raise ValueError(f"{search} too large: {sizes} need {n_bytes / 2**20:.0f} MB of "
+                         f"{held}, over the {_SEARCH_BYTES_CAP // 2**20} MB cap; lower {lower}")
+
+
 def _hill_climb(sampler: GaussianSampler, op_code: int, n_starts: int, start: Callable,
                 propose: Callable, score_batch: Callable, budget: SearchBudget,
                 lanes: int = 1) -> list:
@@ -263,12 +280,8 @@ def _hill_climb(sampler: GaussianSampler, op_code: int, n_starts: int, start: Ca
     monotone in (n_starts, steps).  A search whose generators would take
     more than _SEARCH_BYTES_CAP is refused before the first one is built.
     """
-    rng_bytes = n_starts * _GENERATOR_BYTES
-    if rng_bytes > _SEARCH_BYTES_CAP:
-        raise ValueError(
-            f"search too large: {n_starts} starts need {rng_bytes / 2**20:.0f} MB of random "
-            f"generators, over the {_SEARCH_BYTES_CAP // 2**20} MB cap; lower budget.restarts"
-        )
+    _check_search_bytes(n_starts * _GENERATOR_BYTES, "search", f"{n_starts} starts",
+                        "random generators", "budget.restarts")
     rngs = [sampler.generator(op_code, 100 + i) for i in range(n_starts)]
     if not rngs:
         return [(-np.inf, None)] * lanes

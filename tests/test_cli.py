@@ -325,6 +325,18 @@ MUTATED_INPUTS = [
 ]
 
 
+# grids over the 2^22-node cap: the partition of the first would take 8 TiB
+# (a MemoryError traceback), and a sweep or probe grid is capped alike
+OVERSIZED_GRIDS = [
+    ("partition", dict(PARTITION, grid={"d": 2, "n_per_dim": 1048576}),
+     "config schema: grid of 1048576^2 nodes is over the 4194304-node cap"),
+    ("sweep", _sweep_params(grids=[64, 2**23]),
+     "config schema: sweep.grids.1 of 8388608^1 nodes is over the 4194304-node cap"),
+    ("sharpness", _with_params(SHARPNESS, grids=[64, 2**23]),
+     "config schema: sharpness.grids.1 of 8388608^1 nodes is over the 4194304-node cap"),
+]
+
+
 # (command, config, what the message names: the offending key, or the
 # order the oracle covers)
 BAD_CONFIGS = [
@@ -476,8 +488,26 @@ BAD_CONFIGS = [
     ("partition", _with_params(PARTITION, smoothness=9), "smoothness must lie in [1, 8], got 9"),
     ("besov-norm", _with_params(_besov_norm(), smoothness=12),
      "smoothness must lie in [1, 8], got 12"),
+    *OVERSIZED_GRIDS,
+    # finite weights 2^(ks) whose weighted block norms overflow the l^2 sum:
+    # a RuntimeWarning, measured inf and ratio nan before
+    ("besov-norm", _with_params(_besov_norm("random_band_limited", annulus=3), s=200),
+     "Besov norm overflows at s = 200, v = 2"),
     *MUTATED_INPUTS,
 ]
+
+
+@pytest.mark.parametrize("command, cfg", [case[:2] for case in OVERSIZED_GRIDS])
+def test_an_oversized_grid_is_refused_before_anything_is_allocated(tmp_path, command, cfg):
+    path = write(tmp_path, "big.json", cfg)
+    tracemalloc.start()
+    try:
+        code, _ = run_scenario(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_USAGE
+    assert peak < 2**20
 
 
 def test_gamma_scenario_holds_half_its_draws(tmp_path):
@@ -624,13 +654,17 @@ def test_suite_runs_the_rest_past_a_mutated_input(tmp_path, capsys, command, cfg
     assert "Traceback" not in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("exc", [ZeroDivisionError("float division by zero"),
-                                 OverflowError("(34, 'Numerical result out of range')")])
+@pytest.mark.parametrize("exc", [
+    ZeroDivisionError("float division by zero"),
+    OverflowError("(34, 'Numerical result out of range')"),
+    MemoryError("Unable to allocate 8.00 TiB for an array with shape (21, 1099511627776) "
+                "and data type float64"),
+])
 def test_an_arithmetic_error_ends_a_scenario_in_one_line(tmp_path, monkeypatch, capsys, exc):
     def fail(cfg, ctx):
         raise exc
 
-    monkeypatch.setitem(cli._OPERATIONS, ("multiplier", None), fail)
+    monkeypatch.setitem(cli._OPERATIONS, ("multiplier", None), (fail, None))
     path = write(tmp_path, "a-bad.json", BASE)
     assert main(["multiplier", "--config", str(path)]) == EXIT_USAGE
     assert capsys.readouterr().err == f"error: scenario a-bad.json: {exc}\n"

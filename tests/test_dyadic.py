@@ -201,6 +201,23 @@ def test_band_limited_sandwich_frozen_constants(s, rng, scalar_space):
             assert ratio <= c2 * 2.0 ** ((ann + 1) * abs(s))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("norm", [besov_norm, homogeneous_besov_norm])
+@pytest.mark.parametrize("s, v", [(200.0, 2.0), (250.0, 2.0), (255.9, np.inf)])
+def test_a_besov_norm_that_overflows_is_refused_without_a_warning(norm, s, v):
+    # annulus 3 of N = 64, whose weights 2^(ks) are finite: at s = 200 and
+    # 250 the squares of the weighted block norms overflow the l^2 sum (v =
+    # 1 and v = inf stay finite), and at s = 255.9 a weighted block norm itself
+    grid = GridSpec(1, 64, 1.0)
+    part = build_partition(grid)
+    f = random_band_limited(grid, part.annulus_mask(3), np.random.default_rng(3), mean_zero=True)
+    with pytest.raises(ValueError, match=f"overflows at s = {s:g}, v = {v:g}"):
+        norm(f, BesovParams(s, 2.0, v), part)
+    if s < 255:
+        for finite_v in (1.0, np.inf):
+            assert math.isfinite(norm(f, BesovParams(s, 2.0, finite_v), part))
+
+
 def test_besov_norm_matches_hand_rolled_oracle(scalar_space):
     # tiny grid: direct DFT sums and explicit per-annulus assembly
     grid = GridSpec(1, 16, 1.0)

@@ -7,12 +7,7 @@ import pytest
 from besovlp import GaussianSampler, MCEstimate, ValueSpace
 from besovlp import gaussian
 from besovlp.gaussian import _block_edges, _chunked_moment
-from besovlp.sampling import (
-    _SCRATCH_ENTRIES,
-    _complex_normals,
-    _fill_complex_gaussians,
-    _pick_nodes,
-)
+from besovlp.sampling import _complex_normals, _gaussian_blocks, _pick_nodes
 
 
 def _old_draw(rng, shape):
@@ -66,8 +61,7 @@ def test_mc_estimate_validates():
     }
 
 
-@pytest.mark.parametrize("shape", [(0,), (1,), (4, 3), (_SCRATCH_ENTRIES,),
-                                   (_SCRATCH_ENTRIES + 1,), (3, _SCRATCH_ENTRIES // 2 + 5),
+@pytest.mark.parametrize("shape", [(0,), (1,), (4, 3), (131072,), (131073,), (3, 65541),
                                    (20000, 64)])
 def test_complex_gaussians_equal_the_old_draw_bit_for_bit(shape):
     s = GaussianSampler(7)
@@ -76,16 +70,33 @@ def test_complex_gaussians_equal_the_old_draw_bit_for_bit(shape):
     assert _same_bits(got, _old_draw(s.generator(3, 2), shape))
 
 
-@pytest.mark.parametrize("shape", [(5,), (_SCRATCH_ENTRIES - 1,), (_SCRATCH_ENTRIES,),
-                                   (2, _SCRATCH_ENTRIES), (2 * _SCRATCH_ENTRIES + 3,)])
-def test_fill_scales_each_piece_as_the_complex_divide_does(shape):
-    # below, at and across the scratch size, into an array holding other values
+@pytest.mark.parametrize("shape, edges", [
+    ((5,), [0, 2, 5]), ((7, 2, 3), [0, 3, 4, 7]), ((2, 131072), [0, 1, 2]),
+    ((1000, 3), [0, 256, 512, 1000]), ((6244, 64), _block_edges(6244, 64)),
+])
+def test_gaussian_blocks_are_the_old_draw_block_by_block(shape, edges):
+    # the blocks share one buffer, so each is copied before the next is drawn
     rng, ref = np.random.default_rng(12), np.random.default_rng(12)
-    out = np.full(shape, 3.0 - 4.0j)
-    assert _fill_complex_gaussians(rng, out) is out
-    re, im = ref.standard_normal(shape), ref.standard_normal(shape)
-    assert _same_bits(out, (re + 1j * im) / np.sqrt(2.0))
+    blocks = [block.copy() for block in _gaussian_blocks(rng, shape, edges)]
+    assert [len(block) for block in blocks] == np.diff(edges).tolist()
+    assert _same_bits(np.concatenate(blocks), _old_draw(ref, shape))
     assert rng.random() == ref.random()
+
+
+def test_a_one_block_draw_holds_its_real_parts_and_one_complex_buffer():
+    # 24 bytes an entry while the imaginary parts are drawn, and the real
+    # parts released before the block is yielded
+    entries = 20000 * 8
+    blocks = _gaussian_blocks(np.random.default_rng(13), (20000, 8), [0, 20000])
+    tracemalloc.start()
+    try:
+        block = next(blocks)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert block.shape == (20000, 8)
+    assert peak <= 24 * entries + 2**16
+    assert current <= 16 * entries + 2**16
 
 
 # n of range(n): 1-9 put k == n within reach of both counts, 2^31 + 5 and

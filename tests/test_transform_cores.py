@@ -1,6 +1,8 @@
 """The batched transform, block and norm cores: exact against the plain numpy
 expressions, bit for bit, and none of them writes into an array it was given."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,23 @@ def test_besov_norms_of_a_stack_equal_the_norms_one_by_one_at_d2(homogeneous):
         got = _besov_norms([(spectra, params, space, weights)], part, homogeneous)
         assert list(got) == [norm(idft(GridFunction(grid, fhat, "frequency")), params, part,
                                   space) for fhat in spectra]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("homogeneous", [False, True])
+def test_besov_norms_refuse_an_overflowing_side_without_a_warning(homogeneous):
+    # two sides: the first (s = 0) is finite, the second (s = 200) overflows
+    # the l^2 sum of its weighted block norms
+    grid = GridSpec(1, 64, 1.0)
+    part = build_partition(grid)
+    rng = np.random.default_rng(50)
+    spectra = np.stack([dft(random_band_limited(grid, part.annulus_mask(3), rng,
+                                                mean_zero=True)).samples for _ in range(2)])
+    sides = [(spectra, params, ValueSpace.scalar(), _besov_weights(part, params, homogeneous))
+             for params in (BesovParams(0.0, 2.0, 2.0), BesovParams(200.0, 2.0, 2.0))]
+    assert all(map(math.isfinite, _besov_norms(sides[:1], part, homogeneous)))
+    with pytest.raises(ValueError, match="overflows at s = 200, v = 2"):
+        _besov_norms(sides, part, homogeneous)
 
 
 @pytest.mark.parametrize("grid", [GridSpec(1, 64, 1.0), GridSpec(1, 256, 3.0),
