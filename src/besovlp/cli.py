@@ -108,6 +108,23 @@ _REQUIRED = object()
 _EXPONENT_DEFAULTS = {"u": "inf", "v": 2.0, "w": 2.0}
 
 
+class _Params(dict):
+    """An operation's params that record every key read through [] or get,
+    so run_scenario can refuse a key no runner read."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
 def _require(cfg: dict, key: str, ctx: str):
     if key not in cfg:
         raise ConfigError(f"config schema: missing key {key!r} in {ctx}")
@@ -196,58 +213,46 @@ def _operator_kwargs(ctx: dict, m) -> dict:
                 budget=ctx["budget"], sampler=ctx["sampler"])
 
 
-def _build_symbol(cfg: dict, grid: GridSpec):
-    spec = cfg.get("symbol")
-    if spec is None:
-        raise ConfigError("config schema: operation needs a 'symbol' entry")
-    name = _require(spec, "constructor", "symbol")
-    ctor = SYMBOL_CONSTRUCTORS.get(name)
-    if ctor is None:
-        raise ConfigError(
-            f"config schema: unknown symbol constructor {name!r} "
-            f"(known: {sorted(SYMBOL_CONSTRUCTORS)})"
-        )
-    params = dict(spec.get("params", {}))
-    # the number keys of the constructors' params: riesz's sigma, modulation's shift
-    for key, cast in (("sigma", _number), ("shift", _numbers)):
-        if key in params:
-            params[key] = _param(params, key, "symbol.params", cast)
-    if name == "diagonal":
-        entry_specs = params.pop("entries", [])
-        entries = []
-        for es in entry_specs:
-            sub = _build_symbol({"symbol": es}, grid)
-            if not sub.is_scalar:
-                raise ConfigError("config schema: diagonal entries must be scalar symbols")
-            entries.append(sub.values[:, 0, 0])
-        return ctor(grid, entries)
-    try:
-        return ctor(grid, **params)
-    except TypeError as exc:
-        raise ConfigError(f"config schema: bad symbol params for {name!r}: {exc}") from exc
-
-
 KERNEL_CONSTRUCTORS = {
     "hilbert": hilbert_kernel,
 }
 
+_CONSTRUCTORS = {"symbol": SYMBOL_CONSTRUCTORS, "kernel": KERNEL_CONSTRUCTORS}
 
-def _build_kernel(cfg: dict, grid: GridSpec):
-    """Kernel from a constructor reference, or None when not configured."""
-    spec = cfg.get("kernel")
+
+def _build(cfg: dict, role: str, grid: GridSpec):
+    """The symbol or kernel (role) that cfg[role] names: its constructor,
+    looked up in _CONSTRUCTORS[role], called on grid with the entry's
+    params; None when cfg has no such entry."""
+    spec = cfg.get(role)
     if spec is None:
         return None
-    name = _require(spec, "constructor", "kernel")
-    ctor = KERNEL_CONSTRUCTORS.get(name)
-    if ctor is None:
-        raise ConfigError(
-            f"config schema: unknown kernel constructor {name!r} "
-            f"(known: {sorted(KERNEL_CONSTRUCTORS)})"
-        )
+    table = _CONSTRUCTORS[role]
+    name = _require(spec, "constructor", role)
+    if name not in table:
+        raise ConfigError(f"config schema: unknown {role} constructor {name!r} "
+                          f"(known: {sorted(table)})")
+    params = dict(spec.get("params", {}))
+    # the number keys of the constructors' params: riesz's sigma, modulation's shift
+    for key, cast in (("sigma", _number), ("shift", _numbers)):
+        if key in params:
+            params[key] = _param(params, key, f"{role}.params", cast)
+    if name == "diagonal":
+        entries = [_build_symbol({"symbol": es}, grid) for es in params.get("entries", [])]
+        if not all(e.is_scalar for e in entries):
+            raise ConfigError("config schema: diagonal entries must be scalar symbols")
+        params["entries"] = [e.values[:, 0, 0] for e in entries]
     try:
-        return ctor(grid, **dict(spec.get("params", {})))
+        return table[name](grid, **params)
     except TypeError as exc:
-        raise ConfigError(f"config schema: bad kernel params for {name!r}: {exc}") from exc
+        raise ConfigError(f"config schema: bad {role} params for {name!r}: {exc}") from exc
+
+
+def _build_symbol(cfg: dict, grid: GridSpec):
+    m = _build(cfg, "symbol", grid)
+    if m is None:
+        raise ConfigError("config schema: operation needs a 'symbol' entry")
+    return m
 
 
 def _function_int(spec: dict, key: str, default, low: int, high: Optional[int] = None) -> int:
@@ -392,7 +397,7 @@ def _op_gamma(cfg, ctx):
 
 
 def _op_hormander(cfg, ctx):
-    kernel = _build_kernel(ctx["raw"], ctx["grid"])
+    kernel = _build(ctx["raw"], "kernel", ctx["grid"])
     if kernel is None:
         m = _build_symbol(ctx["raw"], ctx["grid"])
         kernel = kernel_of_symbol(m, _param(cfg, "levels", "hormander", _integer, None))
@@ -458,7 +463,7 @@ def _op_cz(cfg, ctx):
 
 
 def _op_weak_type(cfg, ctx):
-    kernel = _build_kernel(ctx["raw"], ctx["grid"])
+    kernel = _build(ctx["raw"], "kernel", ctx["grid"])
     if ctx["raw"].get("symbol") is not None:
         m = _build_symbol(ctx["raw"], ctx["grid"])
     elif kernel is not None:
@@ -630,7 +635,7 @@ def run_scenario(path, seed_override=None, tolerance_override=None,
         name = _require(raw, "name", "scenario")
         op_spec = _section(raw, "operation")
         op_name = _require(op_spec, "name", "operation")
-        op_params = dict(_section(op_spec, "params", "operation", {}))
+        op_params = _Params(_section(op_spec, "params", "operation", {}))
         key = (op_name, _require(op_spec, "target", "operation") if op_name == "verify" else None)
         label = " ".join(map(str, filter(None, key)))
         if expected_operation is not None and key != expected_operation:
@@ -661,6 +666,10 @@ def run_scenario(path, seed_override=None, tolerance_override=None,
         if reason is not None and tolerance is not None:
             raise ConfigError(f"config schema: {label} takes no tolerance; {reason}")
         reports, extras = runner(op_params, ctx)
+        unread = sorted(op_params.keys() - op_params.read)
+        if unread:
+            raise ConfigError(f"config schema: operation.params {', '.join(map(repr, unread))} "
+                              f"not read by this {label} run")
     except (ValueError, KeyError, TypeError, NotImplementedError, ArithmeticError,
             MemoryError) as exc:
         # ArithmeticError: a division by zero or an overflow an input check

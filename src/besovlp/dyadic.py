@@ -113,10 +113,6 @@ def smooth_cutoff(t: np.ndarray, smoothness: int) -> np.ndarray:
     return out
 
 
-def _psi_hat_profile(t: np.ndarray, smoothness: int) -> np.ndarray:
-    return smooth_cutoff(t, smoothness) - smooth_cutoff(2.0 * t, smoothness)
-
-
 def _difference_rows(cutoff, mags: np.ndarray, k_high: int) -> tuple:
     """(ks, rows): the rows cutoff(2^-k |xi|) - cutoff(2 2^-k |xi|) on the
     magnitudes mags, for every k <= k_high whose row has a nonzero sample.
@@ -178,21 +174,24 @@ class DyadicPartition:
             )
         self.k_max = k_max
 
-        mags = self._mags
-        phi = np.empty((k_max + 1, grid.n_nodes))
-        phi[0] = smooth_cutoff(mags, smoothness)
-        for k in range(1, k_max + 1):
-            phi[k] = _psi_hat_profile(mags * 2.0**-k, smoothness)
-        phi.setflags(write=False)
-        self.phi_hat = phi
-        self.phi_extents = _slab_extents(phi, grid)
-
         # homogeneous side: keep every k (<= k_max) with a nonzero sample
+        mags = self._mags
         self.hom_ks, psi = _difference_rows(lambda t: smooth_cutoff(t, smoothness), mags, k_max)
         self.k_min_hom = self.hom_ks[0]
         psi.setflags(write=False)
         self.psi_hat = psi
         self.psi_extents = _slab_extents(psi, grid)
+
+        # phi_hat_k = psi_hat_k for k >= 1: the same rows, and zero where
+        # the scan found none (k < k_min_hom)
+        phi = np.zeros((k_max + 1, grid.n_nodes))
+        phi[0] = smooth_cutoff(mags, smoothness)
+        for k, row in zip(self.hom_ks, psi):
+            if k >= 1:
+                phi[k] = row
+        phi.setflags(write=False)
+        self.phi_hat = phi
+        self.phi_extents = _slab_extents(phi, grid)
 
         self.partition_sum = phi.sum(axis=0)
         self.partition_sum.setflags(write=False)

@@ -219,22 +219,12 @@ def _hormander_ts(grid: GridSpec) -> list:
     for mag_t in targets:
         cells = max(1, int(round(mag_t / spacing)))
         for axis in range(grid.d):
-            vec = np.zeros(grid.d, dtype=int)
-            vec[axis] = cells
-            ts.append(vec.copy())
-            vec[axis] = -cells
-            ts.append(vec.copy())
+            for step in (cells, -cells):
+                ts.append((0,) * axis + (step,) + (0,) * (grid.d - axis - 1))
         if grid.d >= 2:
-            diag = np.full(grid.d, max(1, int(round(mag_t / (spacing * math.sqrt(grid.d))))), dtype=int)
-            ts.append(diag)
-    seen = set()
-    out = []
-    for t in ts:
-        key = tuple(int(v) for v in t)
-        if key not in seen and any(key):
-            seen.add(key)
-            out.append(np.asarray(key, dtype=int))
-    return out
+            ts.append((max(1, int(round(mag_t / (spacing * math.sqrt(grid.d))))),) * grid.d)
+    # each vector once, in order of first appearance
+    return [np.asarray(t, dtype=int) for t in dict.fromkeys(ts) if any(t)]
 
 
 def hormander_constant(
@@ -353,12 +343,12 @@ def mihlin_check(
 ) -> MihlinReport:
     """Dyadic-shell derivative bounds with scaling weight R^(|alpha|+d/r-d/rho).
 
-    mode 'oracle' uses the symbol's derivative oracle; mode 'fd' uses
-    central differences on the frequency lattice with a declared step h
-    (an integer multiple of the lattice spacing).  The maximum runs over
-    dyadic shells R <= |xi| < 2R in the representable range, all
-    multi-indices |alpha| <= n and the unit test directions (the
-    standard basis of the domain).  The conditions on the adjoint are
+    mode 'oracle' uses the symbol's derivative oracle and takes no step h;
+    mode 'fd' uses central differences on the frequency lattice with a
+    declared step h (an integer multiple of the lattice spacing).  The
+    maximum runs over dyadic shells R <= |xi| < 2R in the representable
+    range, all multi-indices |alpha| <= n and the unit test directions
+    (the standard basis of the domain).  The conditions on the adjoint are
     the conditions on m.adjoint(), which keeps the oracle.
     """
     grid = m.grid
@@ -379,6 +369,8 @@ def mihlin_check(
     if mode == "oracle":
         if m.derivative_oracle is None:
             raise ValueError("symbol has no derivative oracle; use mode='fd' with a step h")
+        if h is not None:
+            raise ValueError(f"step h = {h} is read only in mode 'fd'; mode 'oracle' takes none")
     elif mode == "fd":
         if h is None:
             raise ValueError("finite-difference mode needs a declared step h")
@@ -405,18 +397,18 @@ def mihlin_check(
     samples = []
     best = 0.0
     for alpha in _multi_indices(d, n):
+        # the derivative at the nodes of a shell mask: the oracle evaluates it
+        # there, the lattice differences are taken once and read there
         if mode == "oracle":
-            deriv = None  # evaluated per shell on masked coords
+            def derivative(mask, alpha=alpha):
+                return m.derivative_oracle(alpha, coords[mask])
         else:
-            deriv_full = _lattice_fd_derivative(m, alpha, h_cells)
+            derivative = _lattice_fd_derivative(m, alpha, h_cells).__getitem__
         for R in shells:
             mask = (mags >= R) & (mags < 2.0 * R)
             if not np.any(mask):
                 continue
-            if mode == "oracle":
-                dvals = m.derivative_oracle(alpha, coords[mask])
-            else:
-                dvals = deriv_full[mask]
+            dvals = derivative(mask)
             weight = R ** (sum(alpha) + dr - d / rho)
             for x in np.eye(m.n_in, dtype=np.complex128):
                 mapped = np.einsum("noi,i->no", dvals, x)

@@ -547,17 +547,19 @@ def _witness_search(
     # per start, the 32-bit half of its stream that _pick_nodes left unread
     halves = [None] * n_starts
 
+    def chunks(rows):
+        # the rows in chunks of len(fhats), each scattered into the zeroed buffer
+        for j in range(0, len(rows), len(fhats)):
+            chunk = rows[j:j + len(fhats)]
+            fhats[:len(chunk), allowed_idx] = chunk
+            yield fhats[:len(chunk)]
+
     if lanes == 1:
         def propose(states, step, rngs):
             return _propose_witnesses(states, step, rngs, halves)
 
         def score_batch(specs):
-            scores = []
-            for j in range(0, n_starts, per_chunk):
-                chunk = specs[j:j + per_chunk]
-                fhats[:len(chunk), allowed_idx] = chunk
-                scores += score(fhats[:len(chunk)])
-            return scores
+            return [value for chunk in chunks(specs) for value in score(chunk)]
     else:
         def propose(states, step, rngs):
             leads, pos = _distinct_rows(states, lanes)
@@ -567,14 +569,7 @@ def _witness_search(
             # the starting states are lane 0's, copied into every lane
             rows, pos = ((specs.rows, specs.pos) if isinstance(specs, _SharedRows)
                          else (specs[:n_starts], np.tile(np.arange(n_starts), lanes)))
-
-            def chunks():
-                for j in range(0, len(rows), len(fhats)):
-                    chunk = rows[j:j + len(fhats)]
-                    fhats[:len(chunk), allowed_idx] = chunk
-                    yield fhats[:len(chunk)]
-
-            return np.ravel(score(chunks(), pos.reshape(lanes, n_starts)))
+            return np.ravel(score(chunks(rows), pos.reshape(lanes, n_starts)))
 
     found = _hill_climb(sampler, _OP_WITNESS, n_starts, start, propose,
                         score_batch, budget, lanes=lanes)
@@ -603,16 +598,6 @@ def _side_norms(m: OperatorSymbol, norms: Callable, fhats: np.ndarray, src: tupl
         vals = norms(sides)
         return vals[:n], vals[n:]
     return norms(sides[:1]), norms(sides[1:])
-
-
-def _ratio_scorer(m: OperatorSymbol, norms: Callable, src: tuple, dst: tuple) -> Callable:
-    """Witness score ||T f|| / ||f|| of each spectrum fhat of a stack, from
-    the norms of _side_norms; -inf where ||f|| <= 0."""
-    def score(fhats: np.ndarray) -> list:
-        src_norms, dst_norms = _side_norms(m, norms, fhats, src, dst)
-        return _ratios(dst_norms, src_norms)
-
-    return score
 
 
 def _lp_scorer(m: OperatorSymbol, pairs: Sequence[tuple], domain_space: ValueSpace,
@@ -660,14 +645,20 @@ def _besov_scorer(m: OperatorSymbol, src: BesovParams, dst: BesovParams,
                   part: DyadicPartition, domain_space: ValueSpace,
                   codomain_space: ValueSpace, homogeneous: bool) -> Callable:
     """||T f||_dst / ||f||_src of a stack of spectra, equal bit for bit to
-    the quotient of besov_norm (or homogeneous_besov_norm) calls.  The
-    two sides' block weights are computed once, for every stack scored."""
+    the quotient of besov_norm (or homogeneous_besov_norm) calls; -inf
+    where ||f||_src <= 0.  The two sides' block weights are computed once,
+    for every stack scored."""
+    src = (src, domain_space, _besov_weights(part, src, homogeneous))
+    dst = (dst, codomain_space, _besov_weights(part, dst, homogeneous))
+
     def norms(sides):
         return _besov_norms(sides, part, homogeneous)
 
-    return _ratio_scorer(m, norms,
-                         (src, domain_space, _besov_weights(part, src, homogeneous)),
-                         (dst, codomain_space, _besov_weights(part, dst, homogeneous)))
+    def score(fhats: np.ndarray) -> list:
+        src_norms, dst_norms = _side_norms(m, norms, fhats, src, dst)
+        return _ratios(dst_norms, src_norms)
+
+    return score
 
 
 def estimate_multiplier_norm(

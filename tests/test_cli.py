@@ -86,6 +86,25 @@ def test_unknown_symbol_constructor_message(tmp_path, capsys):
     assert "unknown symbol constructor" in capsys.readouterr().err
 
 
+def test_unknown_kernel_constructor_message(tmp_path, capsys):
+    cfg = dict(BASE, symbol=None, kernel={"constructor": "nonsense"},
+               operation={"name": "hormander", "params": {"a": 1.0}})
+    assert main(["hormander", "--config", str(write(tmp_path, "x.json", cfg))]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == ("error: scenario x.json: config schema: unknown kernel constructor "
+                   "'nonsense' (known: ['hilbert'])\n")
+
+
+def test_unread_operation_keys_are_refused_before_any_output(tmp_path, capsys):
+    out = tmp_path / "rep.json"
+    cfg = _with_params(BASE, q_typo=4.0, mean_zerro=True)
+    code, rep = run_scenario(write(tmp_path, "x.json", cfg), out_override=out)
+    assert (code, rep) == (EXIT_USAGE, None) and not out.exists()
+    assert capsys.readouterr().err == (
+        "error: scenario x.json: config schema: operation.params 'mean_zerro', 'q_typo' "
+        "not read by this multiplier run\n")
+
+
 def test_failing_verdict_exits_two(tmp_path):
     cfg = dict(BASE)
     cfg["operation"] = {
@@ -476,6 +495,14 @@ BAD_CONFIGS = [
     ("verify prop43", _with_params(PROP43, cube=[1.0]), "cube must be a pair [a, b], got [1.0]"),
     ("partition", _with_params(PARTITION, smoothness=10**6),
      "smoothness must lie in [1, 8], got 1000000"),
+    # keys nothing read, which ran and passed before: a sweep without its
+    # verdict cap, a kernel's (H)_a check its levels, an oracle check its step
+    ("sweep", _sweep_params(spread_capp=1.25),
+     "config schema: operation.params 'spread_capp' not read by this sweep run"),
+    ("hormander", dict(_hilbert_op("hormander", a=1.0, levels=3), symbol=None, kernel=HILBERT),
+     "config schema: operation.params 'levels' not read by this hormander run"),
+    ("mihlin", _with_params(MIHLIN, mode="oracle", h=0.25),
+     "step h = 0.25 is read only in mode 'fd'; mode 'oracle' takes none"),
     # inputs that checked nothing and passed before: a negative (H)_a
     # exponent, no multi-index, an empty truncation window, no test function
     ("hormander", _hilbert_op("hormander", a=-1), "a must lie in [1, inf], got -1"),

@@ -114,8 +114,20 @@ def _old_difference_scan(profile, mags, k_high):
     return tuple(ks), np.asarray(rows)
 
 
+def _old_phi_rows(mags, k_max, smoothness):
+    # the phi_hat rows as they were built before they reused the psi_hat rows:
+    # chi(|xi|), then psi_hat(2^-k |xi|) with its own profile, k = 1..k_max
+    phi = np.empty((k_max + 1, len(mags)))
+    phi[0] = smooth_cutoff(mags, smoothness)
+    for k in range(1, k_max + 1):
+        t = mags * 2.0**-k
+        phi[k] = smooth_cutoff(t, smoothness) - smooth_cutoff(2.0 * t, smoothness)
+    return phi
+
+
 @pytest.mark.parametrize("d, n, period", [(1, 64, 0.125), (1, 256, 0.5), (1, 128, 1.0),
-                                          (2, 32, 1.0), (2, 64, 3.0), (3, 32, 2.0)])
+                                          (2, 32, 1.0), (2, 64, 3.0), (3, 32, 2.0),
+                                          (1, 64, 1 / 64)])
 @pytest.mark.parametrize("smoothness", [1, 3, 8])
 def test_difference_rows_keep_the_bits_of_the_separate_scans(d, n, period, smoothness):
     grid = GridSpec(d, n, period)
@@ -124,6 +136,12 @@ def test_difference_rows_keep_the_bits_of_the_separate_scans(d, n, period, smoot
     ks, rows = _old_difference_scan(lambda t: smooth_cutoff(t, smoothness), mags, part.k_max)
     assert part.hom_ks == ks and part.k_min_hom == ks[0]
     assert np.array_equal(part.psi_hat, rows)
+    # phi_hat through a uint64 view: == would take -0 for +0
+    old_phi = _old_phi_rows(mags, part.k_max, smoothness)
+    assert np.array_equal(part.phi_hat.view(np.uint64), old_phi.view(np.uint64))
+    if period == 1 / 64:
+        # rows 1..k_min_hom - 1 are zero rows, not copies
+        assert part.k_min_hom == 6 and not part.phi_hat[1:6].any()
     system = eta_zeta_system(grid, smoothness)
     ks, rows = _old_difference_scan(lambda t: smooth_cutoff(2.0 * t - 1.0, smoothness), mags,
                                     int(math.ceil(math.log2(mags.max()))) + 1)

@@ -388,6 +388,14 @@ def test_mihlin_requires_oracle_or_step(grid128):
         mihlin_check(m, r=2.0, rho=2.0, mode="fd")
 
 
+def test_mihlin_oracle_mode_refuses_a_step(grid128):
+    # the oracle reads no step: an h here was checked, then ignored
+    m = riesz_symbol(grid128, 0.5)
+    with pytest.raises(ValueError, match=r"step h = 0.25 is read only in mode 'fd'"):
+        mihlin_check(m, r=2.0, rho=2.0, mode="oracle", h=0.25)
+    assert mihlin_check(m, r=2.0, rho=2.0, mode="fd", h=0.25).mode == "fd"
+
+
 def test_mihlin_default_order():
     grid = GridSpec(1, 1024, 16.0)
     rep = mihlin_check(riesz_symbol(grid, 0.5), r=4.0, rho=1.0)
